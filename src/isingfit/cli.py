@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import sys
 
@@ -31,6 +32,7 @@ from .core import (
     load_samples,
     save_model,
     save_samples,
+    stream,
 )
 
 SWEEP_COLUMNS = (
@@ -115,15 +117,7 @@ def _fit_config_from_config(block) -> optimizer.FitConfig:
         return optimizer.FitConfig()
     if not isinstance(block, dict):
         raise ConfigError("optimizer: must be an object")
-    allowed = {
-        "max_iters",
-        "grad_map_tol",
-        "initial_step",
-        "backtracking_factor",
-        "armijo_const",
-        "projection_tol",
-        "projection_max_iter",
-    }
+    allowed = {f.name for f in dataclasses.fields(optimizer.FitConfig)} - {"init"}
     unknown = set(block) - allowed
     if unknown:
         raise ConfigError(f"optimizer.{sorted(unknown)[0]}: unknown field")
@@ -134,7 +128,7 @@ def _fit_config_from_config(block) -> optimizer.FitConfig:
 
 
 def _glauber_config(block, seed: int) -> sampler.GlauberConfig:
-    block = dict(block or {})
+    block = {k: v for k, v in (block or {}).items() if v is not None}
     alpha = block.pop("alpha_hint", None)
     base = sampler.default_config(seed=seed, alpha=alpha)
     try:
@@ -169,14 +163,9 @@ def _cmd_sample(args) -> int:
     if args.method == "exact":
         batch = sampler.exact_sample(model, args.l, seed=args.seed)
     else:
-        cfg = sampler.default_config(seed=args.seed, alpha=args.alpha_hint)
-        cfg = sampler.GlauberConfig(
-            burn_in_sweeps=args.burn_in if args.burn_in is not None else cfg.burn_in_sweeps,
-            thinning_sweeps=args.thinning if args.thinning is not None else cfg.thinning_sweeps,
-            seed=args.seed,
-            chains=args.chains if args.chains is not None else cfg.chains,
-        )
-        batch = sampler.glauber_sample(model, args.l, cfg)
+        block = {"alpha_hint": args.alpha_hint, "burn_in_sweeps": args.burn_in,
+                 "thinning_sweeps": args.thinning, "chains": args.chains}
+        batch = sampler.glauber_sample(model, args.l, _glauber_config(block, args.seed))
     save_samples(batch, args.out)
     return 0
 
@@ -296,14 +285,23 @@ def _run_sweep_cell(payload: dict) -> dict:
         "l": str(l),
         "seed": str(seed),
         "constraint": constraint.describe(),
-        "frob_err": _fmt_metric(values["frobenius"]) if "frobenius" in values else "",
-        "tv_exact": _fmt_metric(values["tv_exact"]) if "tv_exact" in values else "",
-        "kl_exact": _fmt_metric(values["kl_exact"]) if "kl_exact" in values else "",
         "iters": str(report.iterations),
         "wall_time": format(report.wall_time, ".6f"),
-        "op_norm_err": _fmt_metric(values["op_norm_err"]) if "op_norm_err" in values else "",
     }
+    for metric in SWEEP_METRICS:
+        column = "frob_err" if metric == "frobenius" else metric
+        row[column] = _fmt_metric(values[metric]) if metric in values else ""
     return row
+
+
+def _int_list(block: dict, field: str) -> list[int]:
+    values = _require(block, field, "sweep")
+    if isinstance(values, list):
+        try:
+            return [int(v) for v in values]
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"sweep.{field}: must be a list of integers")
 
 
 def _cmd_sweep(args) -> int:
@@ -312,8 +310,10 @@ def _cmd_sweep(args) -> int:
         if block not in cfg:
             raise ConfigError(f"{block}: missing block in config")
     sweep = cfg["sweep"]
-    l_values = _require(sweep, "l_values", "sweep")
-    seeds = _require(sweep, "seeds", "sweep")
+    if not isinstance(sweep, dict):
+        raise ConfigError("sweep: must be an object")
+    l_values = _int_list(sweep, "l_values")
+    seeds = _int_list(sweep, "seeds")
     metrics = sweep.get("metrics", ["frobenius"])
     for m in metrics:
         if m not in SWEEP_METRICS:
@@ -332,8 +332,8 @@ def _cmd_sweep(args) -> int:
             "optimizer": cfg.get("optimizer"),
             "sampler": cfg.get("sampler"),
             "metrics": list(metrics),
-            "l": int(l),
-            "seed": int(seed),
+            "l": l,
+            "seed": seed,
         }
         for l in l_values
         for seed in seeds
@@ -345,26 +345,10 @@ def _cmd_sweep(args) -> int:
     else:
         rows = [_run_sweep_cell(p) for p in payloads]
 
-    def cell_key(row):
-        return (
-            row["ensemble"],
-            int(row["n"]),
-            row["beta"],
-            row["d"],
-            int(row["l"]),
-            int(row["seed"]),
-            row["constraint"],
-        )
-
-    rows.sort(key=cell_key)
-    new_file = True
-    try:
-        with open(args.out) as fh:
-            new_file = fh.read(1) == ""
-    except FileNotFoundError:
-        pass
+    # A cell is keyed by (l, seed); every other column is fixed within a sweep.
+    rows.sort(key=lambda row: (int(row["l"]), int(row["seed"])))
     with open(args.out, "a") as fh:
-        if new_file:
+        if fh.tell() == 0:  # append mode opens at the end: empty or new file
             fh.write(",".join(SWEEP_COLUMNS) + "\n")
         for row in rows:
             fh.write(",".join(row[c] for c in SWEEP_COLUMNS) + "\n")
@@ -430,8 +414,7 @@ def _cmd_diagnose(args) -> int:
     else:  # gradconc
         if args.l is None:
             raise ConfigError("diagnose: gradconc probe needs --l")
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((args.seed, 0xD1))))
-        raw = np.triu(rng.normal(size=(model.n, model.n)), k=1)
+        raw = np.triu(stream(args.seed, 0xD1).normal(size=(model.n, model.n)), k=1)
         direction = CouplingMatrix(raw + raw.T)
         rep = diagnostics.gradient_concentration_probe(
             model, direction, l=args.l, batches=args.batches, seed=args.seed

@@ -33,7 +33,10 @@ __all__ = [
     "load_model",
     "save_samples",
     "load_samples",
+    "stream",
 ]
+
+_SEED_MASK = (1 << 63) - 1
 
 
 class ValidationError(ValueError):
@@ -54,6 +57,16 @@ class ParameterError(ValueError):
 
 class GenerationError(RuntimeError):
     """A randomized construction exhausted its retry budget."""
+
+
+def stream(seed: int, *words: int) -> np.random.Generator:
+    """Philox generator keyed on (seed mod 2^63, *words); the one RNG constructor.
+
+    Distinct word tuples give disjoint streams, and negative seeds are valid.
+    """
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence((seed & _SEED_MASK, *words)))
+    )
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -272,6 +285,8 @@ def load_model(path) -> IsingModel:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be a JSON object")
     for key in ("n", "h", "J"):
         if key not in doc:
             raise ParseError(f'{path}: missing "{key}" key')
@@ -282,34 +297,43 @@ def load_model(path) -> IsingModel:
     if not isinstance(j_doc, dict):
         raise ParseError(f'{path}: "J" must be an object with "dense" or "triplets"')
     if "dense" in j_doc:
-        entries = np.asarray(j_doc["dense"], dtype=np.float64)
+        entries = _float_array(j_doc["dense"], path, "J.dense")
         if entries.shape != (n, n):
             raise ParseError(f'{path}: "J.dense" must be {n}x{n}')
     elif "triplets" in j_doc:
         entries = np.zeros((n, n))
-        for t, trip in enumerate(j_doc["triplets"]):
-            if len(trip) != 3:
-                raise ParseError(f'{path}: "J.triplets[{t}]" must be [i, j, v]')
+        trips = j_doc["triplets"]
+        if not isinstance(trips, list):
+            raise ParseError(f'{path}: "J.triplets" must be a list')
+        for t, trip in enumerate(trips):
+            key = f"J.triplets[{t}]"
+            if not isinstance(trip, list) or len(trip) != 3:
+                raise ParseError(f'{path}: "{key}" must be [i, j, v]')
             i, j, v = trip
-            if not (0 <= i < j < n):
-                raise ParseError(
-                    f'{path}: "J.triplets[{t}]" needs 0 <= i < j < n, got ({i},{j})'
-                )
-            entries[i, j] = entries[j, i] = float(v)
+            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < n):
+                raise ParseError(f'{path}: "{key}" needs 0 <= i < j < n, got ({i},{j})')
+            try:
+                entries[i, j] = entries[j, i] = float(v)
+            except (TypeError, ValueError) as e:
+                raise ParseError(f'{path}: "{key}" value must be a number') from e
     else:
         raise ParseError(f'{path}: "J" lacks both "dense" and "triplets"')
     try:
-        return IsingModel(CouplingMatrix(entries), np.asarray(doc["h"], dtype=np.float64))
+        return IsingModel(CouplingMatrix(entries), _float_array(doc["h"], path, "h"))
     except ValidationError as e:
         raise ParseError(f"{path}: {e}") from e
 
 
+def _float_array(value, path, key: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ParseError(f'{path}: "{key}" must hold numbers ({e})') from e
+
+
 def save_samples(batch: SampleBatch, path) -> None:
     """Write samples as CSV: one row per configuration, entries -1 or 1, no header."""
-    with open(path, "w") as fh:
-        for row in batch.spins:
-            fh.write(",".join(str(int(v)) for v in row))
-            fh.write("\n")
+    np.savetxt(path, batch.spins, fmt="%d", delimiter=",")
 
 
 def load_samples(path) -> SampleBatch:

@@ -20,14 +20,13 @@ from .core import (
     IsingModel,
     ParameterError,
     ValidationError,
+    stream,
 )
-
-_SEED_MASK = (1 << 63) - 1
 
 
 def _probe_rng(seed: int, name: str) -> np.random.Generator:
     tag = int.from_bytes(name.encode()[:8].ljust(8, b"\0"), "big")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed & _SEED_MASK, tag))))
+    return stream(seed, tag)
 
 
 # ---------------------------------------------------------------------------

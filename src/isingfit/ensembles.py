@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingMatrix, GenerationError, IsingModel, ParameterError
+from .core import CouplingMatrix, GenerationError, IsingModel, ParameterError, stream
 
 __all__ = ["EnsembleSpec", "KINDS", "generate", "random_regular_graph"]
 
@@ -19,7 +19,6 @@ KINDS = ("SK", "DilutedSK", "CurieWeiss", "AntiferroExpander", "BoundedWidthRand
 
 _KIND_CODE = {k: i + 1 for i, k in enumerate(KINDS)}
 _GRAPH_CODE = 0x9E
-_SEED_MASK = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -48,14 +47,6 @@ class EnsembleSpec:
         if self.kind == "BoundedWidthRandom":
             if self.width is None or self.width <= 0:
                 raise ParameterError("BoundedWidthRandom needs width > 0")
-
-
-def _stream(entropy) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-
-
-def _spec_rng(spec: EnsembleSpec) -> np.random.Generator:
-    return _stream((spec.seed & _SEED_MASK, _KIND_CODE[spec.kind], spec.n))
 
 
 def _pairing_attempt(n: int, d: int, rng: np.random.Generator):
@@ -96,14 +87,14 @@ def random_regular_graph(n: int, d: int, seed: int = 0) -> CouplingMatrix:
         raise ParameterError(f"need 1 <= d < n, got d={d}, n={n}")
     if (n * d) % 2 != 0:
         raise ParameterError("n*d must be even")
-    rng = _stream((seed & _SEED_MASK, _GRAPH_CODE, n, d))
+    rng = stream(seed, _GRAPH_CODE, n, d)
     return CouplingMatrix(_regular_adjacency(n, d, rng))
 
 
 def generate(spec: EnsembleSpec) -> IsingModel:
     """Draw the interaction matrix of the requested ensemble; the external
     field is always zero."""
-    rng = _spec_rng(spec)
+    rng = stream(spec.seed, _KIND_CODE[spec.kind], spec.n)
     n = spec.n
     if spec.kind == "SK":
         upper = rng.normal(0.0, spec.beta / np.sqrt(n), size=(n, n))

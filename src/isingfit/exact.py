@@ -19,7 +19,9 @@ from .core import (
     IsingModel,
     ParameterError,
     ValidationError,
+    stream,
 )
+from .mple import _logcosh
 
 DEFAULT_ENUM_CAP = 20
 DEFAULT_CHAIN_CAP = 8  # dense 2^n x 2^n eigenproblem
@@ -35,11 +37,15 @@ def _check_cap(n: int, cap: int, what: str) -> None:
         )
 
 
+def states(idx, n: int) -> np.ndarray:
+    """Float +-1 configurations of the given state indices, one row each."""
+    bits = (np.asarray(idx, dtype=np.int64)[:, None] >> np.arange(n, dtype=np.int64)) & 1
+    return 2.0 * bits - 1.0
+
+
 def all_states(n: int) -> np.ndarray:
     """(2^n, n) array of spin configurations, row s = configuration s."""
-    idx = np.arange(1 << n, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
-    return (2.0 * bits - 1.0).astype(np.float64)
+    return states(np.arange(1 << n), n)
 
 
 def encode_spins(spins) -> np.ndarray:
@@ -52,11 +58,8 @@ def encode_spins(spins) -> np.ndarray:
 def _iter_state_blocks(n: int):
     total = 1 << n
     step = 1 << min(_BLOCK_BITS, n)
-    powers = np.arange(n, dtype=np.int64)
     for start in range(0, total, step):
-        idx = np.arange(start, min(start + step, total), dtype=np.int64)
-        bits = (idx[:, None] >> powers[None, :]) & 1
-        yield start, (2.0 * bits - 1.0).astype(np.float64)
+        yield start, states(np.arange(start, min(start + step, total)), n)
 
 
 def _energies(S: np.ndarray, J: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -79,31 +82,34 @@ class DistributionTable:
             raise ValidationError("probability table does not sum to 1")
 
 
-def partition_function(m: IsingModel, cap: int = DEFAULT_ENUM_CAP) -> float:
-    """log Z, accumulated blockwise with a streaming log-sum-exp."""
-    _check_cap(m.n, cap, "partition function")
+def _log_weights(m: IsingModel) -> tuple[np.ndarray, float]:
+    """Table of all 2^n log weights and log Z, in one blockwise pass; log Z is
+    accumulated from the table's blocks with a streaming log-sum-exp."""
     J, h = m.coupling.entries, m.field
+    table = np.empty(1 << m.n)
     running_max = -np.inf
     running_sum = 0.0
-    for _, S in _iter_state_blocks(m.n):
-        e = _energies(S, J, h)
+    for start, S in _iter_state_blocks(m.n):
+        e = table[start : start + S.shape[0]] = _energies(S, J, h)
         block_max = float(e.max())
         if block_max > running_max:
             running_sum *= np.exp(running_max - block_max)
             running_max = block_max
         running_sum += float(np.exp(e - running_max).sum())
-    return running_max + float(np.log(running_sum))
+    return table, running_max + float(np.log(running_sum))
+
+
+def partition_function(m: IsingModel, cap: int = DEFAULT_ENUM_CAP) -> float:
+    """log Z, from the enumeration pass that :func:`distribution` also uses."""
+    _check_cap(m.n, cap, "partition function")
+    return _log_weights(m)[1]
 
 
 def distribution(m: IsingModel, cap: int = DEFAULT_ENUM_CAP) -> DistributionTable:
     _check_cap(m.n, cap, "distribution table")
-    J, h = m.coupling.entries, m.field
-    log_z = partition_function(m, cap=cap)
-    probs = np.empty(1 << m.n)
-    for start, S in _iter_state_blocks(m.n):
-        e = _energies(S, J, h)
-        probs[start : start + S.shape[0]] = np.exp(e - log_z)
-    return DistributionTable(n=m.n, probs=probs)
+    table, log_z = _log_weights(m)
+    np.exp(np.subtract(table, log_z, out=table), out=table)
+    return DistributionTable(n=m.n, probs=table)
 
 
 def tv_distance(p: DistributionTable, q: DistributionTable) -> float:
@@ -147,7 +153,7 @@ def moments(m: IsingModel, A: CouplingMatrix, cap: int = DEFAULT_ENUM_CAP) -> Mo
         AX = S @ a  # row k = A x^(k), using symmetry of A
         mean_vec += p @ AX
         second += float(p @ np.einsum("si,si->s", AX, AX))
-        quad = np.einsum("si,si->s", S @ a, S)
+        quad = np.einsum("si,si->s", AX, S)
         quad_mean += float(p @ quad)
         quad_sq += float(p @ (quad * quad))
     return MomentSummary(
@@ -219,14 +225,9 @@ def _shifted_matrix(m: IsingModel, shift: float) -> np.ndarray:
     return W
 
 
-def _log2cosh(u: np.ndarray) -> np.ndarray:
-    a = np.abs(u)
-    return a + np.log1p(np.exp(-2.0 * a))
-
-
 def _product_table(S: np.ndarray, fields: np.ndarray) -> np.ndarray:
     """Tables of product measures; fields has one row per measure."""
-    logp = fields @ S.T - _log2cosh(fields).sum(axis=1, keepdims=True)
+    logp = fields @ S.T - (_logcosh(fields) + np.log(2.0)).sum(axis=1, keepdims=True)
     return np.exp(logp)
 
 
@@ -248,7 +249,7 @@ def hubbard_stratonovich_check(
     table = distribution(m, cap=cap)
     cdf = np.cumsum(table.probs)
     S = all_states(m.n)
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 0x48]))
+    rng = stream(seed, 0x48)
 
     mix = np.zeros(1 << m.n)
     done = 0

@@ -90,30 +90,29 @@ class PseudolikelihoodContext:
         return self._cached_m
 
 
+def _value(m: np.ndarray, x: np.ndarray) -> float:
+    return float(np.sum(_logcosh(m) - x * m + np.log(2.0)))
+
+
 def objective(J: CouplingMatrix, ctx: PseudolikelihoodContext) -> float:
-    m = ctx.fields_matrix(J)
-    return float(np.sum(_logcosh(m) - ctx.x * m + np.log(2.0)))
+    return _value(ctx.fields_matrix(J), ctx.x)
 
 
 def gradient(J: CouplingMatrix, ctx: PseudolikelihoodContext) -> CouplingMatrix:
-    """Symmetric zero-diagonal matrix of d phi / d J_ij over the upper triangle.
-
-    Entry (i, j): sum_k (tanh(J_i X + h_i) - X_i) X_j + (tanh(J_j X + h_j) - X_j) X_i.
-    """
-    m = ctx.fields_matrix(J)
-    r = np.tanh(m) - ctx.x
-    g = r.T @ ctx.x
-    g = g + g.T
-    np.fill_diagonal(g, 0.0)
-    return CouplingMatrix(g)
+    """Symmetric zero-diagonal matrix of d phi / d J_ij over the upper triangle."""
+    return CouplingMatrix(objective_and_gradient(J, ctx)[1])
 
 
 def objective_and_gradient(
     J: CouplingMatrix, ctx: PseudolikelihoodContext
 ) -> tuple[float, np.ndarray]:
-    """Objective and raw gradient array in one pass (optimizer hot path)."""
+    """Objective and raw gradient array in one pass (optimizer hot path).
+
+    Gradient entry (i, j):
+    sum_k (tanh(J_i X + h_i) - X_i) X_j + (tanh(J_j X + h_j) - X_j) X_i.
+    """
     m = ctx.fields_matrix(J)
-    value = float(np.sum(_logcosh(m) - ctx.x * m + np.log(2.0)))
+    value = _value(m, ctx.x)
     r = np.tanh(m) - ctx.x
     g = r.T @ ctx.x
     g = g + g.T

@@ -39,7 +39,14 @@ __all__ = [
     "ProjectionConvergenceWarning",
 ]
 
-KINDS = ("OpNormBall", "SpectralSpread", "WidthBall", "AntiferroSpike")
+# Each family's parameters, in describe() order; a family takes no others.
+_PARAMS = {
+    "OpNormBall": ("lam",),
+    "SpectralSpread": ("s",),
+    "WidthBall": ("m",),
+    "AntiferroSpike": ("alpha", "c"),
+}
+KINDS = tuple(_PARAMS)
 
 # Iteration budget sized so random desk-scale inputs reach tol 1e-8. Typical
 # inputs need a few hundred iterations, but the linear rate degrades when the
@@ -58,6 +65,12 @@ class ConstraintSet:
     c: float | None = None
 
     def __post_init__(self):
+        if self.kind not in _PARAMS:
+            raise ParameterError(f"unknown constraint kind {self.kind!r}")
+        foreign = [p for ps in _PARAMS.values() for p in ps
+                   if p not in _PARAMS[self.kind] and getattr(self, p) is not None]
+        if foreign:
+            raise ParameterError(f"{self.kind} takes no parameter {foreign[0]!r}")
         if self.kind == "OpNormBall":
             if self.lam is None or self.lam <= 0:
                 raise ParameterError("OpNormBall needs lam > 0")
@@ -67,23 +80,14 @@ class ConstraintSet:
         elif self.kind == "WidthBall":
             if self.m is None or self.m <= 0:
                 raise ParameterError("WidthBall needs m > 0")
-        elif self.kind == "AntiferroSpike":
+        else:  # AntiferroSpike
             if self.alpha is None or not 0 < self.alpha < 1:
                 raise ParameterError("AntiferroSpike needs 0 < alpha < 1")
             if self.c is None or self.c <= 0:
                 raise ParameterError("AntiferroSpike needs c > 0")
-        else:
-            raise ParameterError(f"unknown constraint kind {self.kind!r}")
 
     def describe(self) -> str:
-        if self.kind == "OpNormBall":
-            params = f"lam={self.lam:g}"
-        elif self.kind == "SpectralSpread":
-            params = f"s={self.s:g}"
-        elif self.kind == "WidthBall":
-            params = f"m={self.m:g}"
-        else:
-            params = f"alpha={self.alpha:g} c={self.c:g}"
+        params = " ".join(f"{name}={getattr(self, name):g}" for name in _PARAMS[self.kind])
         return f"{self.kind}({params})"
 
 

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .core import IsingModel, ParameterError, SampleBatch
-
-_SEED_MASK = (1 << 63) - 1
+from .core import _SEED_MASK, IsingModel, ParameterError, SampleBatch, stream
 
 
 @dataclass(frozen=True)
@@ -64,13 +62,9 @@ def chain_entropy(seed: int, chain: int) -> tuple[int, int]:
     return (seed & _SEED_MASK, chain)
 
 
-def _chain_rng(seed: int, chain: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(chain_entropy(seed, chain))))
-
-
 def _run_chain(J: np.ndarray, h: np.ndarray, n_samples: int, cfg: GlauberConfig, chain: int) -> np.ndarray:
     n = h.shape[0]
-    rng = _chain_rng(cfg.seed, chain)
+    rng = stream(*chain_entropy(cfg.seed, chain))
     x = [1.0 if b else -1.0 for b in rng.integers(0, 2, size=n)]
     # Local fields J x + h, updated incrementally; python lists beat numpy for
     # the tiny per-step arithmetic at desk-scale n.
@@ -128,8 +122,5 @@ def exact_sample(
         raise ParameterError("sample count must be >= 1")
     table = exact.distribution(m, cap=cap)
     cdf = np.cumsum(table.probs)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed & _SEED_MASK, 0xE))))
-    idx = np.searchsorted(cdf, rng.random(l), side="right")
-    idx = np.minimum(idx, (1 << m.n) - 1)
-    bits = (idx[:, None] >> np.arange(m.n, dtype=np.int64)[None, :]) & 1
-    return SampleBatch((2 * bits - 1).astype(np.int8))
+    idx = np.searchsorted(cdf, stream(seed, 0xE).random(l), side="right")
+    return SampleBatch(exact.states(np.minimum(idx, (1 << m.n) - 1), m.n))

@@ -277,3 +277,53 @@ class TestDiagnose:
     def test_missing_probe_arg_exit_2(self, model_path, capsys):
         assert cli.main(["diagnose", "--probe", "subset", "--model", model_path]) == 2
         assert "--m" in capsys.readouterr().err
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--l", "50", "--method", "exact"],
+        ["diagnose", "--probe", "gradconc", "--l", "50", "--batches", "5"],
+        ["diagnose", "--probe", "regularity", "--gamma", "0.05", "--num", "3"],
+    ])
+    def test_negative_seed_is_taken_mod_2_63(self, tmp_path, argv):
+        cfg = write_config(tmp_path / "c.json", base_config(n=5))
+        model = tmp_path / "m.json"
+        cli.main(["generate", "--config", cfg, "--out", str(model)])
+        outputs = []
+        for seed in ("-1", str(2**63 - 1)):
+            out = tmp_path / f"out{seed}.csv"
+            assert cli.main(argv + ["--model", str(model), "--seed", seed, "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("doc, key", [
+        ({"n": 2, "h": [0, 0], "J": {"dense": [[0, 1], [1]]}}, "J.dense"),
+        ({"n": 2, "h": "ab", "J": {"dense": [[0, 1], [1, 0]]}}, '"h"'),
+        ({"n": 3, "h": [0, 0, 0], "J": {"triplets": [[0.5, 2, 1.0]]}}, "J.triplets[0]"),
+        ({"n": 3, "h": [0, 0, 0], "J": {"triplets": [[0, 2, "x"]]}}, "J.triplets[0]"),
+        (5, "top level"),
+    ])
+    def test_malformed_model_file_exit_2(self, tmp_path, capsys, doc, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["evaluate", "--model-a", str(bad), "--model-b", str(bad)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("l_values", ["x"]), ("l_values", 5), ("seeds", ["x"]), ("seeds", 5),
+    ])
+    def test_bad_sweep_grid_exit_2(self, tmp_path, capsys, field, value):
+        doc = base_config()
+        doc["sweep"][field] = value
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"sweep.{field}" in capsys.readouterr().err
+
+    def test_foreign_constraint_parameter_exit_2(self, tmp_path, capsys):
+        doc = base_config()
+        doc["constraint"] = {"kind": "OpNormBall", "lam": 1, "m": 3}
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
+        assert "'m'" in capsys.readouterr().err

@@ -214,3 +214,17 @@ class TestStructuralDetails:
             antiferro_spike(0.5, -1.0)
         with pytest.raises(ParameterError):
             ConstraintSet(kind="Banana", lam=1.0)
+
+    @pytest.mark.parametrize("params", [
+        {"kind": "OpNormBall", "lam": 1.0, "m": 3.0},
+        {"kind": "WidthBall", "m": 1.0, "alpha": 0.5},
+        {"kind": "AntiferroSpike", "alpha": 0.5, "c": 1.0, "s": 0.5},
+    ])
+    def test_foreign_parameter_rejected(self, params):
+        with pytest.raises(ParameterError, match="takes no parameter"):
+            ConstraintSet(**params)
+
+    def test_describe_lists_own_parameters(self):
+        assert op_norm_ball(2.0).describe() == "OpNormBall(lam=2)"
+        assert antiferro_spike(0.5, 1.25).describe() == "AntiferroSpike(alpha=0.5 c=1.25)"
+        assert projections.KINDS == ("OpNormBall", "SpectralSpread", "WidthBall", "AntiferroSpike")
