@@ -309,12 +309,16 @@ def _cmd_sweep(args) -> int:
     for block in ("ensemble", "constraint", "sweep"):
         if block not in cfg:
             raise ConfigError(f"{block}: missing block in config")
+    if not isinstance(cfg.get("sampler", {}), (dict, type(None))):
+        raise ConfigError("sampler: must be an object")
     sweep = cfg["sweep"]
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: must be an object")
     l_values = _int_list(sweep, "l_values")
     seeds = _int_list(sweep, "seeds")
     metrics = sweep.get("metrics", ["frobenius"])
+    if not isinstance(metrics, list):
+        raise ConfigError("sweep.metrics: must be a list of metric names")
     for m in metrics:
         if m not in SWEEP_METRICS:
             raise ConfigError(f"sweep.metrics: unknown metric {m!r}")

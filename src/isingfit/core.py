@@ -95,12 +95,6 @@ class CouplingMatrix:
     def zeros(cls, n: int) -> "CouplingMatrix":
         return cls(np.zeros((n, n)))
 
-    @classmethod
-    def from_upper(cls, upper) -> "CouplingMatrix":
-        """Mirror the strict upper triangle of ``upper`` and zero the diagonal."""
-        u = np.triu(np.asarray(upper, dtype=np.float64), k=1)
-        return cls(u + u.T)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CouplingMatrix) and np.array_equal(
             self.entries, other.entries

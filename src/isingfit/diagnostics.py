@@ -33,6 +33,10 @@ def _probe_rng(seed: int, name: str) -> np.random.Generator:
 # Subset conditioning decomposition.
 # ---------------------------------------------------------------------------
 
+_COUNT_CONSTANT = 64.0  # C in r = ceil(C M^2 log n / eta^2)
+_MAX_RETRIES = 200  # redraws of one over-wide subset
+
+
 @dataclass
 class SubsetDecomposition:
     """Subsets I_1..I_r covering [n] with equal per-node membership counts and
@@ -82,8 +86,6 @@ def subset_decomposition(
     M: float,
     eta: float,
     seed: int = 0,
-    count_constant: float = 64.0,
-    max_retries: int = 200,
 ) -> SubsetDecomposition:
     """Randomized construction of the conditioning subsets.
 
@@ -106,20 +108,20 @@ def subset_decomposition(
         return SubsetDecomposition(subsets=[np.arange(n)], eta=eta, membership_count=1)
 
     rng = _probe_rng(seed, "subsets")
-    r = math.ceil(count_constant * M * M * math.log(n) / (eta * eta))
+    r = math.ceil(_COUNT_CONSTANT * M * M * math.log(n) / (eta * eta))
     p_include = eta / (8.0 * M)
     target = math.ceil(eta * r / (8.0 * M))
 
     members = rng.random((r, n)) < p_include
     for j in range(r):
-        for attempt in range(max_retries + 1):
+        for attempt in range(_MAX_RETRIES + 1):
             idx = np.nonzero(members[j])[0]
             if _submatrix_width(absJ, idx) <= eta:
                 break
-            if attempt == max_retries:
+            if attempt == _MAX_RETRIES:
                 raise GenerationError(
                     f"subset {j} still has width {_submatrix_width(absJ, idx):.6g} > "
-                    f"eta {eta:.6g} after {max_retries} redraws"
+                    f"eta {eta:.6g} after {_MAX_RETRIES} redraws"
                 )
             members[j] = rng.random(n) < p_include
 
@@ -135,7 +137,7 @@ def subset_decomposition(
             counts[i] -= 1
 
     # Insert deficits where the width constraint allows.
-    insert_budget = 1000 * max_retries
+    insert_budget = 1000 * _MAX_RETRIES
     for i in range(n):
         attempts = 0
         while counts[i] < target:
@@ -180,7 +182,6 @@ def regularity_probe(
     gamma: float,
     num_perturbations: int = 100,
     seed: int = 0,
-    cap: int = exact.DEFAULT_ENUM_CAP,
 ) -> RegularityReport:
     """Sample directions A, rescale each so E_{J*}[||A X||^2] = gamma exactly,
     and report E_{J*+A}[||A X||^2] / gamma for each."""
@@ -189,7 +190,7 @@ def regularity_probe(
     n = model.n
     rng = _probe_rng(seed, "regular")
     report = RegularityReport(gamma_probe=gamma)
-    base_table = exact.distribution(model, cap=cap)
+    base_table = exact.distribution(model)
     S = exact.all_states(n)
     base_probs = base_table.probs
     for pid in range(num_perturbations):
@@ -202,7 +203,7 @@ def regularity_probe(
             continue
         A = A * np.sqrt(gamma / e_star)
         perturbed = IsingModel(CouplingMatrix(model.coupling.entries + A), model.field)
-        probs = exact.distribution(perturbed, cap=cap).probs
+        probs = exact.distribution(perturbed).probs
         e_pert = float(probs @ ((S @ A) ** 2).sum(axis=1))
         report.ratios.append((pid, e_pert / gamma))
     report.max_ratio = max((r for _, r in report.ratios), default=0.0)
@@ -217,15 +218,13 @@ class MetricComparison:
     degenerate: bool
 
 
-def metric_comparison(
-    model: IsingModel, J2: CouplingMatrix, cap: int = exact.DEFAULT_ENUM_CAP
-) -> MetricComparison:
+def metric_comparison(model: IsingModel, J2: CouplingMatrix) -> MetricComparison:
     """Compare the prediction-weighted second moment with plain Frobenius error."""
     delta = CouplingMatrix(J2.entries - model.coupling.entries)
     frob_sq = float((delta.entries**2).sum())
     if frob_sq == 0.0:
         return MetricComparison(e_jstar=0.0, frob_sq=0.0, ratio=float("nan"), degenerate=True)
-    e_jstar = exact.moments(model, delta, cap=cap).second
+    e_jstar = exact.moments(model, delta).second
     return MetricComparison(
         e_jstar=e_jstar, frob_sq=frob_sq, ratio=e_jstar / frob_sq, degenerate=False
     )
@@ -244,16 +243,14 @@ class TvFrobeniusReport:
     pinsker_ok: bool  # tv <= sqrt(kl / 2)
 
 
-def tv_frobenius_check(
-    m1: IsingModel, m2: IsingModel, cap: int = exact.DEFAULT_ENUM_CAP
-) -> TvFrobeniusReport:
+def tv_frobenius_check(m1: IsingModel, m2: IsingModel) -> TvFrobeniusReport:
     """Exact TV between zero-field models against the n ||dJ||_F bound."""
     if m1.n != m2.n:
         raise ValidationError("dimension mismatch")
     if np.any(m1.field != 0) or np.any(m2.field != 0):
         raise ParameterError("the TV-Frobenius bound applies to zero external fields")
-    p = exact.distribution(m1, cap=cap)
-    q = exact.distribution(m2, cap=cap)
+    p = exact.distribution(m1)
+    q = exact.distribution(m2)
     tv = exact.tv_distance(p, q)
     kl = exact.kl_divergence(p, q)
     frob = float(np.linalg.norm(m1.coupling.entries - m2.coupling.entries))
@@ -274,7 +271,7 @@ def tv_frobenius_check(
 class GradientConcentrationSummary:
     mean: float
     std: float
-    exceed_fraction: dict[float, float]  # threshold multiple t -> P(|D| > t ||A||_F)
+    exceed_fraction: dict[float, float]  # t in (1, 2, 4) -> P(|D| > t ||A||_F)
     values: np.ndarray
 
 
@@ -284,8 +281,6 @@ def gradient_concentration_probe(
     l: int,
     batches: int,
     seed: int = 0,
-    cap: int = exact.DEFAULT_ENUM_CAP,
-    thresholds: tuple[float, ...] = (1.0, 2.0, 4.0),
 ) -> GradientConcentrationSummary:
     """Distribution of the first derivative at the true matrix in direction A,
     over independent exact sample batches."""
@@ -297,13 +292,11 @@ def gradient_concentration_probe(
     values = np.empty(batches)
     for b in range(batches):
         batch_seed = int(rng.integers(0, 2**62))
-        batch = sampler.exact_sample(model, l, seed=batch_seed, cap=cap)
+        batch = sampler.exact_sample(model, l, seed=batch_seed)
         ctx = mple.PseudolikelihoodContext(batch, model.field)
         first, _ = mple.directional_derivatives(J_true, A, ctx)
         values[b] = first
-    exceed = {
-        t: float(np.mean(np.abs(values) > t * a_frob)) for t in thresholds
-    }
+    exceed = {t: float(np.mean(np.abs(values) > t * a_frob)) for t in (1.0, 2.0, 4.0)}
     return GradientConcentrationSummary(
         mean=float(values.mean()),
         std=float(values.std(ddof=1)),

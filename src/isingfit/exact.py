@@ -29,7 +29,7 @@ DEFAULT_CHAIN_CAP = 8  # dense 2^n x 2^n eigenproblem
 _BLOCK_BITS = 14
 
 
-def _check_cap(n: int, cap: int, what: str) -> None:
+def _check_cap(n: int, what: str, cap: int = DEFAULT_ENUM_CAP) -> None:
     if n > cap:
         raise CapabilityError(
             f"{what} needs full enumeration of 2^{n} states, above the "
@@ -99,14 +99,14 @@ def _log_weights(m: IsingModel) -> tuple[np.ndarray, float]:
     return table, running_max + float(np.log(running_sum))
 
 
-def partition_function(m: IsingModel, cap: int = DEFAULT_ENUM_CAP) -> float:
+def partition_function(m: IsingModel) -> float:
     """log Z, from the enumeration pass that :func:`distribution` also uses."""
-    _check_cap(m.n, cap, "partition function")
+    _check_cap(m.n, "partition function")
     return _log_weights(m)[1]
 
 
-def distribution(m: IsingModel, cap: int = DEFAULT_ENUM_CAP) -> DistributionTable:
-    _check_cap(m.n, cap, "distribution table")
+def distribution(m: IsingModel) -> DistributionTable:
+    _check_cap(m.n, "distribution table")
     table, log_z = _log_weights(m)
     np.exp(np.subtract(table, log_z, out=table), out=table)
     return DistributionTable(n=m.n, probs=table)
@@ -137,13 +137,12 @@ class MomentSummary:
     quad_var: float  # Var(x^T A x)
 
 
-def moments(m: IsingModel, A: CouplingMatrix, cap: int = DEFAULT_ENUM_CAP) -> MomentSummary:
+def moments(m: IsingModel, A: CouplingMatrix) -> MomentSummary:
     """Exact expectations of AX statistics under the model distribution."""
     if A.n != m.n:
         raise ValidationError(f"dimension mismatch: {A.n} vs {m.n}")
-    _check_cap(m.n, cap, "moments")
     a = A.entries
-    table = distribution(m, cap=cap)
+    table = distribution(m)
     mean_vec = np.zeros(m.n)
     second = 0.0
     quad_mean = 0.0
@@ -168,9 +167,9 @@ def moments(m: IsingModel, A: CouplingMatrix, cap: int = DEFAULT_ENUM_CAP) -> Mo
 # Single-site heat-bath chain (uniform random site per step).
 # ---------------------------------------------------------------------------
 
-def glauber_transition_matrix(m: IsingModel, cap: int = DEFAULT_CHAIN_CAP) -> np.ndarray:
+def glauber_transition_matrix(m: IsingModel) -> np.ndarray:
     """Dense 2^n x 2^n transition matrix of the uniform-site resampling chain."""
-    _check_cap(m.n, cap, "transition matrix")
+    _check_cap(m.n, "transition matrix", DEFAULT_CHAIN_CAP)
     n = m.n
     J, h = m.coupling.entries, m.field
     S = all_states(n)
@@ -186,7 +185,7 @@ def glauber_transition_matrix(m: IsingModel, cap: int = DEFAULT_CHAIN_CAP) -> np
     return P
 
 
-def poincare_constant(m: IsingModel, cap: int = DEFAULT_CHAIN_CAP) -> float:
+def poincare_constant(m: IsingModel) -> float:
     """Smallest rho with Var(f) <= rho * n * E(f, f) for all f.
 
     E is the Dirichlet form of the uniform-site chain, which carries a 1/n
@@ -194,9 +193,8 @@ def poincare_constant(m: IsingModel, cap: int = DEFAULT_CHAIN_CAP) -> float:
     symmetrizing the transition matrix with sqrt(pi) (the chain is reversible)
     and taking the second-largest eigenvalue.
     """
-    _check_cap(m.n, cap, "Poincare constant")
-    P = glauber_transition_matrix(m, cap=cap)
-    pi = distribution(m, cap=cap).probs
+    P = glauber_transition_matrix(m)
+    pi = distribution(m).probs
     d = np.sqrt(pi)
     sym = (d[:, None] * P) / d[None, :]
     sym = 0.5 * (sym + sym.T)
@@ -236,17 +234,16 @@ def hubbard_stratonovich_check(
     shift: float | None = None,
     draws: int = 100_000,
     seed: int = 0,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> float:
     """TV between the Monte Carlo product-measure mixture and the exact table."""
-    _check_cap(m.n, cap, "mixture check")
+    _check_cap(m.n, "mixture check")
     if shift is None:
         shift = default_hs_shift(m.coupling)
     W = _shifted_matrix(m, shift)
     w, V = np.linalg.eigh(W)
     W_inv_sqrt = (V / np.sqrt(w)) @ V.T
 
-    table = distribution(m, cap=cap)
+    table = distribution(m)
     cdf = np.cumsum(table.probs)
     S = all_states(m.n)
     rng = stream(seed, 0x48)
@@ -266,14 +263,11 @@ def hubbard_stratonovich_check(
     return 0.5 * float(np.abs(mix - table.probs).sum())
 
 
-def hs_conditional_error(
-    m: IsingModel, shift: float, y, cap: int = DEFAULT_ENUM_CAP
-) -> float:
+def hs_conditional_error(m: IsingModel, shift: float, y) -> float:
     """Max deviation between Bayes posterior of X given Y=y and the product law."""
-    _check_cap(m.n, cap, "conditional check")
     W = _shifted_matrix(m, shift)
     y = np.asarray(y, dtype=np.float64)
-    table = distribution(m, cap=cap)
+    table = distribution(m)
     S = all_states(m.n)
     resid = y[None, :] - S
     log_post = np.log(table.probs) - 0.5 * np.einsum("si,si->s", resid @ W, resid)

@@ -25,6 +25,7 @@ from .core import CouplingMatrix, ParameterError, SampleBatch
 
 __all__ = ["FitConfig", "FitReport", "fit_mple"]
 
+_ARMIJO = 1e-4  # sufficient-decrease constant; the search starts at 1 and halves
 _STEP_FLOOR = 1e-18
 
 
@@ -32,24 +33,14 @@ _STEP_FLOOR = 1e-18
 class FitConfig:
     max_iters: int = 2000
     grad_map_tol: float | None = None  # default 1e-6 * n * l, set at fit time
-    initial_step: float = 1.0
-    backtracking_factor: float = 0.5
-    armijo_const: float = 1e-4
     init: CouplingMatrix | None = None  # None means the zero matrix
-    projection_tol: float = 1e-8
-    projection_max_iter: int = projections.DEFAULT_MAX_ITER
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ParameterError("max_iters must be >= 1")
-        if self.grad_map_tol is not None and self.grad_map_tol <= 0:
-            raise ParameterError("grad_map_tol must be positive")
-        if self.initial_step <= 0:
-            raise ParameterError("initial_step must be positive")
-        if not 0 < self.backtracking_factor < 1:
-            raise ParameterError("backtracking_factor must be in (0, 1)")
-        if not 0 < self.armijo_const < 1:
-            raise ParameterError("armijo_const must be in (0, 1)")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+            raise ParameterError("max_iters must be an integer >= 1")
+        tol = self.grad_map_tol
+        if tol is not None and not (isinstance(tol, (int, float)) and tol > 0):
+            raise ParameterError("grad_map_tol must be a positive number")
 
 
 @dataclass
@@ -78,11 +69,7 @@ def fit_mple(
     grad_map_tol = cfg.grad_map_tol if cfg.grad_map_tol is not None else 1e-6 * scale
 
     def proj(arr: np.ndarray) -> CouplingMatrix:
-        return CouplingMatrix(
-            projections.project_array(
-                constraint, arr, tol=cfg.projection_tol, max_iter=cfg.projection_max_iter
-            )
-        )
+        return CouplingMatrix(projections.project_array(constraint, arr))
 
     start = cfg.init.entries if cfg.init is not None else np.zeros((n, n))
     J = proj(start)
@@ -98,16 +85,16 @@ def fit_mple(
         f = f_unnorm / scale
         g = g_raw / (2.0 * scale)  # Frobenius-metric gradient of the normalized objective
 
-        step = cfg.initial_step
+        step = 1.0
         accepted = None
         while step >= _STEP_FLOOR:
             cand = proj(J.entries - step * g)
             cand_val = mple.objective(cand, ctx)
             decrease = float(np.sum(g * (cand.entries - J.entries)))
-            if cand_val / scale <= f + cfg.armijo_const * decrease:
+            if cand_val / scale <= f + _ARMIJO * decrease:
                 accepted = (cand, cand_val)
                 break
-            step *= cfg.backtracking_factor
+            step *= 0.5
 
         if accepted is None:
             # step underflow: projection and gradient disagree, bail out

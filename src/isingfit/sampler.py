@@ -35,15 +35,13 @@ class GlauberConfig:
                 raise ParameterError(f"{name} must be >= 1")
 
 
-def default_config(seed: int = 0, alpha: float | None = None, chains: int = 4) -> GlauberConfig:
+def default_config(seed: int = 0, alpha: float | None = None) -> GlauberConfig:
     """Defaults: 50*ceil(1/alpha) burn-in sweeps given a spectral-gap hint, else 200."""
-    if alpha is not None:
-        if not 0 < alpha <= 1:
-            raise ParameterError("alpha hint must be in (0, 1]")
-        burn_in = 50 * math.ceil(1.0 / alpha)
-    else:
-        burn_in = 200
-    return GlauberConfig(burn_in_sweeps=burn_in, thinning_sweeps=5, seed=seed, chains=chains)
+    if alpha is None:
+        return GlauberConfig(seed=seed)
+    if not 0 < alpha <= 1:
+        raise ParameterError("alpha hint must be in (0, 1]")
+    return GlauberConfig(burn_in_sweeps=50 * math.ceil(1.0 / alpha), seed=seed)
 
 
 def conditional_plus_probability(m: IsingModel, x, i: int) -> float:
@@ -114,13 +112,11 @@ def glauber_sample(m: IsingModel, l: int, cfg: GlauberConfig | None = None) -> S
     return SampleBatch(spins)
 
 
-def exact_sample(
-    m: IsingModel, l: int, seed: int = 0, cap: int = exact.DEFAULT_ENUM_CAP
-) -> SampleBatch:
+def exact_sample(m: IsingModel, l: int, seed: int = 0) -> SampleBatch:
     """Draw l i.i.d. samples by inverse CDF over the full 2^n table."""
     if l < 1:
         raise ParameterError("sample count must be >= 1")
-    table = exact.distribution(m, cap=cap)
+    table = exact.distribution(m)
     cdf = np.cumsum(table.probs)
     idx = np.searchsorted(cdf, stream(seed, 0xE).random(l), side="right")
     return SampleBatch(exact.states(np.minimum(idx, (1 << m.n) - 1), m.n))

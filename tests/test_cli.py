@@ -313,6 +313,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("field, value", [
         ("l_values", ["x"]), ("l_values", 5), ("seeds", ["x"]), ("seeds", 5),
+        ("metrics", 5), ("metrics", "frobenius"),
     ])
     def test_bad_sweep_grid_exit_2(self, tmp_path, capsys, field, value):
         doc = base_config()
@@ -327,3 +328,41 @@ class TestBadInput:
         cfg = write_config(tmp_path / "c.json", doc)
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
         assert "'m'" in capsys.readouterr().err
+
+    def test_non_object_sampler_block_exit_2(self, tmp_path, capsys):
+        doc = base_config()
+        doc["sampler"] = 5
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "r.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "sampler: must be an object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block, name", [
+        ('{"kind": "OpNormBall", "lam": NaN}', "lam"),
+        ('{"kind": "WidthBall", "m": NaN}', "m >"),
+        ('{"kind": "AntiferroSpike", "alpha": 0.5, "c": NaN}', "c >"),
+    ])
+    def test_nan_radius_exit_2(self, tmp_path, capsys, block, name):
+        samples = tmp_path / "s.csv"
+        samples.write_text("1,-1,1\n-1,1,1\n1,1,-1\n-1,-1,-1\n")
+        argv = ["fit", "--samples", str(samples), "--constraint", block,
+                "--out", str(tmp_path / "e.json")]
+        assert cli.main(argv) == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("optimizer, message", [
+        ({"max_iters": 2.5}, "max_iters"),
+        ({"grad_map_tol": float("nan")}, "grad_map_tol"),
+        ({"grad_map_tol": "small"}, "grad_map_tol"),
+        ({"initial_step": 2.0}, "optimizer.initial_step: unknown field"),
+    ])
+    def test_bad_optimizer_block_exit_2(self, tmp_path, capsys, optimizer, message):
+        samples = tmp_path / "s.csv"
+        samples.write_text("1,-1\n-1,1\n1,1\n")
+        cfg = write_config(tmp_path / "c.json", {"optimizer": optimizer})
+        argv = ["fit", "--samples", str(samples), "--config", cfg,
+                "--constraint", '{"kind": "OpNormBall", "lam": 1}',
+                "--out", str(tmp_path / "e.json")]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err

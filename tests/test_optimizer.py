@@ -86,10 +86,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
             FitConfig(max_iters=0)
-        with pytest.raises(ParameterError):
-            FitConfig(backtracking_factor=1.0)
-        with pytest.raises(ParameterError):
-            FitConfig(armijo_const=0.0)
 
     def test_max_iters_respected(self):
         batch = uniform_batch(5, 200, seed=14)
