@@ -7,7 +7,7 @@ values. Exit codes: 0 success, 1 runtime failure, 2 configuration error
 
 Sweep results are one CSV row per (l, seed) cell. Cells are pure functions of
 the configuration and the cell seed, so a row can be reproduced by re-running
-its cell alone; rows are sorted by their cell key before writing, which makes
+its cell alone; cells run and rows are written in cell-key order, which makes
 serial and parallel runs produce identically ordered files.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import sys
 
@@ -28,6 +29,7 @@ from .core import (
     IsingModel,
     ParameterError,
     ParseError,
+    is_int,
     load_model,
     load_samples,
     save_model,
@@ -77,69 +79,39 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _require(block: dict, field: str, context: str):
-    if field not in block:
-        raise ConfigError(f"{context}.{field}: missing required field")
-    return block[field]
+def _from_block(cls, block, ctx: str, **fixed):
+    """Build dataclass ``cls`` from config block ``block``; errors name ``ctx``.
 
-
-def _ensemble_from_config(block) -> ensembles.EnsembleSpec:
-    if not isinstance(block, dict):
-        raise ConfigError("ensemble: must be an object")
-    kind = _require(block, "kind", "ensemble")
-    n = _require(block, "n", "ensemble")
-    try:
-        return ensembles.EnsembleSpec(
-            kind=kind,
-            n=int(n),
-            beta=float(block.get("beta", 0.0)),
-            d=int(block["d"]) if block.get("d") is not None else None,
-            width=float(block["width"]) if block.get("width") is not None else None,
-            seed=int(block.get("seed", 0)),
-        )
-    except (ParameterError, TypeError, ValueError) as e:
-        raise ConfigError(f"ensemble: {e}")
-
-
-def _constraint_from_config(block) -> projections.ConstraintSet:
-    if not isinstance(block, dict):
-        raise ConfigError("constraint: must be an object")
-    kind = _require(block, "kind", "constraint")
-    params = {k: v for k, v in block.items() if k != "kind"}
-    try:
-        return projections.ConstraintSet(kind=kind, **params)
-    except (ParameterError, TypeError) as e:
-        raise ConfigError(f"constraint: {e}")
-
-
-def _fit_config_from_config(block) -> optimizer.FitConfig:
+    ``fixed`` supplies the fields a block may not set.
+    """
     if block is None:
-        return optimizer.FitConfig()
+        block = {}
     if not isinstance(block, dict):
-        raise ConfigError("optimizer: must be an object")
-    allowed = {f.name for f in dataclasses.fields(optimizer.FitConfig)} - {"init"}
-    unknown = set(block) - allowed
-    if unknown:
-        raise ConfigError(f"optimizer.{sorted(unknown)[0]}: unknown field")
+        raise ConfigError(f"{ctx}: must be an object")
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.init and f.name not in fixed}
+    for key in block:
+        if key not in fields:
+            raise ConfigError(f"{ctx}.{key}: unknown field")
+    for name, f in fields.items():
+        if name not in block and f.default is dataclasses.MISSING:
+            raise ConfigError(f"{ctx}.{name}: missing required field")
     try:
-        return optimizer.FitConfig(**block)
+        return cls(**block, **fixed)
     except (ParameterError, TypeError) as e:
-        raise ConfigError(f"optimizer: {e}")
+        raise ConfigError(f"{ctx}: {e}")
 
 
 def _glauber_config(block, seed: int) -> sampler.GlauberConfig:
-    block = {k: v for k, v in (block or {}).items() if v is not None}
-    alpha = block.pop("alpha_hint", None)
-    base = sampler.default_config(seed=seed, alpha=alpha)
-    try:
-        return sampler.GlauberConfig(
-            burn_in_sweeps=int(block.get("burn_in_sweeps", base.burn_in_sweeps)),
-            thinning_sweeps=int(block.get("thinning_sweeps", base.thinning_sweeps)),
-            seed=seed,
-            chains=int(block.get("chains", base.chains)),
-        )
-    except (ParameterError, TypeError, ValueError) as e:
-        raise ConfigError(f"sampler: {e}")
+    """The sampler block (or command-line flags) as a Glauber config; a
+    ``None`` value means the default, and ``method`` is read by the caller."""
+    if isinstance(block, dict):
+        block = {k: v for k, v in block.items() if v is not None and k != "method"}
+        try:
+            base = sampler.default_config(seed, block.pop("alpha_hint", None))
+        except (ParameterError, TypeError) as e:
+            raise ConfigError(f"sampler: {e}")
+        block.setdefault("burn_in_sweeps", base.burn_in_sweeps)
+    return _from_block(sampler.GlauberConfig, block, "sampler", seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +122,7 @@ def _cmd_generate(args) -> int:
     cfg = _load_config(args.config)
     if "ensemble" not in cfg:
         raise ConfigError("ensemble: missing block in config")
-    spec = _ensemble_from_config(cfg["ensemble"])
+    spec = _from_block(ensembles.EnsembleSpec, cfg["ensemble"], "ensemble")
     model = ensembles.generate(spec)
     save_model(model, args.out)
     return 0
@@ -180,6 +152,8 @@ def _parse_field(arg: str, n: int) -> np.ndarray:
         raise ConfigError(f"h: expected 'zero' or a JSON vector file ({e})")
     if h.shape != (n,):
         raise ConfigError(f"h: length {h.shape} does not match n={n}")
+    if not np.isfinite(h).all():
+        raise ConfigError("h: entries must be finite")
     return h
 
 
@@ -195,8 +169,8 @@ def _cmd_fit(args) -> int:
         block = cfg["constraint"]
     else:
         raise ConfigError("constraint: give --constraint or a config block")
-    constraint = _constraint_from_config(block)
-    fit_cfg = _fit_config_from_config(cfg.get("optimizer"))
+    constraint = _from_block(projections.ConstraintSet, block, "constraint")
+    fit_cfg = _from_block(optimizer.FitConfig, cfg.get("optimizer"), "optimizer", init=None)
     h = _parse_field(args.h, batch.n)
     report = optimizer.fit_mple(batch, h, constraint, fit_cfg)
     save_model(IsingModel(report.estimate, h), args.out)
@@ -256,26 +230,18 @@ def _cmd_evaluate(args) -> int:
 # Sweep.
 # ---------------------------------------------------------------------------
 
-def _run_sweep_cell(payload: dict) -> dict:
-    spec = _ensemble_from_config(payload["ensemble"])
-    constraint = _constraint_from_config(payload["constraint"])
-    fit_cfg = _fit_config_from_config(payload.get("optimizer"))
-    l, seed = payload["l"], payload["seed"]
+def _run_sweep_cell(spec, constraint, fit_cfg, glauber, metrics, key) -> dict:
+    """One (l, seed) cell; ``glauber`` is None for exact sampling."""
+    l, seed = key
     model = ensembles.generate(spec)
-
-    method = (payload.get("sampler") or {}).get(
-        "method", "exact" if spec.n <= exact.DEFAULT_ENUM_CAP else "glauber"
-    )
-    if method == "exact":
+    if glauber is None:
         batch = sampler.exact_sample(model, l, seed=seed)
-    elif method == "glauber":
-        batch = sampler.glauber_sample(model, l, _glauber_config(payload.get("sampler"), seed))
     else:
-        raise ConfigError(f"sampler.method: unknown method {method!r}")
+        batch = sampler.glauber_sample(model, l, dataclasses.replace(glauber, seed=seed))
 
     report = optimizer.fit_mple(batch, np.zeros(spec.n), constraint, fit_cfg)
     est = IsingModel.zero_field(report.estimate)
-    values = _pair_metrics(model, est, payload["metrics"])
+    values = _pair_metrics(model, est, metrics)
 
     row = {
         "ensemble": spec.kind,
@@ -295,22 +261,21 @@ def _run_sweep_cell(payload: dict) -> dict:
 
 
 def _int_list(block: dict, field: str) -> list[int]:
-    values = _require(block, field, "sweep")
-    if isinstance(values, list):
-        try:
-            return [int(v) for v in values]
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ConfigError(f"sweep.{field}: must be a list of integers")
+    if field not in block:
+        raise ConfigError(f"sweep.{field}: missing required field")
+    values = block[field]
+    if not isinstance(values, list) or not all(is_int(v) for v in values):
+        raise ConfigError(f"sweep.{field}: must be a list of integers")
+    return values
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError("jobs: must be >= 1")
     cfg = _load_config(args.config)
     for block in ("ensemble", "constraint", "sweep"):
         if block not in cfg:
             raise ConfigError(f"{block}: missing block in config")
-    if not isinstance(cfg.get("sampler", {}), (dict, type(None))):
-        raise ConfigError("sampler: must be an object")
     sweep = cfg["sweep"]
     if not isinstance(sweep, dict):
         raise ConfigError("sweep: must be an object")
@@ -322,35 +287,30 @@ def _cmd_sweep(args) -> int:
     for m in metrics:
         if m not in SWEEP_METRICS:
             raise ConfigError(f"sweep.metrics: unknown metric {m!r}")
-    spec = _ensemble_from_config(cfg["ensemble"])
+    spec = _from_block(ensembles.EnsembleSpec, cfg["ensemble"], "ensemble")
     if ("tv_exact" in metrics or "kl_exact" in metrics) and spec.n > exact.DEFAULT_ENUM_CAP:
         raise CapabilityError(
             f"tv_exact/kl_exact need n <= enumeration cap {exact.DEFAULT_ENUM_CAP}, got n={spec.n}"
         )
-    _constraint_from_config(cfg["constraint"])  # validate before launching cells
+    # Every block is checked once here, before any cell starts.
+    constraint = _from_block(projections.ConstraintSet, cfg["constraint"], "constraint")
+    fit_cfg = _from_block(optimizer.FitConfig, cfg.get("optimizer"), "optimizer", init=None)
+    glauber = _glauber_config(cfg.get("sampler"), 0)
+    method = (cfg.get("sampler") or {}).get(
+        "method", "exact" if spec.n <= exact.DEFAULT_ENUM_CAP else "glauber"
+    )
+    if method not in ("exact", "glauber"):
+        raise ConfigError(f"sampler.method: unknown method {method!r}")
 
-    payloads = [
-        {
-            "ensemble": cfg["ensemble"],
-            "constraint": cfg["constraint"],
-            "optimizer": cfg.get("optimizer"),
-            "sampler": cfg.get("sampler"),
-            "metrics": list(metrics),
-            "l": l,
-            "seed": seed,
-        }
-        for l in l_values
-        for seed in seeds
-    ]
-
+    cell = functools.partial(_run_sweep_cell, spec, constraint, fit_cfg,
+                             glauber if method == "glauber" else None, metrics)
+    # Cells run in key order; every other column is fixed within a sweep.
+    keys = [(l, seed) for l in sorted(l_values) for seed in sorted(seeds)]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_run_sweep_cell, payloads))
+            rows = list(pool.map(cell, keys))
     else:
-        rows = [_run_sweep_cell(p) for p in payloads]
-
-    # A cell is keyed by (l, seed); every other column is fixed within a sweep.
-    rows.sort(key=lambda row: (int(row["l"]), int(row["seed"])))
+        rows = [cell(key) for key in keys]
     with open(args.out, "a") as fh:
         if fh.tell() == 0:  # append mode opens at the end: empty or new file
             fh.write(",".join(SWEEP_COLUMNS) + "\n")
@@ -374,6 +334,8 @@ def _write_row(out_path, header: list[str], row: list[str]) -> None:
 
 def _cmd_diagnose(args) -> int:
     model = load_model(args.model)
+    if args.probe in ("metric", "tvfrob") and args.model_b is None:
+        raise ConfigError(f"diagnose: {args.probe} probe needs --model-b")
     if args.probe == "subset":
         if args.m is None or args.eta is None:
             raise ConfigError("diagnose: subset probe needs --m and --eta")
@@ -504,7 +466,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, ParseError) as e:
+    except (ParameterError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CapabilityError as e:

@@ -26,6 +26,7 @@ __all__ = [
     "CapabilityError",
     "ParameterError",
     "GenerationError",
+    "is_int",
     "matrix_norms",
     "validate_model",
     "validation_errors",
@@ -57,6 +58,11 @@ class ParameterError(ValueError):
 
 class GenerationError(RuntimeError):
     """A randomized construction exhausted its retry budget."""
+
+
+def is_int(x) -> bool:
+    """True for an int or numpy integer; a bool is not an integer here."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def stream(seed: int, *words: int) -> np.random.Generator:

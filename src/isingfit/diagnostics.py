@@ -185,8 +185,8 @@ def regularity_probe(
 ) -> RegularityReport:
     """Sample directions A, rescale each so E_{J*}[||A X||^2] = gamma exactly,
     and report E_{J*+A}[||A X||^2] / gamma for each."""
-    if gamma <= 0:
-        raise ParameterError("gamma must be positive")
+    if not 0 < gamma < np.inf:  # NaN fails too
+        raise ParameterError("gamma must be positive and finite")
     n = model.n
     rng = _probe_rng(seed, "regular")
     report = RegularityReport(gamma_probe=gamma)

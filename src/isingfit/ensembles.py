@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingMatrix, GenerationError, IsingModel, ParameterError, stream
+from .core import CouplingMatrix, GenerationError, IsingModel, ParameterError, is_int, stream
 
 __all__ = ["EnsembleSpec", "KINDS", "generate", "random_regular_graph"]
 
@@ -33,10 +33,14 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown ensemble kind {self.kind!r}")
+        for name in ("n", "d", "seed"):
+            value = getattr(self, name)
+            if not is_int(value) and not (name == "d" and value is None):
+                raise ParameterError(f"{name} must be an integer")
         if self.n < 1:
             raise ParameterError("n must be positive")
-        if self.beta < 0:
-            raise ParameterError("beta must be nonnegative")
+        if not 0 <= self.beta < np.inf:  # NaN fails too
+            raise ParameterError("beta must be finite and nonnegative")
         if self.kind in ("DilutedSK", "AntiferroExpander"):
             if self.d is None or self.d < 1:
                 raise ParameterError(f"{self.kind} needs a positive degree d")
@@ -45,8 +49,8 @@ class EnsembleSpec:
             if (self.n * self.d) % 2 != 0:
                 raise ParameterError(f"n*d must be even for a {self.d}-regular graph")
         if self.kind == "BoundedWidthRandom":
-            if self.width is None or self.width <= 0:
-                raise ParameterError("BoundedWidthRandom needs width > 0")
+            if self.width is None or not 0 < self.width < np.inf:
+                raise ParameterError("BoundedWidthRandom needs a finite width > 0")
 
 
 def _pairing_attempt(n: int, d: int, rng: np.random.Generator):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mple, projections
-from .core import CouplingMatrix, ParameterError, SampleBatch
+from .core import CouplingMatrix, ParameterError, SampleBatch, is_int
 
 __all__ = ["FitConfig", "FitReport", "fit_mple"]
 
@@ -36,7 +36,7 @@ class FitConfig:
     init: CouplingMatrix | None = None  # None means the zero matrix
 
     def __post_init__(self):
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 1:
+        if not is_int(self.max_iters) or self.max_iters < 1:
             raise ParameterError("max_iters must be an integer >= 1")
         tol = self.grad_map_tol
         if tol is not None and not (isinstance(tol, (int, float)) and tol > 0):

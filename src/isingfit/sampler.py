@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .core import _SEED_MASK, IsingModel, ParameterError, SampleBatch, stream
+from .core import _SEED_MASK, IsingModel, ParameterError, SampleBatch, is_int, stream
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,9 @@ class GlauberConfig:
 
     def __post_init__(self):
         for name in ("burn_in_sweeps", "thinning_sweeps", "chains"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not is_int(value) or value < 1:
+                raise ParameterError(f"{name} must be an integer >= 1")
 
 
 def default_config(seed: int = 0, alpha: float | None = None) -> GlauberConfig:

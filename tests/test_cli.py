@@ -313,7 +313,7 @@ class TestBadInput:
 
     @pytest.mark.parametrize("field, value", [
         ("l_values", ["x"]), ("l_values", 5), ("seeds", ["x"]), ("seeds", 5),
-        ("metrics", 5), ("metrics", "frobenius"),
+        ("metrics", 5), ("metrics", "frobenius"), ("l_values", [100.9]), ("seeds", [True]),
     ])
     def test_bad_sweep_grid_exit_2(self, tmp_path, capsys, field, value):
         doc = base_config()
@@ -365,4 +365,62 @@ class TestBadInput:
                 "--constraint", '{"kind": "OpNormBall", "lam": 1}',
                 "--out", str(tmp_path / "e.json")]
         assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"n": 5.7}, "n must be an integer"),
+        ({"n": True}, "n must be an integer"),
+        ({"n": "6"}, "n must be an integer"),
+        ({"beta": float("nan")}, "beta must be finite"),
+        ({"beta": float("inf")}, "beta must be finite"),
+        ({"kind": "BoundedWidthRandom", "width": float("nan")}, "width"),
+        ({"betta": 0.3}, "ensemble.betta: unknown field"),
+    ])
+    def test_bad_ensemble_block_exit_2(self, tmp_path, capsys, fields, message):
+        doc = base_config()
+        doc["ensemble"].update(fields)
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "r.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block, message", [
+        ({"method": "glauber", "burn_in_sweeps": 2.9}, "burn_in_sweeps must be an integer"),
+        ({"method": "glauber", "chains": True}, "chains must be an integer"),
+        ({"method": "glauber", "seed": 3}, "sampler.seed: unknown field"),
+        ({"method": "glauber", "alpha_hint": "x"}, "sampler:"),
+        ({"method": "exact", "chains": 2.5}, "chains must be an integer"),
+    ])
+    def test_bad_sampler_block_exit_2(self, tmp_path, capsys, block, message):
+        doc = base_config()
+        doc["sampler"] = block
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "r.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["diagnose", "--probe", "metric", "--model", "{model}"], "metric probe needs --model-b"),
+        (["diagnose", "--probe", "tvfrob", "--model", "{model}"], "tvfrob probe needs --model-b"),
+        (["fit", "--samples", "{samples}", "--h", "{nan_h}", "--config", "{cfg}",
+          "--out", "{est}"], "h:"),
+        (["fit", "--samples", "{samples}", "--h", "{inf_h}", "--config", "{cfg}",
+          "--out", "{est}"], "h:"),
+        (["diagnose", "--probe", "regularity", "--model", "{model}", "--gamma", "nan"], "gamma"),
+        (["diagnose", "--probe", "regularity", "--model", "{model}", "--gamma", "inf"], "gamma"),
+        (["sweep", "--config", "{cfg}", "--out", "{est}", "--jobs", "0"], "jobs: must be >= 1"),
+        (["sweep", "--config", "{cfg}", "--out", "{est}", "--jobs", "-3"], "jobs: must be >= 1"),
+    ])
+    def test_bad_command_line_exit_2(self, tmp_path, capsys, argv, message):
+        paths = {name: str(tmp_path / name) for name in ("model", "samples", "nan_h", "inf_h", "est")}
+        paths["cfg"] = write_config(tmp_path / "c.json", base_config(n=5))
+        cli.main(["generate", "--config", paths["cfg"], "--out", paths["model"]])
+        cli.main(["sample", "--model", paths["model"], "--l", "50", "--method", "exact",
+                  "--out", paths["samples"]])
+        (tmp_path / "nan_h").write_text("[NaN, 0, 0, 0, 0]")
+        (tmp_path / "inf_h").write_text("[1e400, 0, 0, 0, 0]")
+        capsys.readouterr()
+        assert cli.main([a.format(**paths) for a in argv]) == 2
         assert message in capsys.readouterr().err
