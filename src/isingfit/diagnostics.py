@@ -187,25 +187,30 @@ def regularity_probe(
     and report E_{J*+A}[||A X||^2] / gamma for each."""
     if not 0 < gamma < np.inf:  # NaN fails too
         raise ParameterError("gamma must be positive and finite")
+    if num_perturbations < 1:
+        raise ParameterError("num_perturbations must be >= 1")
     n = model.n
     rng = _probe_rng(seed, "regular")
     report = RegularityReport(gamma_probe=gamma)
-    base_table = exact.distribution(model)
-    S = exact.all_states(n)
-    base_probs = base_table.probs
+    base_probs = exact.distribution(model).probs
+    base_log_weights = exact.quadratic_table(model.coupling.entries, model.field)
+    zero = np.zeros(n)
     for pid in range(num_perturbations):
-        raw = rng.normal(size=(n, n))
-        raw = np.triu(raw, k=1)
+        raw = np.triu(rng.normal(size=(n, n)), k=1)
         A = raw + raw.T
-        e_star = float(base_probs @ ((S @ A) ** 2).sum(axis=1))
+        second = exact.quadratic_table(2.0 * (A @ A), zero)  # ||A x||^2 per state
+        e_star = float(base_probs @ second)
         if e_star <= 0:
             report.excluded += 1
             continue
-        A = A * np.sqrt(gamma / e_star)
-        perturbed = IsingModel(CouplingMatrix(model.coupling.entries + A), model.field)
-        probs = exact.distribution(perturbed).probs
-        e_pert = float(probs @ ((S @ A) ** 2).sum(axis=1))
-        report.ratios.append((pid, e_pert / gamma))
+        A *= np.sqrt(gamma / e_star)
+        # log weights of J* + A: the base ones plus x^T A x / 2
+        log_weights = exact.quadratic_table(A, zero)
+        log_weights += base_log_weights
+        exact.normalize(log_weights)
+        probs = exact.DistributionTable(n=n, probs=log_weights).probs
+        # the rescaled direction's ||A x||^2 is (gamma / e_star) * second
+        report.ratios.append((pid, float(probs @ second) / e_star))
     report.max_ratio = max((r for _, r in report.ratios), default=0.0)
     return report
 

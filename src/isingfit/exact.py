@@ -1,10 +1,10 @@
 """Brute-force evaluators over all 2^n spin configurations.
 
 State index convention: state ``s`` encodes the configuration whose site ``i``
-carries spin ``+1`` iff bit ``i`` of ``s`` is set (bit 0 = site 0). All
-enumeration loops walk fixed-size blocks of states in increasing index order,
-so accumulated results are reproducible regardless of how the blocks would be
-scheduled across workers.
+carries spin ``+1`` iff bit ``i`` of ``s`` is set (bit 0 = site 0). Log weights
+and moment tables come from one kernel, :func:`quadratic_table`, which splits
+the sites into a low half (the low bits of ``s``) and a high half, so a table is
+a (2^high, 2^low) array whose row-major layout is the state order.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ from .mple import _logcosh
 
 DEFAULT_ENUM_CAP = 20
 DEFAULT_CHAIN_CAP = 8  # dense 2^n x 2^n eigenproblem
-
-_BLOCK_BITS = 14
 
 
 def _check_cap(n: int, what: str, cap: int = DEFAULT_ENUM_CAP) -> None:
@@ -55,15 +53,28 @@ def encode_spins(spins) -> np.ndarray:
     return bits @ (1 << np.arange(s.shape[1], dtype=np.int64))
 
 
-def _iter_state_blocks(n: int):
-    total = 1 << n
-    step = 1 << min(_BLOCK_BITS, n)
-    for start in range(0, total, step):
-        yield start, states(np.arange(start, min(start + step, total)), n)
+def quadratic_table(Q: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """x^T Q x / 2 + h . x for every state x, in state-index order (Q symmetric).
+
+    With a the low half of the sites and b the high half, the table is the cross
+    term x_b^T Q_ba x_a, one (2^|b|, |a|) x (|a|, 2^|a|) product, plus each
+    half's own table broadcast along its axis.
+    """
+    k = h.size // 2
+    Sa, Sb = all_states(k), all_states(h.size - k)
+    table = (Sb @ Q[k:, :k]) @ Sa.T
+    table += (0.5 * ((Sb @ Q[k:, k:]) * Sb).sum(axis=1) + Sb @ h[k:])[:, None]
+    table += (0.5 * ((Sa @ Q[:k, :k]) * Sa).sum(axis=1) + Sa @ h[:k])[None, :]
+    return table.reshape(-1)
 
 
-def _energies(S: np.ndarray, J: np.ndarray, h: np.ndarray) -> np.ndarray:
-    return 0.5 * np.einsum("si,si->s", S @ J, S) + S @ h
+def normalize(log_weights: np.ndarray) -> float:
+    """Turn a table of log weights into probabilities in place; returns log Z."""
+    top = float(log_weights.max())
+    np.exp(np.subtract(log_weights, top, out=log_weights), out=log_weights)
+    total = float(log_weights.sum())
+    log_weights /= total
+    return top + float(np.log(total))
 
 
 @dataclass(frozen=True)
@@ -82,33 +93,16 @@ class DistributionTable:
             raise ValidationError("probability table does not sum to 1")
 
 
-def _log_weights(m: IsingModel) -> tuple[np.ndarray, float]:
-    """Table of all 2^n log weights and log Z, in one blockwise pass; log Z is
-    accumulated from the table's blocks with a streaming log-sum-exp."""
-    J, h = m.coupling.entries, m.field
-    table = np.empty(1 << m.n)
-    running_max = -np.inf
-    running_sum = 0.0
-    for start, S in _iter_state_blocks(m.n):
-        e = table[start : start + S.shape[0]] = _energies(S, J, h)
-        block_max = float(e.max())
-        if block_max > running_max:
-            running_sum *= np.exp(running_max - block_max)
-            running_max = block_max
-        running_sum += float(np.exp(e - running_max).sum())
-    return table, running_max + float(np.log(running_sum))
-
-
 def partition_function(m: IsingModel) -> float:
-    """log Z, from the enumeration pass that :func:`distribution` also uses."""
+    """log Z, from the table that :func:`distribution` also builds."""
     _check_cap(m.n, "partition function")
-    return _log_weights(m)[1]
+    return normalize(quadratic_table(m.coupling.entries, m.field))
 
 
 def distribution(m: IsingModel) -> DistributionTable:
     _check_cap(m.n, "distribution table")
-    table, log_z = _log_weights(m)
-    np.exp(np.subtract(table, log_z, out=table), out=table)
+    table = quadratic_table(m.coupling.entries, m.field)
+    normalize(table)
     return DistributionTable(n=m.n, probs=table)
 
 
@@ -123,9 +117,12 @@ def kl_divergence(p: DistributionTable, q: DistributionTable) -> float:
     if p.n != q.n:
         raise ValidationError(f"dimension mismatch: {p.n} vs {q.n}")
     support = p.probs > 0
-    if np.any(q.probs[support] == 0):
+    log_q = q.probs[support]
+    if np.any(log_q == 0):
         raise ValidationError("q vanishes on the support of p")
-    terms = p.probs[support] * (np.log(p.probs[support]) - np.log(q.probs[support]))
+    terms = np.log(p.probs[support])  # in place, so at most three 2^n arrays are alive
+    terms -= np.log(log_q, out=log_q)
+    terms *= p.probs[support]
     return max(float(terms.sum()), 0.0)
 
 
@@ -142,22 +139,17 @@ def moments(m: IsingModel, A: CouplingMatrix) -> MomentSummary:
     if A.n != m.n:
         raise ValidationError(f"dimension mismatch: {A.n} vs {m.n}")
     a = A.entries
-    table = distribution(m)
-    mean_vec = np.zeros(m.n)
-    second = 0.0
-    quad_mean = 0.0
-    quad_sq = 0.0
-    for start, S in _iter_state_blocks(m.n):
-        p = table.probs[start : start + S.shape[0]]
-        AX = S @ a  # row k = A x^(k), using symmetry of A
-        mean_vec += p @ AX
-        second += float(p @ np.einsum("si,si->s", AX, AX))
-        quad = np.einsum("si,si->s", AX, S)
-        quad_mean += float(p @ quad)
-        quad_sq += float(p @ (quad * quad))
+    p = distribution(m).probs
+    # E[X] from the marginals of the two halves; rows of p2 index the high half
+    p2 = p.reshape(1 << (m.n - m.n // 2), -1)
+    mean_x = np.r_[all_states(m.n // 2).T @ p2.sum(axis=0),
+                   all_states(m.n - m.n // 2).T @ p2.sum(axis=1)]
+    quad = quadratic_table(2.0 * a, np.zeros(m.n))  # x^T A x
+    quad_mean = float(p @ quad)
+    quad_sq = float(p @ np.square(quad, out=quad))
     return MomentSummary(
-        mean_vec=mean_vec,
-        second=second,
+        mean_vec=a @ mean_x,
+        second=float(p @ quadratic_table(2.0 * (a @ a), np.zeros(m.n))),  # ||A x||^2
         quad_mean=quad_mean,
         quad_var=max(quad_sq - quad_mean**2, 0.0),
     )
@@ -245,21 +237,24 @@ def hubbard_stratonovich_check(
 
     table = distribution(m)
     cdf = np.cumsum(table.probs)
-    S = all_states(m.n)
+    half = m.n // 2
+    Sa, Sb = all_states(half), all_states(m.n - half)
     rng = stream(seed, 0x48)
 
-    mix = np.zeros(1 << m.n)
+    # a product measure factors over the halves of quadratic_table: mixture = Pb^T @ Pa
+    mix = np.zeros((Sb.shape[0], Sa.shape[0]))
     done = 0
     chunk = max(1, min(draws, 1 << 14))
     top = (1 << m.n) - 1  # cumsum rounding can leave cdf[-1] slightly below 1
     while done < draws:
         k = min(chunk, draws - done)
-        X = S[np.minimum(np.searchsorted(cdf, rng.random(k), side="right"), top)]
+        X = states(np.minimum(np.searchsorted(cdf, rng.random(k), side="right"), top), m.n)
         G = rng.standard_normal((k, m.n))
         Y = X + G @ W_inv_sqrt
-        mix += _product_table(S, Y @ W + m.field).sum(axis=0)
+        F = Y @ W + m.field
+        mix += _product_table(Sb, F[:, half:]).T @ _product_table(Sa, F[:, :half])
         done += k
-    mix /= draws
+    mix = mix.reshape(-1) / draws
     return 0.5 * float(np.abs(mix - table.probs).sum())
 
 
@@ -270,10 +265,8 @@ def hs_conditional_error(m: IsingModel, shift: float, y) -> float:
     table = distribution(m)
     S = all_states(m.n)
     resid = y[None, :] - S
-    log_post = np.log(table.probs) - 0.5 * np.einsum("si,si->s", resid @ W, resid)
-    log_post -= log_post.max()
-    post = np.exp(log_post)
-    post /= post.sum()
+    post = np.log(table.probs) - 0.5 * np.einsum("si,si->s", resid @ W, resid)
+    normalize(post)
     product = _product_table(S, (W @ y + m.field)[None, :])[0]
     product /= product.sum()
     return float(np.abs(post - product).max())

@@ -39,8 +39,8 @@ class FitConfig:
         if not is_int(self.max_iters) or self.max_iters < 1:
             raise ParameterError("max_iters must be an integer >= 1")
         tol = self.grad_map_tol
-        if tol is not None and not (isinstance(tol, (int, float)) and tol > 0):
-            raise ParameterError("grad_map_tol must be a positive number")
+        if tol is not None and not ((is_int(tol) or isinstance(tol, float)) and 0 < tol < np.inf):
+            raise ParameterError("grad_map_tol must be a positive finite number")
 
 
 @dataclass

@@ -356,6 +356,8 @@ class TestBadInput:
         ({"grad_map_tol": float("nan")}, "grad_map_tol"),
         ({"grad_map_tol": "small"}, "grad_map_tol"),
         ({"initial_step": 2.0}, "optimizer.initial_step: unknown field"),
+        ({"grad_map_tol": float("inf")}, "grad_map_tol"),
+        ({"grad_map_tol": True}, "grad_map_tol"),
     ])
     def test_bad_optimizer_block_exit_2(self, tmp_path, capsys, optimizer, message):
         samples = tmp_path / "s.csv"
@@ -412,6 +414,10 @@ class TestBadInput:
         (["diagnose", "--probe", "regularity", "--model", "{model}", "--gamma", "inf"], "gamma"),
         (["sweep", "--config", "{cfg}", "--out", "{est}", "--jobs", "0"], "jobs: must be >= 1"),
         (["sweep", "--config", "{cfg}", "--out", "{est}", "--jobs", "-3"], "jobs: must be >= 1"),
+        (["diagnose", "--probe", "regularity", "--model", "{model}", "--gamma", "0.1",
+          "--num", "0"], "num_perturbations"),
+        (["diagnose", "--probe", "regularity", "--model", "{model}", "--gamma", "0.1",
+          "--num", "-2"], "num_perturbations"),
     ])
     def test_bad_command_line_exit_2(self, tmp_path, capsys, argv, message):
         paths = {name: str(tmp_path / name) for name in ("model", "samples", "nan_h", "inf_h", "est")}

@@ -88,6 +88,24 @@ class TestRegularityProbe:
         rescaled = float(probs @ ((S @ A_scaled) ** 2).sum(axis=1))
         assert rescaled == pytest.approx(gamma, rel=1e-12)
 
+    def test_ratios_match_rebuilt_models(self, rng):
+        # reference: build the model J* + A for each rescaled direction
+        n, gamma = 6, 0.05
+        model = IsingModel(random_coupling(n, rng, scale=0.3), 0.5 * rng.normal(size=n))
+        report = diagnostics.regularity_probe(model, gamma, num_perturbations=8, seed=12)
+        assert [pid for pid, _ in report.ratios] == list(range(8))
+        directions = diagnostics._probe_rng(12, "regular")
+        S = exact.all_states(n)
+        base = exact.distribution(model).probs
+        for _, ratio in report.ratios:
+            raw = np.triu(directions.normal(size=(n, n)), k=1)
+            A = raw + raw.T
+            A = A * np.sqrt(gamma / float(base @ ((S @ A) ** 2).sum(axis=1)))
+            perturbed = IsingModel(CouplingMatrix(model.coupling.entries + A), model.field)
+            probs = exact.distribution(perturbed).probs
+            expected = float(probs @ ((S @ A) ** 2).sum(axis=1)) / gamma
+            assert ratio == pytest.approx(expected, rel=1e-12)
+
     def test_degenerate_directions_excluded(self):
         # n=1 leaves only the zero direction, which must be excluded, not used
         model = IsingModel.zero_field(CouplingMatrix.zeros(1))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isingfit import exact
 from isingfit.core import CapabilityError, CouplingMatrix, IsingModel, ParameterError
@@ -149,7 +151,48 @@ class TestKlDivergence:
         )
 
 
+@st.composite
+def quadratic_forms(draw):
+    """(Q, h) with Q symmetric, a nonzero diagonal, and n = 1..10."""
+    n = draw(st.integers(1, 10))
+    entry = st.floats(-3.0, 3.0)
+    Q = np.zeros((n, n))
+    Q[np.triu_indices(n, k=1)] = draw(st.lists(entry, min_size=n * (n - 1) // 2,
+                                               max_size=n * (n - 1) // 2))
+    Q = Q + Q.T
+    Q[np.diag_indices(n)] = draw(st.lists(st.floats(0.5, 3.0) | st.floats(-3.0, -0.5),
+                                          min_size=n, max_size=n))
+    h = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+    return Q, h
+
+
+class TestQuadraticTable:
+    @settings(max_examples=200, deadline=None)
+    @given(quadratic_forms())
+    def test_matches_direct_sum(self, form):
+        Q, h = form
+        S = exact.all_states(h.size)
+        direct = 0.5 * np.einsum("si,si->s", S @ Q, S) + S @ h
+        scale = 0.5 * np.abs(Q).sum() + np.abs(h).sum()  # bound on any entry
+        np.testing.assert_allclose(exact.quadratic_table(Q, h), direct,
+                                   rtol=0.0, atol=1e-12 * scale)
+
+
 class TestMoments:
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_direct_sums_under_field(self, rng, n):
+        m = IsingModel(random_coupling(n, rng, scale=0.5), rng.normal(size=n))
+        A = random_coupling(n, rng)
+        S = exact.all_states(n)
+        p = exact.distribution(m).probs
+        AX = S @ A.entries
+        quad = np.einsum("si,si->s", AX, S)
+        res = exact.moments(m, A)
+        np.testing.assert_allclose(res.mean_vec, p @ AX, rtol=1e-12, atol=1e-14)
+        assert res.second == pytest.approx(float(p @ (AX**2).sum(axis=1)), rel=1e-12)
+        assert res.quad_mean == pytest.approx(float(p @ quad), rel=1e-12)
+        assert res.quad_var == pytest.approx(float(p @ (quad - p @ quad) ** 2), rel=1e-12)
+
     def test_uniform_second_moment_is_frobenius(self, rng):
         A = random_coupling(6, rng)
         res = exact.moments(zero_field(np.zeros((6, 6))), A)
