@@ -30,6 +30,7 @@ from .core import (
     ParameterError,
     ParseError,
     is_int,
+    is_real,
     load_model,
     load_samples,
     save_model,
@@ -108,7 +109,7 @@ def _glauber_config(block, seed: int) -> sampler.GlauberConfig:
         block = {k: v for k, v in block.items() if v is not None and k != "method"}
         try:
             base = sampler.default_config(seed, block.pop("alpha_hint", None))
-        except (ParameterError, TypeError) as e:
+        except ParameterError as e:
             raise ConfigError(f"sampler: {e}")
         block.setdefault("burn_in_sweeps", base.burn_in_sweeps)
     return _from_block(sampler.GlauberConfig, block, "sampler", seed=seed)
@@ -147,13 +148,14 @@ def _parse_field(arg: str, n: int) -> np.ndarray:
         return np.zeros(n)
     try:
         with open(arg) as fh:
-            h = np.asarray(json.load(fh), dtype=np.float64)
-    except (OSError, json.JSONDecodeError, ValueError) as e:
+            raw = json.load(fh)
+        h = np.asarray(raw, dtype=np.float64)
+    except (OSError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
         raise ConfigError(f"h: expected 'zero' or a JSON vector file ({e})")
     if h.shape != (n,):
         raise ConfigError(f"h: length {h.shape} does not match n={n}")
-    if not np.isfinite(h).all():
-        raise ConfigError("h: entries must be finite")
+    if not (all(is_real(v) for v in raw) and np.isfinite(h).all()):
+        raise ConfigError("h: entries must be finite numbers")
     return h
 
 
@@ -189,7 +191,8 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _pair_metrics(truth: IsingModel, est: IsingModel, metrics: list[str]) -> dict[str, float]:
+def _pair_metrics(truth: IsingModel, est: IsingModel, metrics: list[str],
+                  p_true: exact.DistributionTable | None = None) -> dict[str, float]:
     out: dict[str, float] = {}
     delta = est.coupling.entries - truth.coupling.entries
     if "frobenius" in metrics:
@@ -198,7 +201,7 @@ def _pair_metrics(truth: IsingModel, est: IsingModel, metrics: list[str]) -> dic
         out["op_norm_err"] = float(np.abs(np.linalg.eigvalsh(delta)).max())
     if "tv_exact" in metrics or "kl_exact" in metrics:
         p_est = exact.distribution(est)
-        p_true = exact.distribution(truth)
+        p_true = p_true or exact.distribution(truth)  # a caller may hold the truth's table
         if "tv_exact" in metrics:
             out["tv_exact"] = exact.tv_distance(p_est, p_true)
         if "kl_exact" in metrics:
@@ -234,14 +237,15 @@ def _run_sweep_cell(spec, constraint, fit_cfg, glauber, metrics, key) -> dict:
     """One (l, seed) cell; ``glauber`` is None for exact sampling."""
     l, seed = key
     model = ensembles.generate(spec)
+    p_true = exact.distribution(model) if glauber is None else None  # sampled from, then reused
     if glauber is None:
-        batch = sampler.exact_sample(model, l, seed=seed)
+        batch = sampler.exact_sample(p_true, l, seed=seed)
     else:
         batch = sampler.glauber_sample(model, l, dataclasses.replace(glauber, seed=seed))
 
     report = optimizer.fit_mple(batch, np.zeros(spec.n), constraint, fit_cfg)
     est = IsingModel.zero_field(report.estimate)
-    values = _pair_metrics(model, est, metrics)
+    values = _pair_metrics(model, est, metrics, p_true)
 
     row = {
         "ensemble": spec.kind,

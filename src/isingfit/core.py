@@ -27,6 +27,7 @@ __all__ = [
     "ParameterError",
     "GenerationError",
     "is_int",
+    "is_real",
     "matrix_norms",
     "validate_model",
     "validation_errors",
@@ -63,6 +64,11 @@ class GenerationError(RuntimeError):
 def is_int(x) -> bool:
     """True for an int or numpy integer; a bool is not an integer here."""
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """True for an integer (as :func:`is_int`) or a float; a bool is not a number here."""
+    return is_int(x) or isinstance(x, (float, np.floating))
 
 
 def stream(seed: int, *words: int) -> np.random.Generator:

@@ -102,8 +102,8 @@ def subset_decomposition(
     width = float(absJ.sum(axis=1).max())
     if width > M + 1e-12:
         raise ParameterError(f"matrix width {width:.6g} exceeds the stated bound {M:.6g}")
-    if not 0 < eta < M:
-        raise ParameterError("need 0 < eta < M")
+    if not 0 < eta < M < np.inf:  # NaN fails too
+        raise ParameterError("need 0 < eta < M < inf")
     if width <= eta:
         return SubsetDecomposition(subsets=[np.arange(n)], eta=eta, membership_count=1)
 
@@ -293,13 +293,12 @@ def gradient_concentration_probe(
         raise ParameterError("need at least 2 batches")
     a_frob = float(np.linalg.norm(A.entries))
     rng = _probe_rng(seed, "gradcon")
-    J_true = model.coupling
+    table = exact.distribution(model)  # one table serves every batch
     values = np.empty(batches)
     for b in range(batches):
-        batch_seed = int(rng.integers(0, 2**62))
-        batch = sampler.exact_sample(model, l, seed=batch_seed)
+        batch = sampler.exact_sample(table, l, seed=int(rng.integers(0, 2**62)))
         ctx = mple.PseudolikelihoodContext(batch, model.field)
-        first, _ = mple.directional_derivatives(J_true, A, ctx)
+        first, _ = mple.directional_derivatives(model.coupling, A, ctx)
         values[b] = first
     exceed = {t: float(np.mean(np.abs(values) > t * a_frob)) for t in (1.0, 2.0, 4.0)}
     return GradientConcentrationSummary(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingMatrix, GenerationError, IsingModel, ParameterError, is_int, stream
+from .core import CouplingMatrix, GenerationError, IsingModel, ParameterError, is_int, is_real, stream
 
 __all__ = ["EnsembleSpec", "KINDS", "generate", "random_regular_graph"]
 
@@ -39,7 +39,7 @@ class EnsembleSpec:
                 raise ParameterError(f"{name} must be an integer")
         if self.n < 1:
             raise ParameterError("n must be positive")
-        if not 0 <= self.beta < np.inf:  # NaN fails too
+        if not (is_real(self.beta) and 0 <= self.beta < np.inf):  # NaN fails too
             raise ParameterError("beta must be finite and nonnegative")
         if self.kind in ("DilutedSK", "AntiferroExpander"):
             if self.d is None or self.d < 1:
@@ -49,7 +49,7 @@ class EnsembleSpec:
             if (self.n * self.d) % 2 != 0:
                 raise ParameterError(f"n*d must be even for a {self.d}-regular graph")
         if self.kind == "BoundedWidthRandom":
-            if self.width is None or not 0 < self.width < np.inf:
+            if not (is_real(self.width) and 0 < self.width < np.inf):
                 raise ParameterError("BoundedWidthRandom needs a finite width > 0")
 
 

@@ -93,6 +93,12 @@ class DistributionTable:
             raise ValidationError("probability table does not sum to 1")
 
 
+def draw(table: DistributionTable, u) -> np.ndarray:
+    """State index for each uniform in ``u``, by inverse CDF over ``table``."""
+    idx = np.searchsorted(np.cumsum(table.probs), u, side="right")
+    return np.minimum(idx, table.probs.size - 1)  # cumsum rounding can end below 1
+
+
 def partition_function(m: IsingModel) -> float:
     """log Z, from the table that :func:`distribution` also builds."""
     _check_cap(m.n, "partition function")
@@ -109,7 +115,8 @@ def distribution(m: IsingModel) -> DistributionTable:
 def tv_distance(p: DistributionTable, q: DistributionTable) -> float:
     if p.n != q.n:
         raise ValidationError(f"dimension mismatch: {p.n} vs {q.n}")
-    return 0.5 * float(np.abs(p.probs - q.probs).sum())
+    diff = np.subtract(p.probs, q.probs)
+    return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
 def kl_divergence(p: DistributionTable, q: DistributionTable) -> float:
@@ -236,7 +243,6 @@ def hubbard_stratonovich_check(
     W_inv_sqrt = (V / np.sqrt(w)) @ V.T
 
     table = distribution(m)
-    cdf = np.cumsum(table.probs)
     half = m.n // 2
     Sa, Sb = all_states(half), all_states(m.n - half)
     rng = stream(seed, 0x48)
@@ -245,17 +251,16 @@ def hubbard_stratonovich_check(
     mix = np.zeros((Sb.shape[0], Sa.shape[0]))
     done = 0
     chunk = max(1, min(draws, 1 << 14))
-    top = (1 << m.n) - 1  # cumsum rounding can leave cdf[-1] slightly below 1
     while done < draws:
         k = min(chunk, draws - done)
-        X = states(np.minimum(np.searchsorted(cdf, rng.random(k), side="right"), top), m.n)
+        X = states(draw(table, rng.random(k)), m.n)
         G = rng.standard_normal((k, m.n))
         Y = X + G @ W_inv_sqrt
         F = Y @ W + m.field
         mix += _product_table(Sb, F[:, half:]).T @ _product_table(Sa, F[:, :half])
         done += k
-    mix = mix.reshape(-1) / draws
-    return 0.5 * float(np.abs(mix - table.probs).sum())
+    mix = mix.reshape(-1) / draws - table.probs
+    return 0.5 * float(np.abs(mix, out=mix).sum())
 
 
 def hs_conditional_error(m: IsingModel, shift: float, y) -> float:

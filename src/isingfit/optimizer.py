@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mple, projections
-from .core import CouplingMatrix, ParameterError, SampleBatch, is_int
+from .core import CouplingMatrix, ParameterError, SampleBatch, is_int, is_real
 
 __all__ = ["FitConfig", "FitReport", "fit_mple"]
 
@@ -39,7 +39,7 @@ class FitConfig:
         if not is_int(self.max_iters) or self.max_iters < 1:
             raise ParameterError("max_iters must be an integer >= 1")
         tol = self.grad_map_tol
-        if tol is not None and not ((is_int(tol) or isinstance(tol, float)) and 0 < tol < np.inf):
+        if tol is not None and not (is_real(tol) and 0 < tol < np.inf):
             raise ParameterError("grad_map_tol must be a positive finite number")
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CouplingMatrix, ParameterError, ValidationError
+from .core import CouplingMatrix, ParameterError, ValidationError, is_real
 
 __all__ = [
     "ConstraintSet",
@@ -72,18 +72,18 @@ class ConstraintSet:
         if foreign:
             raise ParameterError(f"{self.kind} takes no parameter {foreign[0]!r}")
         if self.kind == "OpNormBall":
-            if self.lam is None or not self.lam > 0:  # NaN fails too
+            if not is_real(self.lam) or not self.lam > 0:  # NaN fails too
                 raise ParameterError("OpNormBall needs lam > 0")
         elif self.kind == "SpectralSpread":
-            if self.s is None or not 0 < self.s <= 1:
+            if not is_real(self.s) or not 0 < self.s <= 1:
                 raise ParameterError("SpectralSpread needs 0 < s <= 1")
         elif self.kind == "WidthBall":
-            if self.m is None or not self.m > 0:
+            if not is_real(self.m) or not self.m > 0:
                 raise ParameterError("WidthBall needs m > 0")
         else:  # AntiferroSpike
-            if self.alpha is None or not 0 < self.alpha < 1:
+            if not is_real(self.alpha) or not 0 < self.alpha < 1:
                 raise ParameterError("AntiferroSpike needs 0 < alpha < 1")
-            if self.c is None or not self.c > 0:
+            if not is_real(self.c) or not self.c > 0:
                 raise ParameterError("AntiferroSpike needs c > 0")
 
     def describe(self) -> str:

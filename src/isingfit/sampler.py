@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .core import _SEED_MASK, IsingModel, ParameterError, SampleBatch, is_int, stream
+from .core import _SEED_MASK, IsingModel, ParameterError, SampleBatch, is_int, is_real, stream
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ def default_config(seed: int = 0, alpha: float | None = None) -> GlauberConfig:
     """Defaults: 50*ceil(1/alpha) burn-in sweeps given a spectral-gap hint, else 200."""
     if alpha is None:
         return GlauberConfig(seed=seed)
-    if not 0 < alpha <= 1:
-        raise ParameterError("alpha hint must be in (0, 1]")
+    if not (is_real(alpha) and 0 < alpha <= 1):
+        raise ParameterError("alpha_hint must be in (0, 1]")
     return GlauberConfig(burn_in_sweeps=50 * math.ceil(1.0 / alpha), seed=seed)
 
 
@@ -113,11 +113,9 @@ def glauber_sample(m: IsingModel, l: int, cfg: GlauberConfig | None = None) -> S
     return SampleBatch(spins)
 
 
-def exact_sample(m: IsingModel, l: int, seed: int = 0) -> SampleBatch:
-    """Draw l i.i.d. samples by inverse CDF over the full 2^n table."""
+def exact_sample(m: IsingModel | exact.DistributionTable, l: int, seed: int = 0) -> SampleBatch:
+    """Draw l i.i.d. samples by inverse CDF over the model's 2^n table; ``m`` may be that table."""
     if l < 1:
         raise ParameterError("sample count must be >= 1")
-    table = exact.distribution(m)
-    cdf = np.cumsum(table.probs)
-    idx = np.searchsorted(cdf, stream(seed, 0xE).random(l), side="right")
-    return SampleBatch(exact.states(np.minimum(idx, (1 << m.n) - 1), m.n))
+    table = m if isinstance(m, exact.DistributionTable) else exact.distribution(m)
+    return SampleBatch(exact.states(exact.draw(table, stream(seed, 0xE).random(l)), m.n))

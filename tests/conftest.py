@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isingfit import CouplingMatrix, IsingModel
+from isingfit import CouplingMatrix, IsingModel, exact
 
 
 def random_coupling(n, rng, scale=1.0):
@@ -38,3 +38,17 @@ def spread_model(n, s, seed):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture
+def distribution_calls(monkeypatch):
+    """List that grows by one model size per call of ``exact.distribution``."""
+    calls = []
+    original = exact.distribution
+
+    def counted(m):
+        calls.append(m.n)
+        return original(m)
+
+    monkeypatch.setattr(exact, "distribution", counted)
+    return calls

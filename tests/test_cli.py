@@ -199,6 +199,16 @@ class TestSweep:
         cell = strip_wall_time(out2.read_text())
         assert cell[1] in full
 
+    @pytest.mark.parametrize("metrics, tables", [
+        (("tv_exact", "kl_exact"), 2), (("frobenius",), 1), (("frobenius", "tv_exact"), 2),
+    ])
+    def test_exact_cell_builds_truth_table_once(self, tmp_path, distribution_calls,
+                                                metrics, tables):
+        doc = base_config(l_values=(200,), seeds=(3,), metrics=metrics)
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
+        assert distribution_calls == [6] * tables
+
     def test_serial_matches_parallel(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config())
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
@@ -342,6 +352,9 @@ class TestBadInput:
         ('{"kind": "OpNormBall", "lam": NaN}', "lam"),
         ('{"kind": "WidthBall", "m": NaN}', "m >"),
         ('{"kind": "AntiferroSpike", "alpha": 0.5, "c": NaN}', "c >"),
+        ('{"kind": "OpNormBall", "lam": true}', "lam"),
+        ('{"kind": "WidthBall", "m": true}', "m >"),
+        ('{"kind": "AntiferroSpike", "alpha": 0.5, "c": true}', "c >"),
     ])
     def test_nan_radius_exit_2(self, tmp_path, capsys, block, name):
         samples = tmp_path / "s.csv"
@@ -377,6 +390,8 @@ class TestBadInput:
         ({"beta": float("inf")}, "beta must be finite"),
         ({"kind": "BoundedWidthRandom", "width": float("nan")}, "width"),
         ({"betta": 0.3}, "ensemble.betta: unknown field"),
+        ({"beta": True}, "beta must be finite"),
+        ({"kind": "BoundedWidthRandom", "width": True}, "width"),
     ])
     def test_bad_ensemble_block_exit_2(self, tmp_path, capsys, fields, message):
         doc = base_config()
@@ -393,6 +408,7 @@ class TestBadInput:
         ({"method": "glauber", "seed": 3}, "sampler.seed: unknown field"),
         ({"method": "glauber", "alpha_hint": "x"}, "sampler:"),
         ({"method": "exact", "chains": 2.5}, "chains must be an integer"),
+        ({"method": "glauber", "alpha_hint": True}, "alpha_hint"),
     ])
     def test_bad_sampler_block_exit_2(self, tmp_path, capsys, block, message):
         doc = base_config()
@@ -418,15 +434,24 @@ class TestBadInput:
           "--num", "0"], "num_perturbations"),
         (["diagnose", "--probe", "regularity", "--model", "{model}", "--gamma", "0.1",
           "--num", "-2"], "num_perturbations"),
+        (["fit", "--samples", "{samples}", "--h", "{bool_h}", "--config", "{cfg}",
+          "--out", "{est}"], "h:"),
+        (["fit", "--samples", "{samples}", "--h", "{dict_h}", "--config", "{cfg}",
+          "--out", "{est}"], "h:"),
+        (["diagnose", "--probe", "subset", "--model", "{model}", "--m", "inf", "--eta", "0.5"],
+         "eta < M"),
     ])
     def test_bad_command_line_exit_2(self, tmp_path, capsys, argv, message):
-        paths = {name: str(tmp_path / name) for name in ("model", "samples", "nan_h", "inf_h", "est")}
+        names = ("model", "samples", "nan_h", "inf_h", "bool_h", "dict_h", "est")
+        paths = {name: str(tmp_path / name) for name in names}
         paths["cfg"] = write_config(tmp_path / "c.json", base_config(n=5))
         cli.main(["generate", "--config", paths["cfg"], "--out", paths["model"]])
         cli.main(["sample", "--model", paths["model"], "--l", "50", "--method", "exact",
                   "--out", paths["samples"]])
         (tmp_path / "nan_h").write_text("[NaN, 0, 0, 0, 0]")
         (tmp_path / "inf_h").write_text("[1e400, 0, 0, 0, 0]")
+        (tmp_path / "bool_h").write_text("[true, false, true, 0, 1]")
+        (tmp_path / "dict_h").write_text('{"h": [0, 0, 0, 0, 0]}')
         capsys.readouterr()
         assert cli.main([a.format(**paths) for a in argv]) == 2
         assert message in capsys.readouterr().err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isingfit import diagnostics, exact
+from isingfit import diagnostics, exact, mple, sampler
 from isingfit.core import CouplingMatrix, IsingModel, ParameterError
 from isingfit.ensembles import EnsembleSpec, generate
 
@@ -186,3 +186,18 @@ class TestGradientConcentration:
             stds.append(rep.std)
         slope = np.polyfit(np.log(ls), np.log(stds), 1)[0]
         assert 0.4 <= slope <= 0.6
+
+    @pytest.mark.parametrize("batches", [2, 9])
+    def test_one_table_for_all_batches(self, rng, distribution_calls, batches):
+        model = IsingModel(random_coupling(7, rng, 0.3), rng.normal(size=7))
+        A = random_coupling(7, rng)
+        rep = diagnostics.gradient_concentration_probe(model, A, l=150, batches=batches, seed=4)
+        assert distribution_calls == [7]
+        # reference: a fresh exact sample of the model for each batch seed
+        seeds = diagnostics._probe_rng(4, "gradcon")
+        reference = []
+        for _ in range(batches):
+            batch = sampler.exact_sample(model, 150, int(seeds.integers(0, 2**62)))
+            ctx = mple.PseudolikelihoodContext(batch, model.field)
+            reference.append(mple.directional_derivatives(model.coupling, A, ctx)[0])
+        np.testing.assert_array_equal(rep.values, reference)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,34 @@ class TestTvDistance:
         q = exact.distribution(zero_field(np.zeros((3, 3))))
         with pytest.raises(Exception, match="mismatch"):
             exact.tv_distance(p, q)
+
+    def test_one_temporary(self, rng):
+        n = 16
+        p = exact.distribution(zero_field(random_coupling(n, rng, scale=0.1).entries))
+        q = exact.distribution(zero_field(random_coupling(n, rng, scale=0.1).entries))
+        expected = 0.5 * float(np.abs(p.probs - q.probs).sum())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tv = exact.tv_distance(p, q)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert tv == expected
+        assert peak <= 1.1 * p.probs.nbytes
+
+
+class TestDraw:
+    def test_inverse_cdf(self):
+        table = exact.DistributionTable(n=2, probs=np.array([0.25, 0.0, 0.5, 0.25]))
+        u = np.array([0.0, 0.2, 0.25, 0.6, 0.75, 0.9])
+        np.testing.assert_array_equal(exact.draw(table, u), [0, 0, 2, 2, 3, 3])
+
+    def test_cumsum_below_one_maps_to_last_state(self):
+        table = exact.DistributionTable(n=1, probs=np.array([0.5, 0.5 - 1e-13]))
+        top = np.nextafter(1.0, 0.0)
+        assert np.cumsum(table.probs)[-1] < top
+        np.testing.assert_array_equal(exact.draw(table, np.array([top, 0.9])), [1, 1])
 
 
 class TestKlDivergence:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isingfit import exact, sampler
 from isingfit.core import CapabilityError, CouplingMatrix, IsingModel, ParameterError
@@ -140,3 +142,16 @@ class TestExactSampler:
         a = sampler.exact_sample(m, 100, seed=9)
         b = sampler.exact_sample(m, 100, seed=9)
         np.testing.assert_array_equal(a.spins, b.spins)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12), data=st.data(), l=st.integers(1, 300),
+           seed=st.integers(-2**63, 2**63 - 1), scale=st.floats(0.0, 2.0),
+           coupling_seed=st.integers(0, 2**32 - 1))
+    def test_table_in_place_of_model(self, n, data, l, seed, scale, coupling_seed):
+        h = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        m = IsingModel(random_coupling(n, np.random.default_rng(coupling_seed), scale), np.array(h))
+        from_table = sampler.exact_sample(exact.distribution(m), l, seed=seed)
+        from_model = sampler.exact_sample(m, l, seed=seed)
+        assert from_table.spins.dtype == from_model.spins.dtype
+        assert from_table.spins.shape == (l, n)
+        assert from_table.spins.tobytes() == from_model.spins.tobytes()
