@@ -184,6 +184,8 @@ def _cmd_fit(args) -> int:
             "objective_last": report.objective_trace[-1],
             "grad_map_last": report.grad_map_trace[-1] if report.grad_map_trace else None,
             "wall_time": report.wall_time,
+            "stop_reason": report.stop_reason,
+            "projections": report.projections,
         }
         with open(args.report, "w") as fh:
             json.dump(doc, fh, indent=2)

@@ -297,7 +297,7 @@ def load_model(path) -> IsingModel:
         if key not in doc:
             raise ParseError(f'{path}: missing "{key}" key')
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise ParseError(f'{path}: "n" must be a positive integer')
     j_doc = doc["J"]
     if not isinstance(j_doc, dict):
@@ -316,12 +316,14 @@ def load_model(path) -> IsingModel:
             if not isinstance(trip, list) or len(trip) != 3:
                 raise ParseError(f'{path}: "{key}" must be [i, j, v]')
             i, j, v = trip
-            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < n):
-                raise ParseError(f'{path}: "{key}" needs 0 <= i < j < n, got ({i},{j})')
+            if not (is_int(i) and is_int(j) and 0 <= i < j < n):
+                raise ParseError(f'{path}: "{key}" needs integers 0 <= i < j < n, got ({i},{j})')
+            if not is_real(v):
+                raise ParseError(f'{path}: "{key}" value must be a number')
             try:
-                entries[i, j] = entries[j, i] = float(v)
-            except (TypeError, ValueError) as e:
-                raise ParseError(f'{path}: "{key}" value must be a number') from e
+                entries[i, j] = entries[j, i] = v
+            except OverflowError as e:
+                raise ParseError(f'{path}: "{key}" value is out of range') from e
     else:
         raise ParseError(f'{path}: "J" lacks both "dense" and "triplets"')
     try:
@@ -330,10 +332,17 @@ def load_model(path) -> IsingModel:
         raise ParseError(f"{path}: {e}") from e
 
 
+def _numbers(value) -> bool:
+    """True for a JSON number or a (nested) list of them; a bool or string is not one."""
+    return all(map(_numbers, value)) if isinstance(value, list) else is_real(value)
+
+
 def _float_array(value, path, key: str) -> np.ndarray:
+    if not _numbers(value):
+        raise ParseError(f'{path}: "{key}" must hold numbers')
     try:
         return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as e:
+    except (ValueError, OverflowError) as e:
         raise ParseError(f'{path}: "{key}" must hold numbers ({e})') from e
 
 
@@ -343,22 +352,30 @@ def save_samples(batch: SampleBatch, path) -> None:
 
 
 def load_samples(path) -> SampleBatch:
-    rows = []
+    """Read a sample file; blank lines are skipped, and errors name the line."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            try:
-                row = [int(v) for v in fields]
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: non-integer entry") from e
-            if any(v not in (-1, 1) for v in row):
-                raise ParseError(f"{path}:{lineno}: entries must be -1 or 1")
-            rows.append(row)
-    if not rows:
+        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    if not lines:
         raise ParseError(f"{path}: no samples")
-    if len({len(r) for r in rows}) != 1:
-        raise ParseError(f"{path}: rows have inconsistent lengths")
-    return SampleBatch(np.asarray(rows, dtype=np.int8))
+    try:
+        return SampleBatch(_parse_rows([line for _, line in lines]))
+    except ValueError as e:
+        error = e
+    # the file is malformed: parse line by line to name the first bad one
+    width = None
+    for lineno, line in lines:
+        try:
+            row = _parse_rows([line])[0]
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: non-integer entry") from e
+        width = row.size if width is None else width
+        if row.size != width:
+            raise ParseError(f"{path}:{lineno}: rows have inconsistent lengths "
+                             f"({row.size} entries, the first row has {width})")
+        if not np.isin(row, (-1, 1)).all():
+            raise ParseError(f"{path}:{lineno}: entries must be -1 or 1")
+    raise ParseError(f"{path}: {error}") from error
+
+
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    return np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None, ndmin=2)

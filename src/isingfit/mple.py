@@ -50,9 +50,11 @@ class PseudolikelihoodContext:
     """Samples plus field, with a cached J X workspace.
 
     The row-product matrix M[k, i] = J_i X^(k) + h_i costs O(l n^2) and is
-    shared between the objective and the gradient; the cache is keyed on the
-    identity of the coupling array, which is safe because CouplingMatrix
-    entries are frozen read-only.
+    shared between the objective and the gradient, and the objective value
+    is cached with it, so a gradient taken where the value was just computed
+    does not recompute it. The cache is keyed on the identity of the
+    coupling array, which is safe because CouplingMatrix entries are frozen
+    read-only.
     """
 
     def __init__(self, samples: SampleBatch, field=None) -> None:
@@ -67,6 +69,7 @@ class PseudolikelihoodContext:
             )
         self._cached_entries: np.ndarray | None = None
         self._cached_m: np.ndarray | None = None
+        self._cached_value: float | None = None
 
     @property
     def l(self) -> int:
@@ -87,37 +90,43 @@ class PseudolikelihoodContext:
         if self._cached_entries is not entries:
             self._cached_m = self.x @ entries + self.field
             self._cached_entries = entries
+            self._cached_value = None
         return self._cached_m
 
+    def value(self, J: CouplingMatrix) -> float:
+        """phi(J), computed once per cached M."""
+        m = self.fields_matrix(J)
+        if self._cached_value is None:
+            self._cached_value = float(np.sum(_logcosh(m) - self.x * m + np.log(2.0)))
+        return self._cached_value
 
-def _value(m: np.ndarray, x: np.ndarray) -> float:
-    return float(np.sum(_logcosh(m) - x * m + np.log(2.0)))
+
+def _raw_gradient(J: CouplingMatrix, ctx: PseudolikelihoodContext) -> np.ndarray:
+    """Gradient entry (i, j):
+    sum_k (tanh(J_i X + h_i) - X_i) X_j + (tanh(J_j X + h_j) - X_j) X_i.
+    """
+    r = np.tanh(ctx.fields_matrix(J)) - ctx.x
+    g = r.T @ ctx.x
+    g = g + g.T
+    np.fill_diagonal(g, 0.0)
+    return g
 
 
 def objective(J: CouplingMatrix, ctx: PseudolikelihoodContext) -> float:
-    return _value(ctx.fields_matrix(J), ctx.x)
+    return ctx.value(J)
 
 
 def gradient(J: CouplingMatrix, ctx: PseudolikelihoodContext) -> CouplingMatrix:
     """Symmetric zero-diagonal matrix of d phi / d J_ij over the upper triangle."""
-    return CouplingMatrix(objective_and_gradient(J, ctx)[1])
+    return CouplingMatrix(_raw_gradient(J, ctx))
 
 
 def objective_and_gradient(
     J: CouplingMatrix, ctx: PseudolikelihoodContext
 ) -> tuple[float, np.ndarray]:
-    """Objective and raw gradient array in one pass (optimizer hot path).
-
-    Gradient entry (i, j):
-    sum_k (tanh(J_i X + h_i) - X_i) X_j + (tanh(J_j X + h_j) - X_j) X_i.
-    """
-    m = ctx.fields_matrix(J)
-    value = _value(m, ctx.x)
-    r = np.tanh(m) - ctx.x
-    g = r.T @ ctx.x
-    g = g + g.T
-    np.fill_diagonal(g, 0.0)
-    return value, g
+    """Objective and raw gradient array (optimizer hot path); the value is
+    reused when ``objective`` was just called at the same J."""
+    return ctx.value(J), _raw_gradient(J, ctx)
 
 
 def directional_derivatives(

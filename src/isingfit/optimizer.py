@@ -1,16 +1,31 @@
-"""Projected gradient descent for the constrained pseudolikelihood estimate.
+"""Spectral projected gradient for the constrained pseudolikelihood estimate.
 
 The loop minimizes the objective normalized by n*l (so step sizes and
-tolerances are dimension-free), with Armijo backtracking on the projection
-arc: J_next = project(J - eta * grad). The gradient used here is the
+tolerances are dimension-free), with monotone Armijo backtracking on the
+projection arc: J_next = project(J - t * grad). The gradient used here is the
 Frobenius-metric gradient, i.e. half the upper-triangle total-derivative
 matrix, which makes <grad, J_next - J> the correct first-order model for
 symmetric perturbations.
 
-Stopping: the gradient-mapping norm ||J - project(J - eta grad)||_F / eta,
-reported on the unnormalized scale (multiplied back by n*l), falls below
-grad_map_tol. At interior points the gradient mapping equals the norm of the
-raw upper-triangle gradient.
+Step: each search starts at the Barzilai-Borwein step <s, s> / <s, y>, with
+s = J_k - J_{k-1} and y the change of the gradient (Birgin, Martinez and
+Raydan 2000), clamped to [1e-10, 1e10]; it starts at 1 on the first iteration
+and whenever <s, y> <= 0. The search halves the step until the Armijo test
+holds.
+
+Stopping: the gradient mapping G_t(J) = (J - project(J - t grad)) / t. At an
+interior point G_1 is the raw upper-triangle gradient. ||G_t|| is
+nonincreasing in t and t ||G_t|| nondecreasing, so the accepted step t gives
+||G_1|| <= ||J_next - J||_F / min(t, 1). That bound, reported on the
+unnormalized scale (multiplied back by 2*n*l), is what grad_map_trace records
+and what is compared with grad_map_tol; the stop certifies the unit-step
+gradient mapping whatever the step size.
+
+Projection tolerance: the fit projects with Dykstra tolerance 1e-13, not the
+1e-8 default of projections.project. An iterate left outside the set by 1e-8
+shifts the objective by more than the Armijo decrease near the optimum, so a
+search started at a long step then halves down to underflow instead of
+converging.
 """
 
 from __future__ import annotations
@@ -25,8 +40,10 @@ from .core import CouplingMatrix, ParameterError, SampleBatch, is_int, is_real
 
 __all__ = ["FitConfig", "FitReport", "fit_mple"]
 
-_ARMIJO = 1e-4  # sufficient-decrease constant; the search starts at 1 and halves
+_ARMIJO = 1e-4  # sufficient-decrease constant; each search halves from its start step
+_STEP_MIN, _STEP_MAX = 1e-10, 1e10  # clamp of the Barzilai-Borwein start step
 _STEP_FLOOR = 1e-18
+_PROJECTION_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -51,6 +68,8 @@ class FitReport:
     grad_map_trace: list[float] = field(default_factory=list)
     converged: bool = False
     wall_time: float = 0.0
+    stop_reason: str = "max_iters"  # or "grad_map", "step_underflow"
+    projections: int = 0  # project_array calls, the initial one included
 
 
 def fit_mple(
@@ -69,15 +88,16 @@ def fit_mple(
     grad_map_tol = cfg.grad_map_tol if cfg.grad_map_tol is not None else 1e-6 * scale
 
     def proj(arr: np.ndarray) -> CouplingMatrix:
-        return CouplingMatrix(projections.project_array(constraint, arr))
+        report.projections += 1
+        return CouplingMatrix(projections.project_array(constraint, arr, tol=_PROJECTION_TOL))
 
-    start = cfg.init.entries if cfg.init is not None else np.zeros((n, n))
-    J = proj(start)
+    report = FitReport(estimate=None, iterations=0)
+    J = proj(cfg.init.entries if cfg.init is not None else np.zeros((n, n)))
 
     f_unnorm, g_raw = mple.objective_and_gradient(J, ctx)
-    report = FitReport(estimate=J, iterations=0)
     report.objective_trace.append(f_unnorm)
     best_val, best_J = f_unnorm, J
+    start_step = 1.0
 
     for it in range(cfg.max_iters):
         if not np.isfinite(f_unnorm):
@@ -85,24 +105,20 @@ def fit_mple(
         f = f_unnorm / scale
         g = g_raw / (2.0 * scale)  # Frobenius-metric gradient of the normalized objective
 
-        step = 1.0
-        accepted = None
+        step = start_step
         while step >= _STEP_FLOOR:
             cand = proj(J.entries - step * g)
             cand_val = mple.objective(cand, ctx)
-            decrease = float(np.sum(g * (cand.entries - J.entries)))
-            if cand_val / scale <= f + _ARMIJO * decrease:
-                accepted = (cand, cand_val)
+            s = cand.entries - J.entries
+            if cand_val / scale <= f + _ARMIJO * float(np.sum(g * s)):
                 break
             step *= 0.5
-
-        if accepted is None:
+        else:
             # step underflow: projection and gradient disagree, bail out
-            report.converged = False
+            report.stop_reason = "step_underflow"
             break
 
-        cand, cand_val = accepted
-        grad_map = float(np.linalg.norm(cand.entries - J.entries)) / step
+        grad_map = float(np.linalg.norm(s)) / min(step, 1.0)
         report.grad_map_trace.append(grad_map * 2.0 * scale)
         J = cand
         report.objective_trace.append(cand_val)
@@ -112,7 +128,10 @@ def fit_mple(
         f_unnorm, g_raw = mple.objective_and_gradient(J, ctx)
         if report.grad_map_trace[-1] <= grad_map_tol:
             report.converged = True
+            report.stop_reason = "grad_map"
             break
+        sy = float(np.sum(s * (g_raw / (2.0 * scale) - g)))
+        start_step = min(max(float(np.sum(s * s)) / sy, _STEP_MIN), _STEP_MAX) if sy > 0 else 1.0
 
     report.estimate = best_J
     report.wall_time = time.perf_counter() - t_start

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from isingfit import CouplingMatrix, IsingModel, exact
+from isingfit import CouplingMatrix, IsingModel, exact, projections
 
 
 def random_coupling(n, rng, scale=1.0):
@@ -51,4 +51,18 @@ def distribution_calls(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(exact, "distribution", counted)
+    return calls
+
+
+@pytest.fixture
+def projection_calls(monkeypatch):
+    """List that grows by the ``tol`` keyword of each ``projections.project_array`` call."""
+    calls = []
+    original = projections.project_array
+
+    def counted(cs, a, **kwargs):
+        calls.append(kwargs.get("tol"))
+        return original(cs, a, **kwargs)
+
+    monkeypatch.setattr(projections, "project_array", counted)
     return calls

@@ -86,6 +86,23 @@ class TestPipeline:
         assert float(values["frobenius"]) == pytest.approx(frob, rel=1e-10)
         assert 0.0 <= float(values["tv_exact"]) <= 1.0
 
+    def test_fit_report_keys(self, tmp_path):
+        samples_path = tmp_path / "s.csv"
+        samples_path.write_text("1,-1,1\n-1,1,1\n1,1,-1\n-1,-1,-1\n1,1,1\n")
+        report_path = tmp_path / "report.json"
+        assert cli.main([
+            "fit", "--samples", str(samples_path),
+            "--constraint", '{"kind": "OpNormBall", "lam": 0.5}',
+            "--out", str(tmp_path / "est.json"), "--report", str(report_path),
+        ]) == 0
+        report = json.loads(report_path.read_text())
+        assert list(report) == [
+            "iterations", "converged", "objective_first", "objective_last",
+            "grad_map_last", "wall_time", "stop_reason", "projections",
+        ]
+        assert report["stop_reason"] == "grad_map"
+        assert report["projections"] >= report["iterations"] + 1
+
     def test_fit_with_field_file_and_config_optimizer(self, tmp_path):
         doc = base_config(n=5)
         cfg = write_config(tmp_path / "c.json", doc)
@@ -314,6 +331,14 @@ class TestBadInput:
         ({"n": 3, "h": [0, 0, 0], "J": {"triplets": [[0.5, 2, 1.0]]}}, "J.triplets[0]"),
         ({"n": 3, "h": [0, 0, 0], "J": {"triplets": [[0, 2, "x"]]}}, "J.triplets[0]"),
         (5, "top level"),
+        ({"n": True, "h": [0], "J": {"dense": [[0]]}}, '"n"'),
+        ({"n": 2, "h": [0, 0], "J": {"dense": [[0, "1"], ["1", 0]]}}, "J.dense"),
+        ({"n": 2, "h": [0, 0], "J": {"dense": [[0, True], [True, 0]]}}, "J.dense"),
+        ({"n": 2, "h": ["1", 0], "J": {"dense": [[0, 1], [1, 0]]}}, '"h"'),
+        ({"n": 2, "h": [True, 0], "J": {"dense": [[0, 1], [1, 0]]}}, '"h"'),
+        ({"n": 3, "h": [0, 0, 0], "J": {"triplets": [[0, 2, True]]}}, "J.triplets[0]"),
+        ({"n": 3, "h": [0, 0, 0], "J": {"triplets": [[0, 2, "1"]]}}, "J.triplets[0]"),
+        ({"n": 3, "h": [0, 0, 0], "J": {"triplets": [[False, True, 1.0]]}}, "J.triplets[0]"),
     ])
     def test_malformed_model_file_exit_2(self, tmp_path, capsys, doc, key):
         bad = tmp_path / "bad.json"

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isingfit import core
 from isingfit.core import (
@@ -155,6 +159,38 @@ class TestSampleFiles:
         path.write_text("1,-1\n1,0\n")
         with pytest.raises(ParseError, match="-1 or 1"):
             load_samples(path)
+
+    @pytest.mark.parametrize("bad_line, message", [
+        ("1,x,1", "non-integer entry"),
+        ("1,0,1", "entries must be -1 or 1"),
+        ("1,-1", "rows have inconsistent lengths"),
+    ])
+    def test_bad_line_named_after_blank_line(self, tmp_path, bad_line, message):
+        path = tmp_path / "samples.csv"
+        path.write_text(f"1,-1,1\n\n{bad_line}\n-1,1,1\n")
+        with pytest.raises(ParseError, match=f"samples.csv:3: {message}"):
+            load_samples(path)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rows=st.integers(1, 6).flatmap(lambda n: st.lists(
+            st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n), min_size=1, max_size=8)),
+        pad=st.lists(st.sampled_from(["", " ", "  ", "\t"]), min_size=2, max_size=2),
+        blanks=st.lists(st.sampled_from(["", "  ", "\t"]), max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_line_by_line_parse(self, rows, pad, blanks, seed):
+        # the reference is the plain loop: skip blank lines, split on commas, int()
+        rng = np.random.default_rng(seed)
+        lines = [",".join(f"{pad[0]}{v}{pad[1]}" for v in row) for row in rows]
+        for blank in blanks:
+            lines.insert(int(rng.integers(0, len(lines) + 1)), blank)
+        text = "\n".join(lines) + "\n"
+        expected = [[int(v) for v in line.split(",")] for line in text.splitlines() if line.strip()]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "samples.csv"
+            path.write_text(text)
+            assert load_samples(path).spins.tolist() == expected
 
     def test_batch_validation(self):
         with pytest.raises(ValidationError):

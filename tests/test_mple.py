@@ -167,3 +167,43 @@ def test_context_caches_by_identity(rng):
     m3 = ctx.fields_matrix(CouplingMatrix(J.entries.copy()))
     assert m3 is not m1
     np.testing.assert_allclose(m3, m1)
+
+
+class TestValueCache:
+    def count_logcosh(self, monkeypatch):
+        calls = []
+        original = mple._logcosh
+
+        def counted(u):
+            calls.append(u.shape)
+            return original(u)
+
+        monkeypatch.setattr(mple, "_logcosh", counted)
+        return calls
+
+    def test_gradient_after_objective_reuses_value(self, rng, monkeypatch):
+        n, l = 6, 50
+        ctx = make_ctx(rng, n, l, field=rng.normal(size=n))
+        J, K = random_coupling(n, rng), random_coupling(n, rng)
+        calls = self.count_logcosh(monkeypatch)
+        value = mple.objective(J, ctx)
+        cached_value, cached_grad = mple.objective_and_gradient(J, ctx)
+        assert len(calls) == 1
+        fresh = mple.PseudolikelihoodContext(ctx.samples, ctx.field)
+        fresh_value, fresh_grad = mple.objective_and_gradient(J, fresh)
+        assert value == cached_value == fresh_value
+        np.testing.assert_array_equal(cached_grad, fresh_grad)
+        # a new J invalidates the cached value along with M
+        mple.objective(K, ctx)
+        assert mple.objective_and_gradient(J, ctx)[0] == fresh_value
+        assert len(calls) == 4
+
+    def test_gradient_alone_computes_no_value(self, rng, monkeypatch):
+        n, l = 5, 30
+        ctx = make_ctx(rng, n, l)
+        J = random_coupling(n, rng)
+        calls = self.count_logcosh(monkeypatch)
+        grad = mple.gradient(J, ctx)
+        assert calls == []
+        fresh = mple.PseudolikelihoodContext(ctx.samples)
+        np.testing.assert_array_equal(grad.entries, mple.objective_and_gradient(J, fresh)[1])

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from isingfit import mple, sampler
+from isingfit import ensembles, mple, projections, sampler
 from isingfit.core import CouplingMatrix, IsingModel, ParameterError
 from isingfit.optimizer import FitConfig, fit_mple
-from isingfit.projections import membership, op_norm_ball, spectral_spread
+from isingfit.projections import (
+    antiferro_spike,
+    membership,
+    op_norm_ball,
+    spectral_spread,
+    width_ball,
+)
 
-from conftest import spread_model
+from conftest import random_coupling, spread_model
 
 
 def uniform_batch(n, l, seed):
@@ -109,3 +117,116 @@ def test_field_is_used(rng):
     err_good = np.linalg.norm(good.estimate.entries - J.entries)
     err_bad = np.linalg.norm(bad.estimate.entries - J.entries)
     assert err_good < err_bad
+
+
+def binding_cell(kind, constraint, seed=0, **params):
+    """An n = 8 sweep cell whose truth lies outside its constraint set."""
+    model = ensembles.generate(ensembles.EnsembleSpec(kind=kind, n=8, seed=0, **params))
+    return sampler.exact_sample(model, 4000, seed=seed), constraint
+
+
+BINDING_CELLS = {
+    "SpectralSpread": ("SK", spectral_spread(0.9), {"beta": 0.5}),
+    "OpNormBall": ("SK", op_norm_ball(0.5), {"beta": 0.5}),
+    "WidthBall": ("BoundedWidthRandom", width_ball(0.8), {"width": 1.0}),
+    "AntiferroSpike": ("AntiferroExpander", antiferro_spike(0.4, 1.0), {"d": 3, "beta": 0.1}),
+}
+
+
+def unit_step_grad_map(J, batch, constraint):
+    """||J - project(J - grad)|| at J, on the scale of grad_map_tol."""
+    scale = batch.n * batch.l
+    ctx = mple.PseudolikelihoodContext(batch, np.zeros(batch.n))
+    g = mple.gradient(J, ctx).entries / (2.0 * scale)
+    step = projections.project_array(constraint, J.entries - g, tol=1e-13)
+    return float(np.linalg.norm(J.entries - step)) * 2.0 * scale
+
+
+class TestSpectralStep:
+    def test_sk_n30_converges_fast(self):
+        model = ensembles.generate(ensembles.EnsembleSpec(kind="SK", n=30, beta=0.5, seed=0))
+        batch = sampler.glauber_sample(model, 2000, sampler.GlauberConfig(seed=1))
+        report = fit_mple(batch, np.zeros(30), op_norm_ball(2.0))
+        assert report.converged
+        assert report.iterations <= 60
+
+    @pytest.mark.parametrize("family", list(BINDING_CELLS))
+    def test_binding_n8_cell(self, family, projection_calls):
+        kind, constraint, params = BINDING_CELLS[family]
+        batch, cs = binding_cell(kind, constraint, **params)
+        report = fit_mple(batch, np.zeros(8), cs)
+        assert report.converged and report.stop_reason == "grad_map"
+        assert report.iterations <= 30
+        assert report.projections == len(projection_calls)
+        assert set(projection_calls) == {1e-13}
+        tol = 1e-6 * batch.n * batch.l
+        assert unit_step_grad_map(report.estimate, batch, cs) <= 2.0 * tol
+        assert membership(cs, report.estimate, tol=1e-10)
+
+
+    @pytest.mark.parametrize("family", list(BINDING_CELLS))
+    def test_recorded_bound_dominates_unit_step_grad_map(self, family, monkeypatch):
+        # grad_map_trace[k] bounds the unit-step gradient mapping at iterate k
+        kind, constraint, params = BINDING_CELLS[family]
+        batch, cs = binding_cell(kind, constraint, **params)
+        iterates = []
+        original = mple.objective_and_gradient
+
+        def recorded(J, ctx):
+            iterates.append(J)
+            return original(J, ctx)
+
+        monkeypatch.setattr(mple, "objective_and_gradient", recorded)
+        report = fit_mple(batch, np.zeros(8), cs)
+        assert len(iterates) == len(report.grad_map_trace) + 1
+        for J, bound in zip(iterates, report.grad_map_trace):
+            unit = unit_step_grad_map(J, batch, cs)
+            assert unit <= bound * (1 + 1e-6) + 1e-9
+
+
+class TestStopReason:
+    def test_grad_map(self):
+        report = fit_mple(uniform_batch(5, 300, seed=16), np.zeros(5), op_norm_ball(1.0))
+        assert report.converged and report.stop_reason == "grad_map"
+
+    def test_max_iters(self, projection_calls):
+        batch = uniform_batch(5, 200, seed=14)
+        cfg = FitConfig(max_iters=3, grad_map_tol=1e-30)
+        report = fit_mple(batch, np.zeros(5), op_norm_ball(1.0), cfg)
+        assert not report.converged and report.stop_reason == "max_iters"
+        assert report.iterations == 3
+        assert report.projections == len(projection_calls) >= 4
+
+    def test_step_underflow(self, monkeypatch, projection_calls):
+        # an objective that never decreases defeats every Armijo test
+        monkeypatch.setattr(mple, "objective", lambda J, ctx: np.inf)
+        batch = uniform_batch(4, 100, seed=17)
+        report = fit_mple(batch, np.zeros(4), op_norm_ball(1.0))
+        assert not report.converged and report.stop_reason == "step_underflow"
+        assert report.iterations == 0 and report.grad_map_trace == []
+        # the initial projection, then steps 1, 1/2, ... down to the floor
+        assert report.projections == len(projection_calls) == 61
+
+
+def feasible(cs, a):
+    return projections.project_array(cs, a, tol=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(list(BINDING_CELLS)),
+    n=st.integers(2, 6),
+    t=st.floats(1e-2, 1e2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stop_bound_dominates_unit_step_grad_map(family, n, t, seed):
+    # ||G_1(J)|| <= ||project(J - t g) - J|| / min(t, 1) for feasible J, any g, t > 0.
+    # g has the scale of the fit's normalized gradients; Dykstra is slow on
+    # inputs far outside the set, which this property does not depend on.
+    cs = BINDING_CELLS[family][1]
+    rng = np.random.default_rng(seed)
+    J = feasible(cs, random_coupling(n, rng).entries)
+    g = random_coupling(n, rng, scale=0.05).entries
+    bound = np.linalg.norm(feasible(cs, J - t * g) - J) / min(t, 1.0)
+    unit = np.linalg.norm(feasible(cs, J - g) - J)
+    assert unit <= bound * (1 + 1e-9) + 1e-10
