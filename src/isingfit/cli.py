@@ -102,6 +102,15 @@ def _from_block(cls, block, ctx: str, **fixed):
         raise ConfigError(f"{ctx}: {e}")
 
 
+def _constraint(block) -> projections.ConstraintSet:
+    """The constraint block as an instance of the family its ``kind`` names."""
+    kind = block.get("kind") if isinstance(block, dict) else None
+    if not isinstance(kind, str) or kind not in projections.FAMILIES:
+        raise ConfigError(f"constraint.kind: must be one of {', '.join(projections.FAMILIES)}")
+    params = {k: v for k, v in block.items() if k != "kind"}
+    return _from_block(projections.FAMILIES[kind], params, "constraint")
+
+
 def _glauber_config(block, seed: int) -> sampler.GlauberConfig:
     """The sampler block (or command-line flags) as a Glauber config; a
     ``None`` value means the default, and ``method`` is read by the caller."""
@@ -171,7 +180,7 @@ def _cmd_fit(args) -> int:
         block = cfg["constraint"]
     else:
         raise ConfigError("constraint: give --constraint or a config block")
-    constraint = _from_block(projections.ConstraintSet, block, "constraint")
+    constraint = _constraint(block)
     fit_cfg = _from_block(optimizer.FitConfig, cfg.get("optimizer"), "optimizer", init=None)
     h = _parse_field(args.h, batch.n)
     report = optimizer.fit_mple(batch, h, constraint, fit_cfg)
@@ -299,7 +308,7 @@ def _cmd_sweep(args) -> int:
             f"tv_exact/kl_exact need n <= enumeration cap {exact.DEFAULT_ENUM_CAP}, got n={spec.n}"
         )
     # Every block is checked once here, before any cell starts.
-    constraint = _from_block(projections.ConstraintSet, cfg["constraint"], "constraint")
+    constraint = _constraint(cfg["constraint"])
     fit_cfg = _from_block(optimizer.FitConfig, cfg.get("optimizer"), "optimizer", init=None)
     glauber = _glauber_config(cfg.get("sampler"), 0)
     method = (cfg.get("sampler") or {}).get(

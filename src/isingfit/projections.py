@@ -1,110 +1,35 @@
 """Frobenius projections onto the four constraint families.
 
-Each family is the intersection of a "natural" convex set with the subspace
-of symmetric zero-diagonal matrices. Projection onto each natural set alone
-has a closed form (eigenvalue clipping, row-wise l1 projection, spike/bulk
-split); projection onto the intersection is computed by Dykstra's alternating
-scheme, which unlike plain alternating projection converges to the true
-Frobenius-nearest point.
-
-Families:
-
-- OpNormBall(lam):      max |eigenvalue| <= lam
-- SpectralSpread(s):    lambda_max - lambda_min <= s
-- WidthBall(m):         every row l1 norm <= m
-- AntiferroSpike(alpha, c): the all-ones vector is an eigenvector with
-  eigenvalue in [-c, 0], and the spectrum on its orthogonal complement lies
-  in [-alpha/2, alpha/2] (bulk interval of size alpha centered at zero; the
-  centering fixes the trace gauge, which the zero-diagonal step absorbs).
+A family (`OpNormBall`, `SpectralSpread`, `WidthBall`, `AntiferroSpike`, by
+name in ``FAMILIES``) is a frozen dataclass whose fields are its parameters,
+checked when built: the intersection of a "natural" convex set with an affine
+subspace of symmetric zero-diagonal matrices. It carries ``member(a, tol)``
+(its inequalities hold within tol) and closed-form projections onto the two
+factors, ``natural(a)`` (eigenvalue clipping, row-wise l1 projection,
+spike/bulk split) and ``affine(a)``. Dykstra's scheme alternates them and,
+unlike plain alternation, converges to the Frobenius-nearest point.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import CouplingMatrix, ParameterError, ValidationError, is_real
 
 __all__ = [
-    "ConstraintSet",
-    "op_norm_ball",
-    "spectral_spread",
-    "width_ball",
-    "antiferro_spike",
-    "membership",
-    "project",
-    "project_l1_ball",
-    "ProjectionConvergenceWarning",
+    "ConstraintSet", "OpNormBall", "SpectralSpread", "WidthBall", "AntiferroSpike", "FAMILIES",
+    "op_norm_ball", "spectral_spread", "width_ball", "antiferro_spike",
+    "membership", "project", "project_l1_ball", "ProjectionConvergenceWarning",
 ]
-
-# Each family's parameters, in describe() order; a family takes no others.
-_PARAMS = {
-    "OpNormBall": ("lam",),
-    "SpectralSpread": ("s",),
-    "WidthBall": ("m",),
-    "AntiferroSpike": ("alpha", "c"),
-}
-KINDS = tuple(_PARAMS)
 
 # Iteration budget sized so random desk-scale inputs reach tol 1e-8. Typical
 # inputs need a few hundred iterations, but the linear rate degrades when the
 # optimum sits on a degenerate spectral face (repeated clipped eigenvalues);
 # worst observed ~2.6e4 iterations, budgeted with 4x headroom.
 DEFAULT_MAX_ITER = 100_000
-
-
-@dataclass(frozen=True)
-class ConstraintSet:
-    kind: str
-    lam: float | None = None
-    s: float | None = None
-    m: float | None = None
-    alpha: float | None = None
-    c: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in _PARAMS:
-            raise ParameterError(f"unknown constraint kind {self.kind!r}")
-        foreign = [p for ps in _PARAMS.values() for p in ps
-                   if p not in _PARAMS[self.kind] and getattr(self, p) is not None]
-        if foreign:
-            raise ParameterError(f"{self.kind} takes no parameter {foreign[0]!r}")
-        if self.kind == "OpNormBall":
-            if not is_real(self.lam) or not self.lam > 0:  # NaN fails too
-                raise ParameterError("OpNormBall needs lam > 0")
-        elif self.kind == "SpectralSpread":
-            if not is_real(self.s) or not 0 < self.s <= 1:
-                raise ParameterError("SpectralSpread needs 0 < s <= 1")
-        elif self.kind == "WidthBall":
-            if not is_real(self.m) or not self.m > 0:
-                raise ParameterError("WidthBall needs m > 0")
-        else:  # AntiferroSpike
-            if not is_real(self.alpha) or not 0 < self.alpha < 1:
-                raise ParameterError("AntiferroSpike needs 0 < alpha < 1")
-            if not is_real(self.c) or not self.c > 0:
-                raise ParameterError("AntiferroSpike needs c > 0")
-
-    def describe(self) -> str:
-        params = " ".join(f"{name}={getattr(self, name):g}" for name in _PARAMS[self.kind])
-        return f"{self.kind}({params})"
-
-
-def op_norm_ball(lam: float) -> ConstraintSet:
-    return ConstraintSet(kind="OpNormBall", lam=lam)
-
-
-def spectral_spread(s: float) -> ConstraintSet:
-    return ConstraintSet(kind="SpectralSpread", s=s)
-
-
-def width_ball(m: float) -> ConstraintSet:
-    return ConstraintSet(kind="WidthBall", m=m)
-
-
-def antiferro_spike(alpha: float, c: float) -> ConstraintSet:
-    return ConstraintSet(kind="AntiferroSpike", alpha=alpha, c=c)
 
 
 class ProjectionConvergenceWarning(UserWarning):
@@ -117,8 +42,13 @@ class ProjectionConvergenceWarning(UserWarning):
 
 
 # ---------------------------------------------------------------------------
-# Membership.
+# Closed-form factors. Eigen-based sets first symmetrize, which is the exact
+# Frobenius projection from a general matrix onto symmetric members.
 # ---------------------------------------------------------------------------
+
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.T)
+
 
 def _spike_bulk(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Spike coordinate along 1/sqrt(n), cross-term vector, bulk operator."""
@@ -131,110 +61,48 @@ def _spike_bulk(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     return spike, cross, bulk
 
 
-def membership(cs: ConstraintSet, J: CouplingMatrix, tol: float = 1e-8) -> bool:
-    """True iff every defining inequality holds within tol."""
-    a = J.entries
-    if cs.kind == "OpNormBall":
-        eigs = np.linalg.eigvalsh(a)
-        return float(np.abs(eigs).max()) <= cs.lam + tol
-    if cs.kind == "SpectralSpread":
-        eigs = np.linalg.eigvalsh(a)
-        return float(eigs[-1] - eigs[0]) <= cs.s + tol
-    if cs.kind == "WidthBall":
-        return float(np.abs(a).sum(axis=1).max()) <= cs.m + tol
-    spike, cross, bulk = _spike_bulk(a)
-    if float(np.abs(cross).max()) > tol:
-        return False
-    if not (-cs.c - tol <= spike <= tol):
-        return False
-    eigs = np.linalg.eigvalsh(bulk)
-    # the artificial zero eigenvalue along 1 sits inside [-alpha/2, alpha/2]
-    return float(np.abs(eigs).max()) <= cs.alpha / 2 + tol
+def _l1_rows(a: np.ndarray, radius: float) -> np.ndarray:
+    """Each row of a 2-D array projected onto the l1 ball, by sort and soft threshold."""
+    mag = np.abs(a)
+    inside = mag.sum(axis=1) <= radius
+    u = np.sort(mag, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1)
+    above = u * np.arange(1, u.shape[1] + 1) > css - radius
+    above[:, 0] = True  # exact for k = 0; rounding can lose it when radius << u_0
+    k = u.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)  # the last k where it holds
+    tau = np.where(inside, 0.0, (css[np.arange(k.size), k] - radius) / (k + 1.0))
+    return np.where(inside[:, None], a, np.sign(a) * np.maximum(mag - tau[:, None], 0.0))
 
-
-# ---------------------------------------------------------------------------
-# Natural-set projections. Eigen-based sets first symmetrize, which is the
-# exact Frobenius projection from a general matrix onto symmetric members.
-# ---------------------------------------------------------------------------
 
 def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the l1 ball, by sort and soft threshold."""
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, u.size + 1)
-    k = np.nonzero(u * ks > css - radius)[0][-1]
-    tau = (css[k] - radius) / (k + 1.0)
-    return np.sign(v) * np.maximum(a - tau, 0.0)
+    """Euclidean projection of a vector, or of each row of a 2-D array, onto the l1 ball."""
+    if not is_real(radius) or not 0 < radius < np.inf:
+        raise ParameterError(f"l1 ball radius must be positive and finite, got {radius!r}")
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim > 2 or v.size == 0 or not np.isfinite(v).all():
+        raise ValidationError("project_l1_ball needs a non-empty vector or 2-D array, all finite")
+    return _l1_rows(np.atleast_2d(v), radius).reshape(v.shape)
 
 
 def _spread_interval_start(v: np.ndarray, s: float) -> float:
     """t minimizing the total squared clip distance of v into [t, t+s].
 
-    Half the derivative is L(t) - H(t) with L(t) = sum_{v_i <= t} (t - v_i)
-    and H(t) = sum_{v_i >= t+s} (v_i - s - t): continuous, piecewise linear,
-    nondecreasing. Scan the segments between the breakpoints {v_i, v_i - s}
-    for the sign change and solve the affine segment exactly; the root is
-    unique whenever v does not already fit in a window of length s.
+    Half the derivative is D(t) = sum (t - v_i)_+ - sum (v_i - s - t)_+:
+    continuous, piecewise linear and nondecreasing, with breakpoints
+    {v_i, v_i - s}. Evaluate D at every breakpoint at once and solve the affine
+    segment ending at the first where D >= 0; the root is unique whenever v
+    does not already fit in a window of length s.
     """
     v = np.sort(v)
     points = np.unique(np.concatenate([v, v - s]))
-
-    def deriv(t: float) -> float:
-        return float((t - v[v <= t]).sum() - (v[v >= t + s] - s - t).sum())
-
-    if deriv(points[0]) >= 0:
+    d = (np.maximum(points[:, None] - v, 0.0).sum(axis=1)
+         - np.maximum(v - s - points[:, None], 0.0).sum(axis=1))
+    j = int(np.argmax(d >= 0))  # D(max v) >= 0, so some breakpoint qualifies
+    if j == 0:
         return float(points[0])
-    prev = points[0]
-    for b in points[1:]:
-        if deriv(b) >= 0:
-            mid = 0.5 * (prev + b)
-            k_low = int((v <= mid).sum())
-            k_high = int((v >= mid + s).sum())
-            sum_low = float(v[v <= mid].sum())
-            sum_high = float(v[v >= mid + s].sum())
-            return (sum_low + sum_high - k_high * s) / (k_low + k_high)
-        prev = b
-    return float(points[-1])
-
-
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
-
-
-def _natural_projection(cs: ConstraintSet, a: np.ndarray) -> np.ndarray:
-    if cs.kind == "WidthBall":
-        out = np.empty_like(a)
-        for i in range(a.shape[0]):
-            out[i] = project_l1_ball(a[i], cs.m)
-        return out
-    sym = _symmetrize(a)
-    if cs.kind == "OpNormBall":
-        w, V = np.linalg.eigh(sym)
-        return (V * np.clip(w, -cs.lam, cs.lam)) @ V.T
-    if cs.kind == "SpectralSpread":
-        w, V = np.linalg.eigh(sym)
-        if w[-1] - w[0] <= cs.s:
-            return sym
-        t = _spread_interval_start(w, cs.s)
-        return (V * np.clip(w, t, t + cs.s)) @ V.T
-    # AntiferroSpike: clip the spike coordinate and eigen-clip the bulk,
-    # keeping the cross terms; the affine factor of the Dykstra pair kills
-    # them, so this factor only carries the spectral inequalities.
-    n = a.shape[0]
-    spike, cross, bulk = _spike_bulk(sym)
-    w, V = np.linalg.eigh(bulk)
-    half = cs.alpha / 2.0
-    bulk_p = (V * np.clip(w, -half, half)) @ V.T
-    e = np.full(n, 1.0 / np.sqrt(n))
-    return (
-        bulk_p
-        + np.clip(spike, -cs.c, 0.0) * np.outer(e, e)
-        + np.outer(e, cross)
-        + np.outer(cross, e)
-    )
+    mid = 0.5 * (points[j - 1] + points[j])
+    low, high = v <= mid, v >= mid + s
+    return float((v[low].sum() + v[high].sum() - high.sum() * s) / (low.sum() + high.sum()))
 
 
 def _proj_zero_diag(a: np.ndarray) -> np.ndarray:
@@ -257,36 +125,159 @@ def _proj_zero_diag_equal_rowsums(a: np.ndarray) -> np.ndarray:
 
     For n <= 2 the row-sum constraint is implied by the zero diagonal.
     """
-    s = _symmetrize(a)
-    n = s.shape[0]
+    n = a.shape[0]
     if n <= 2:
-        out = s.copy()
-        np.fill_diagonal(out, 0.0)
-        return out
+        return _proj_zero_diag(a)
+    s = _symmetrize(a)
     diag = np.diag(s).copy()
     row_sums = s.sum(axis=1)
     nu = (diag - diag.mean()) - (row_sums - row_sums.mean())
     nu /= 1.0 - 0.5 * n
-    mu = diag - nu
-    out = s - np.diag(mu) - 0.5 * (np.outer(nu, np.ones(n)) + np.outer(np.ones(n), nu))
+    # mu only moves the diagonal, which is zeroed anyway
+    out = s - 0.5 * (np.outer(nu, np.ones(n)) + np.outer(np.ones(n), nu))
     np.fill_diagonal(out, 0.0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The families.
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ConstraintSet:
+    """Base of the families; a subclass defines ``member`` and ``natural``."""
+
+    affine = staticmethod(_proj_zero_diag)
+
+    @property
+    def kind(self) -> str:
+        return type(self).__name__
+
+    def describe(self) -> str:
+        params = " ".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
+        return f"{self.kind}({params})"
+
+
+@dataclass(frozen=True)
+class OpNormBall(ConstraintSet):
+    """max |eigenvalue| <= lam."""
+
+    lam: float
+
+    def __post_init__(self):
+        if not is_real(self.lam) or not self.lam > 0:  # NaN fails too
+            raise ParameterError("OpNormBall needs lam > 0")
+
+    def member(self, a: np.ndarray, tol: float) -> bool:
+        return float(np.abs(np.linalg.eigvalsh(a)).max()) <= self.lam + tol
+
+    def natural(self, a: np.ndarray) -> np.ndarray:
+        w, V = np.linalg.eigh(_symmetrize(a))
+        return (V * np.clip(w, -self.lam, self.lam)) @ V.T
+
+
+@dataclass(frozen=True)
+class SpectralSpread(ConstraintSet):
+    """lambda_max - lambda_min <= s."""
+
+    s: float
+
+    def __post_init__(self):
+        if not is_real(self.s) or not 0 < self.s <= 1:
+            raise ParameterError("SpectralSpread needs 0 < s <= 1")
+
+    def member(self, a: np.ndarray, tol: float) -> bool:
+        eigs = np.linalg.eigvalsh(a)
+        return float(eigs[-1] - eigs[0]) <= self.s + tol
+
+    def natural(self, a: np.ndarray) -> np.ndarray:
+        sym = _symmetrize(a)
+        w, V = np.linalg.eigh(sym)
+        if w[-1] - w[0] <= self.s:
+            return sym
+        t = _spread_interval_start(w, self.s)
+        return (V * np.clip(w, t, t + self.s)) @ V.T
+
+
+@dataclass(frozen=True)
+class WidthBall(ConstraintSet):
+    """Every row l1 norm <= m."""
+
+    m: float
+
+    def __post_init__(self):
+        if not is_real(self.m) or not self.m > 0:
+            raise ParameterError("WidthBall needs m > 0")
+
+    def member(self, a: np.ndarray, tol: float) -> bool:
+        return float(np.abs(a).sum(axis=1).max()) <= self.m + tol
+
+    def natural(self, a: np.ndarray) -> np.ndarray:
+        return _l1_rows(a, self.m)
+
+
+@dataclass(frozen=True)
+class AntiferroSpike(ConstraintSet):
+    """The all-ones vector is an eigenvector with eigenvalue in [-c, 0], and
+    the spectrum on its orthogonal complement lies in [-alpha/2, alpha/2]
+    (bulk interval of size alpha centered at zero; the centering fixes the
+    trace gauge, which the zero-diagonal step absorbs)."""
+
+    alpha: float
+    c: float
+
+    affine = staticmethod(_proj_zero_diag_equal_rowsums)
+
+    def __post_init__(self):
+        if not is_real(self.alpha) or not 0 < self.alpha < 1:
+            raise ParameterError("AntiferroSpike needs 0 < alpha < 1")
+        if not is_real(self.c) or not self.c > 0:
+            raise ParameterError("AntiferroSpike needs c > 0")
+
+    def member(self, a: np.ndarray, tol: float) -> bool:
+        spike, cross, bulk = _spike_bulk(a)
+        if float(np.abs(cross).max()) > tol or not -self.c - tol <= spike <= tol:
+            return False
+        # the artificial zero eigenvalue along 1 sits inside [-alpha/2, alpha/2]
+        return float(np.abs(np.linalg.eigvalsh(bulk)).max()) <= self.alpha / 2 + tol
+
+    def natural(self, a: np.ndarray) -> np.ndarray:
+        # Clip the spike and eigen-clip the bulk; the cross terms stay, since the
+        # affine factor removes them and this one carries only the spectral bounds.
+        spike, cross, bulk = _spike_bulk(_symmetrize(a))
+        w, V = np.linalg.eigh(bulk)
+        e = np.full(a.shape[0], 1.0 / np.sqrt(a.shape[0]))
+        return (
+            (V * np.clip(w, -self.alpha / 2, self.alpha / 2)) @ V.T
+            + np.clip(spike, -self.c, 0.0) * np.outer(e, e)
+            + np.outer(e, cross)
+            + np.outer(cross, e)
+        )
+
+
+FAMILIES = {cls.__name__: cls for cls in (OpNormBall, SpectralSpread, WidthBall, AntiferroSpike)}
+op_norm_ball = OpNormBall
+spectral_spread = SpectralSpread
+width_ball = WidthBall
+antiferro_spike = AntiferroSpike
+
+
+def membership(cs: ConstraintSet, J: CouplingMatrix, tol: float = 1e-8) -> bool:
+    """True iff every defining inequality holds within tol."""
+    return cs.member(J.entries, tol)
 
 
 def project_array(
     cs: ConstraintSet, a: np.ndarray, tol: float = 1e-8, max_iter: int = DEFAULT_MAX_ITER
 ) -> np.ndarray:
     """Dykstra iteration on a raw array; returns a symmetric zero-diag array."""
-    proj_affine = (
-        _proj_zero_diag_equal_rowsums if cs.kind == "AntiferroSpike" else _proj_zero_diag
-    )
     x = np.array(a, dtype=np.float64)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     for _ in range(max_iter):
-        y = proj_affine(x + p)
+        y = cs.affine(x + p)
         p = x + p - y
-        x_new = _natural_projection(cs, y + q)
+        x_new = cs.natural(y + q)
         q = y + q - x_new
         gap = float(np.linalg.norm(y - x_new))
         step = float(np.linalg.norm(x_new - x))

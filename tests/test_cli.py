@@ -362,7 +362,19 @@ class TestBadInput:
         doc["constraint"] = {"kind": "OpNormBall", "lam": 1, "m": 3}
         cfg = write_config(tmp_path / "c.json", doc)
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 2
-        assert "'m'" in capsys.readouterr().err
+        assert "constraint.m: unknown field" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("constraint", [
+        {"kind": "Banana"}, {"kind": []}, {"kind": 5}, {"lam": 1},
+    ])
+    def test_bad_constraint_kind_exit_2(self, tmp_path, capsys, constraint):
+        doc = base_config()
+        doc["constraint"] = constraint
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "r.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert "constraint.kind" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_object_sampler_block_exit_2(self, tmp_path, capsys):
         doc = base_config()

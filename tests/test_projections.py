@@ -2,11 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from isingfit import projections
-from isingfit.core import CouplingMatrix, ParameterError
+from isingfit.core import CouplingMatrix, ParameterError, ValidationError
 from isingfit.projections import (
-    ConstraintSet,
+    FAMILIES,
+    OpNormBall,
     ProjectionConvergenceWarning,
     antiferro_spike,
     membership,
@@ -78,21 +81,46 @@ class TestL1Ball:
         np.testing.assert_array_equal(project_l1_ball(v, 1.0), v)
 
     def test_against_bisection_oracle(self, rng):
-        # independent oracle: solve sum max(|v|-tau, 0) = r for tau by bisection
+        # independent oracle, row by row: solve sum max(|v|-tau, 0) = r for
+        # tau by bisection; rows inside the ball stay as they are
         for _ in range(50):
-            v = rng.normal(size=int(rng.integers(2, 12))) * 3.0
-            r = float(rng.uniform(0.1, 2.0))
-            if np.abs(v).sum() <= r:
-                continue
-            lo, hi = 0.0, np.abs(v).max()
-            for _ in range(200):
-                mid = (lo + hi) / 2
-                if np.maximum(np.abs(v) - mid, 0.0).sum() > r:
-                    lo = mid
-                else:
-                    hi = mid
-            oracle = np.sign(v) * np.maximum(np.abs(v) - (lo + hi) / 2, 0.0)
-            np.testing.assert_allclose(project_l1_ball(v, r), oracle, atol=1e-10)
+            n = int(rng.integers(2, 12))
+            V = rng.normal(size=(6, n)) * 3.0
+            V[0] = 0.0
+            V[1] *= rng.uniform(0.01, 0.2)
+            r = float(np.abs(V[1]).sum())  # row 1 lies exactly on the sphere
+            V[2] *= 0.5 * r / np.abs(V[2]).sum()  # row 2 lies inside
+            oracle = V.copy()
+            for v, row in zip(V, oracle):
+                if np.abs(v).sum() <= r:
+                    continue
+                lo, hi = 0.0, np.abs(v).max()
+                for _ in range(200):
+                    mid = (lo + hi) / 2
+                    if np.maximum(np.abs(v) - mid, 0.0).sum() > r:
+                        lo = mid
+                    else:
+                        hi = mid
+                row[:] = np.sign(v) * np.maximum(np.abs(v) - (lo + hi) / 2, 0.0)
+            out = project_l1_ball(V, r)
+            np.testing.assert_allclose(out, oracle, atol=1e-10)
+            np.testing.assert_array_equal(out[:3], V[:3])
+            np.testing.assert_array_equal(project_l1_ball(V[-1], r), out[-1])
+
+    @pytest.mark.parametrize("v, radius, error", [
+        ([1.0, -2.0], 0.0, ParameterError),
+        ([1.0, -2.0], -1.0, ParameterError),
+        ([1.0, -2.0], float("nan"), ParameterError),
+        ([1.0, -2.0], float("inf"), ParameterError),
+        ([1.0, -2.0], True, ParameterError),
+        ([1.0, float("nan")], 1.0, ValidationError),
+        ([[0.5, 0.0], [float("-inf"), 1.0]], 1.0, ValidationError),
+        ([], 1.0, ValidationError),
+        ([[[1.0, 2.0]]], 1.0, ValidationError),
+    ])
+    def test_bad_radius_or_entries_raise(self, v, radius, error):
+        with pytest.raises(error):
+            project_l1_ball(np.array(v), radius)
 
 
 class TestSpreadInterval:
@@ -102,8 +130,11 @@ class TestSpreadInterval:
         assert t == pytest.approx(1.0, abs=1e-12)
 
     def test_against_grid_oracle(self, rng):
-        for _ in range(30):
-            v = np.sort(rng.normal(size=6) * 2)
+        for trial in range(30):
+            v = rng.normal(size=int(rng.integers(2, 31))) * 2
+            if trial % 2:  # repeated values: a degenerate spectrum
+                v = rng.choice(np.round(v[:3], 1), size=v.size)
+            v = np.sort(v)
             s = float(rng.uniform(0.3, 1.0))
             if v[-1] - v[0] <= s:
                 continue
@@ -115,6 +146,21 @@ class TestSpreadInterval:
             grid = np.linspace(v[0] - s, v[-1], 4001)
             best = grid[np.argmin([cost(t) for t in grid])]
             assert cost(t_star) <= cost(best) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        v=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=30),
+        s=st.floats(0.01, 1.0),
+    )
+    def test_clip_sums_balance(self, v, s):
+        # at t* the clip sums L(t) = sum (t - v_i)_+ and H(t) = sum (v_i - s - t)_+
+        # balance, to 1e-12 relative to the size of the terms they sum
+        v = np.array(v)
+        assume(v.max() - v.min() > s)
+        t = projections._spread_interval_start(v, s)
+        low = np.maximum(t - v, 0.0).sum()
+        high = np.maximum(v - s - t, 0.0).sum()
+        assert abs(low - high) <= 1e-12 * (np.abs(v).sum() + s * v.size)
 
 
 @pytest.mark.parametrize("cs", ALL_SETS, ids=lambda c: c.kind)
@@ -207,13 +253,11 @@ class TestStructuralDetails:
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
-            ConstraintSet(kind="OpNormBall")
+            OpNormBall(lam=None)
         with pytest.raises(ParameterError):
             spectral_spread(1.5)
         with pytest.raises(ParameterError):
             antiferro_spike(0.5, -1.0)
-        with pytest.raises(ParameterError):
-            ConstraintSet(kind="Banana", lam=1.0)
 
     @pytest.mark.parametrize("params", [
         {"kind": "OpNormBall", "lam": 1.0, "m": 3.0},
@@ -221,10 +265,18 @@ class TestStructuralDetails:
         {"kind": "AntiferroSpike", "alpha": 0.5, "c": 1.0, "s": 0.5},
     ])
     def test_foreign_parameter_rejected(self, params):
-        with pytest.raises(ParameterError, match="takes no parameter"):
-            ConstraintSet(**params)
+        family = FAMILIES[params["kind"]]
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            family(**{k: v for k, v in params.items() if k != "kind"})
 
-    def test_describe_lists_own_parameters(self):
-        assert op_norm_ball(2.0).describe() == "OpNormBall(lam=2)"
-        assert antiferro_spike(0.5, 1.25).describe() == "AntiferroSpike(alpha=0.5 c=1.25)"
-        assert projections.KINDS == ("OpNormBall", "SpectralSpread", "WidthBall", "AntiferroSpike")
+    @pytest.mark.parametrize("cs, text", [
+        (op_norm_ball(2.0), "OpNormBall(lam=2)"),
+        (spectral_spread(0.9), "SpectralSpread(s=0.9)"),
+        (width_ball(1.5), "WidthBall(m=1.5)"),
+        (antiferro_spike(0.5, 1.25), "AntiferroSpike(alpha=0.5 c=1.25)"),
+    ], ids=["OpNormBall", "SpectralSpread", "WidthBall", "AntiferroSpike"])
+    def test_describe_lists_own_parameters(self, cs, text):
+        # the sweep's constraint column and perfbench's per-family spans read these
+        assert cs.describe() == text
+        assert text.startswith(cs.kind + "(")
+        assert tuple(FAMILIES) == ("OpNormBall", "SpectralSpread", "WidthBall", "AntiferroSpike")
