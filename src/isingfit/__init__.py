@@ -30,13 +30,14 @@ from .core import (  # noqa: F401
 from .ensembles import EnsembleSpec, generate  # noqa: F401
 from .optimizer import FitConfig, FitReport, fit_mple  # noqa: F401
 from .projections import (  # noqa: F401
+    FAMILIES,
+    AntiferroSpike,
     ConstraintSet,
-    antiferro_spike,
+    OpNormBall,
+    SpectralSpread,
+    WidthBall,
     membership,
-    op_norm_ball,
     project,
-    spectral_spread,
-    width_ball,
 )
 
 __version__ = "0.1.0"

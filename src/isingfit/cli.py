@@ -94,10 +94,12 @@ def _from_block(cls, block, ctx: str, **fixed):
         if key not in fields:
             raise ConfigError(f"{ctx}.{key}: unknown field")
     for name, f in fields.items():
-        if name not in block and f.default is dataclasses.MISSING:
+        if name not in block and f.default is f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{ctx}.{name}: missing required field")
     try:
         return cls(**block, **fixed)
+    except ConfigError:
+        raise  # already names its field
     except (ParameterError, TypeError) as e:
         raise ConfigError(f"{ctx}: {e}")
 
@@ -143,6 +145,9 @@ def _cmd_sample(args) -> int:
     if args.l < 1:
         raise ConfigError("l: must be >= 1")
     if args.method == "exact":
+        for flag in ("burn_in", "thinning", "chains", "alpha_hint"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag.replace('_', '-')}: applies to --method glauber only")
         batch = sampler.exact_sample(model, args.l, seed=args.seed)
     else:
         block = {"alpha_hint": args.alpha_hint, "burn_in_sweeps": args.burn_in,
@@ -226,6 +231,8 @@ def _cmd_evaluate(args) -> int:
     if truth.n != est.n:
         raise ConfigError(f"model-b: dimension {est.n} does not match model-a {truth.n}")
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    if not metrics:
+        raise ConfigError("metrics: no metric given")
     for m in metrics:
         if m not in SWEEP_METRICS:
             raise ConfigError(f"metrics: unknown metric {m!r}")
@@ -275,13 +282,26 @@ def _run_sweep_cell(spec, constraint, fit_cfg, glauber, metrics, key) -> dict:
     return row
 
 
-def _int_list(block: dict, field: str) -> list[int]:
-    if field not in block:
-        raise ConfigError(f"sweep.{field}: missing required field")
-    values = block[field]
-    if not isinstance(values, list) or not all(is_int(v) for v in values):
-        raise ConfigError(f"sweep.{field}: must be a list of integers")
-    return values
+@dataclasses.dataclass(frozen=True)
+class SweepGrid:
+    """The sweep block: the (l, seed) cells and the metrics every row reports."""
+
+    l_values: list
+    seeds: list
+    metrics: list = dataclasses.field(default_factory=lambda: ["frobenius"])
+
+    def __post_init__(self):
+        for name in ("l_values", "seeds"):
+            values = getattr(self, name)
+            if not isinstance(values, list) or not values or not all(is_int(v) for v in values):
+                raise ConfigError(f"sweep.{name}: must be a non-empty list of integers")
+        if min(self.l_values) < 1:
+            raise ConfigError("sweep.l_values: every sample count must be >= 1")
+        if not isinstance(self.metrics, list) or not self.metrics:
+            raise ConfigError("sweep.metrics: must be a non-empty list of metric names")
+        for m in self.metrics:
+            if m not in SWEEP_METRICS:
+                raise ConfigError(f"sweep.metrics: unknown metric {m!r}")
 
 
 def _cmd_sweep(args) -> int:
@@ -291,19 +311,9 @@ def _cmd_sweep(args) -> int:
     for block in ("ensemble", "constraint", "sweep"):
         if block not in cfg:
             raise ConfigError(f"{block}: missing block in config")
-    sweep = cfg["sweep"]
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep: must be an object")
-    l_values = _int_list(sweep, "l_values")
-    seeds = _int_list(sweep, "seeds")
-    metrics = sweep.get("metrics", ["frobenius"])
-    if not isinstance(metrics, list):
-        raise ConfigError("sweep.metrics: must be a list of metric names")
-    for m in metrics:
-        if m not in SWEEP_METRICS:
-            raise ConfigError(f"sweep.metrics: unknown metric {m!r}")
+    grid = _from_block(SweepGrid, cfg["sweep"], "sweep")
     spec = _from_block(ensembles.EnsembleSpec, cfg["ensemble"], "ensemble")
-    if ("tv_exact" in metrics or "kl_exact" in metrics) and spec.n > exact.DEFAULT_ENUM_CAP:
+    if spec.n > exact.DEFAULT_ENUM_CAP and {"tv_exact", "kl_exact"} & set(grid.metrics):
         raise CapabilityError(
             f"tv_exact/kl_exact need n <= enumeration cap {exact.DEFAULT_ENUM_CAP}, got n={spec.n}"
         )
@@ -318,9 +328,9 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"sampler.method: unknown method {method!r}")
 
     cell = functools.partial(_run_sweep_cell, spec, constraint, fit_cfg,
-                             glauber if method == "glauber" else None, metrics)
+                             glauber if method == "glauber" else None, grid.metrics)
     # Cells run in key order; every other column is fixed within a sweep.
-    keys = [(l, seed) for l in sorted(l_values) for seed in sorted(seeds)]
+    keys = [(l, seed) for l in sorted(grid.l_values) for seed in sorted(grid.seeds)]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(cell, keys))

@@ -2,12 +2,13 @@
 
 A family (`OpNormBall`, `SpectralSpread`, `WidthBall`, `AntiferroSpike`, by
 name in ``FAMILIES``) is a frozen dataclass whose fields are its parameters,
-checked when built: the intersection of a "natural" convex set with an affine
+checked when built: the intersection of a "natural" convex set with a linear
 subspace of symmetric zero-diagonal matrices. It carries ``member(a, tol)``
 (its inequalities hold within tol) and closed-form projections onto the two
 factors, ``natural(a)`` (eigenvalue clipping, row-wise l1 projection,
-spike/bulk split) and ``affine(a)``. Dykstra's scheme alternates them and,
-unlike plain alternation, converges to the Frobenius-nearest point.
+spike/bulk clipping) and ``affine(a)``. Dykstra's scheme alternates them and
+converges to the Frobenius-nearest point; its correction for the subspace never
+moves an iterate, so it is ascent on the subspace constraints' multiplier.
 """
 
 from __future__ import annotations
@@ -21,19 +22,18 @@ from .core import CouplingMatrix, ParameterError, ValidationError, is_real
 
 __all__ = [
     "ConstraintSet", "OpNormBall", "SpectralSpread", "WidthBall", "AntiferroSpike", "FAMILIES",
-    "op_norm_ball", "spectral_spread", "width_ball", "antiferro_spike",
     "membership", "project", "project_l1_ball", "ProjectionConvergenceWarning",
 ]
 
 # Iteration budget sized so random desk-scale inputs reach tol 1e-8. Typical
 # inputs need a few hundred iterations, but the linear rate degrades when the
 # optimum sits on a degenerate spectral face (repeated clipped eigenvalues);
-# worst observed ~2.6e4 iterations, budgeted with 4x headroom.
+# worst observed ~2.6e4 iterations, budgeted with 4x headroom. Read at call time.
 DEFAULT_MAX_ITER = 100_000
 
 
 class ProjectionConvergenceWarning(UserWarning):
-    """Dykstra hit max_iter; carries the last iterate and its residual."""
+    """Dykstra hit DEFAULT_MAX_ITER; carries the last iterate and its residual."""
 
     def __init__(self, message: str, iterate: np.ndarray, residual: float):
         super().__init__(message)
@@ -134,7 +134,7 @@ def _proj_zero_diag_equal_rowsums(a: np.ndarray) -> np.ndarray:
     nu = (diag - diag.mean()) - (row_sums - row_sums.mean())
     nu /= 1.0 - 0.5 * n
     # mu only moves the diagonal, which is zeroed anyway
-    out = s - 0.5 * (np.outer(nu, np.ones(n)) + np.outer(np.ones(n), nu))
+    out = s - 0.5 * (nu[:, None] + nu)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -242,24 +242,18 @@ class AntiferroSpike(ConstraintSet):
         return float(np.abs(np.linalg.eigvalsh(bulk)).max()) <= self.alpha / 2 + tol
 
     def natural(self, a: np.ndarray) -> np.ndarray:
-        # Clip the spike and eigen-clip the bulk; the cross terms stay, since the
-        # affine factor removes them and this one carries only the spectral bounds.
-        spike, cross, bulk = _spike_bulk(_symmetrize(a))
+        # Clip the spike and eigen-clip the bulk; the cross terms, orthogonal to
+        # both and zero on the set, are dropped.
+        spike, _, bulk = _spike_bulk(_symmetrize(a))
         w, V = np.linalg.eigh(bulk)
         e = np.full(a.shape[0], 1.0 / np.sqrt(a.shape[0]))
         return (
             (V * np.clip(w, -self.alpha / 2, self.alpha / 2)) @ V.T
             + np.clip(spike, -self.c, 0.0) * np.outer(e, e)
-            + np.outer(e, cross)
-            + np.outer(cross, e)
         )
 
 
 FAMILIES = {cls.__name__: cls for cls in (OpNormBall, SpectralSpread, WidthBall, AntiferroSpike)}
-op_norm_ball = OpNormBall
-spectral_spread = SpectralSpread
-width_ball = WidthBall
-antiferro_spike = AntiferroSpike
 
 
 def membership(cs: ConstraintSet, J: CouplingMatrix, tol: float = 1e-8) -> bool:
@@ -267,40 +261,33 @@ def membership(cs: ConstraintSet, J: CouplingMatrix, tol: float = 1e-8) -> bool:
     return cs.member(J.entries, tol)
 
 
-def project_array(
-    cs: ConstraintSet, a: np.ndarray, tol: float = 1e-8, max_iter: int = DEFAULT_MAX_ITER
-) -> np.ndarray:
-    """Dykstra iteration on a raw array; returns a symmetric zero-diag array."""
-    x = np.array(a, dtype=np.float64)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(max_iter):
-        y = cs.affine(x + p)
-        p = x + p - y
-        x_new = cs.natural(y + q)
-        q = y + q - x_new
-        gap = float(np.linalg.norm(y - x_new))
-        step = float(np.linalg.norm(x_new - x))
-        x = x_new
-        if gap <= tol and step <= tol:
-            return _proj_zero_diag(x)
-    residual = float(np.linalg.norm(_proj_zero_diag(x) - x))
+def project_array(cs: ConstraintSet, a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Dykstra iteration on a raw array; returns the last affine step."""
+    x = np.asarray(a, dtype=np.float64)
+    y = cs.affine(x)
+    w = y.copy()  # the natural factor's input; w - cs.affine(a) is the multiplier
+    for _ in range(DEFAULT_MAX_ITER):
+        x_new = cs.natural(w)
+        done = np.linalg.norm(y - x_new) <= tol and np.linalg.norm(x_new - x) <= tol
+        x, y = x_new, cs.affine(x_new)
+        if done:
+            return y
+        w += y - x
+    residual = float(np.linalg.norm(y - x))
     warnings.warn(
         ProjectionConvergenceWarning(
-            f"projection onto {cs.describe()} stopped after {max_iter} iterations "
+            f"projection onto {cs.describe()} stopped after {DEFAULT_MAX_ITER} iterations "
             f"(residual {residual:.3g})",
-            iterate=_proj_zero_diag(x),
+            iterate=y,
             residual=residual,
         )
     )
-    return _proj_zero_diag(x)
+    return y
 
 
-def project(
-    cs: ConstraintSet, J: CouplingMatrix, tol: float = 1e-8, max_iter: int = DEFAULT_MAX_ITER
-) -> CouplingMatrix:
+def project(cs: ConstraintSet, J: CouplingMatrix, tol: float = 1e-8) -> CouplingMatrix:
     """Frobenius-nearest point of the constraint family intersected with the
     symmetric zero-diagonal subspace."""
     if not isinstance(J, CouplingMatrix):
         raise ValidationError("project expects a CouplingMatrix")
-    return CouplingMatrix(project_array(cs, J.entries, tol=tol, max_iter=max_iter))
+    return CouplingMatrix(project_array(cs, J.entries, tol=tol))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .core import _SEED_MASK, IsingModel, ParameterError, SampleBatch, is_int, is_real, stream
+from .core import IsingModel, ParameterError, SampleBatch, is_int, is_real, stream
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,9 @@ def conditional_plus_probability(m: IsingModel, x, i: int) -> float:
     return 0.5 * (1.0 + math.tanh(field))
 
 
-def chain_entropy(seed: int, chain: int) -> tuple[int, int]:
-    """Entropy words identifying a chain's RNG stream; distinct per chain."""
-    return (seed & _SEED_MASK, chain)
-
-
 def _run_chain(J: np.ndarray, h: np.ndarray, n_samples: int, cfg: GlauberConfig, chain: int) -> np.ndarray:
     n = h.shape[0]
-    rng = stream(*chain_entropy(cfg.seed, chain))
+    rng = stream(cfg.seed, chain)
     x = [1.0 if b else -1.0 for b in rng.integers(0, 2, size=n)]
     # Local fields J x + h, updated incrementally; python lists beat numpy for
     # the tiny per-step arithmetic at desk-scale n.

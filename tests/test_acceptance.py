@@ -135,7 +135,7 @@ N_SEEDS = 5
 def rate_study():
     t0 = time.perf_counter()
     model = spread_model(8, 0.9, seed=41)
-    cs = projections.spectral_spread(0.9)
+    cs = projections.SpectralSpread(0.9)
     p_true = exact.distribution(model)
     frob = {l: [] for l in L_GRID}
     tv = {l: [] for l in L_GRID}
@@ -250,10 +250,10 @@ def test_a8_mixture_decomposition():
 def test_a9_projections():
     rng = np.random.default_rng(109)
     families = [
-        projections.op_norm_ball(0.8),
-        projections.spectral_spread(0.7),
-        projections.width_ball(1.2),
-        projections.antiferro_spike(0.4, 1.0),
+        projections.OpNormBall(0.8),
+        projections.SpectralSpread(0.7),
+        projections.WidthBall(1.2),
+        projections.AntiferroSpike(0.4, 1.0),
     ]
     fails = []
     for cs in families:
@@ -284,9 +284,9 @@ def test_a9_projections():
             if abs(P.entries[0, 1] - best) > 1.5e-3:
                 fails.append(f"{cs.kind} optimality at {a}")
 
-    ex1 = project(projections.op_norm_ball(1.0), CouplingMatrix([[0.0, 2.0], [2.0, 0.0]]))
-    ex2 = project(projections.spectral_spread(0.9), CouplingMatrix([[0.0, 1.0], [1.0, 0.0]]))
-    ex3 = project(projections.width_ball(1.0), CouplingMatrix([[0.0, 2.0], [2.0, 0.0]]))
+    ex1 = project(projections.OpNormBall(1.0), CouplingMatrix([[0.0, 2.0], [2.0, 0.0]]))
+    ex2 = project(projections.SpectralSpread(0.9), CouplingMatrix([[0.0, 1.0], [1.0, 0.0]]))
+    ex3 = project(projections.WidthBall(1.0), CouplingMatrix([[0.0, 2.0], [2.0, 0.0]]))
     closed = (
         np.allclose(ex1.entries, [[0, 1], [1, 0]], atol=1e-8)
         and np.allclose(ex2.entries, [[0, 0.45], [0.45, 0]], atol=1e-8)

@@ -349,6 +349,8 @@ class TestBadInput:
     @pytest.mark.parametrize("field, value", [
         ("l_values", ["x"]), ("l_values", 5), ("seeds", ["x"]), ("seeds", 5),
         ("metrics", 5), ("metrics", "frobenius"), ("l_values", [100.9]), ("seeds", [True]),
+        ("metric", ["tv_exact"]), ("l_values", []), ("l_values", [0]), ("l_values", [50, -1]),
+        ("seeds", []), ("metrics", []), ("metrics", ["tv"]),
     ])
     def test_bad_sweep_grid_exit_2(self, tmp_path, capsys, field, value):
         doc = base_config()
@@ -477,6 +479,16 @@ class TestBadInput:
           "--out", "{est}"], "h:"),
         (["diagnose", "--probe", "subset", "--model", "{model}", "--m", "inf", "--eta", "0.5"],
          "eta < M"),
+        (["evaluate", "--model-a", "{model}", "--model-b", "{model}", "--metrics", ","],
+         "metrics: no metric given"),
+        (["sample", "--model", "{model}", "--l", "10", "--method", "exact", "--burn-in", "0",
+          "--out", "{est}"], "--burn-in: applies to --method glauber only"),
+        (["sample", "--model", "{model}", "--l", "10", "--method", "exact", "--thinning", "1",
+          "--out", "{est}"], "--thinning: applies to --method glauber only"),
+        (["sample", "--model", "{model}", "--l", "10", "--method", "exact", "--chains", "2",
+          "--out", "{est}"], "--chains: applies to --method glauber only"),
+        (["sample", "--model", "{model}", "--l", "10", "--method", "exact", "--alpha-hint",
+          "0.3", "--out", "{est}"], "--alpha-hint: applies to --method glauber only"),
     ])
     def test_bad_command_line_exit_2(self, tmp_path, capsys, argv, message):
         names = ("model", "samples", "nan_h", "inf_h", "bool_h", "dict_h", "est")

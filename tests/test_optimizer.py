@@ -7,11 +7,11 @@ from isingfit import ensembles, mple, projections, sampler
 from isingfit.core import CouplingMatrix, IsingModel, ParameterError
 from isingfit.optimizer import FitConfig, fit_mple
 from isingfit.projections import (
-    antiferro_spike,
+    AntiferroSpike,
+    OpNormBall,
+    SpectralSpread,
+    WidthBall,
     membership,
-    op_norm_ball,
-    spectral_spread,
-    width_ball,
 )
 
 from conftest import random_coupling, spread_model
@@ -25,27 +25,27 @@ def uniform_batch(n, l, seed):
 class TestFitBasics:
     def test_uniform_samples_give_near_zero_estimate(self):
         n, l = 8, 10_000
-        report = fit_mple(uniform_batch(n, l, seed=2), np.zeros(n), op_norm_ball(1.0))
+        report = fit_mple(uniform_batch(n, l, seed=2), np.zeros(n), OpNormBall(1.0))
         assert report.converged
         assert np.linalg.norm(report.estimate.entries) <= 0.1
 
     def test_objective_trace_monotone(self):
         model = spread_model(6, 0.9, seed=3)
         batch = sampler.exact_sample(model, 500, seed=4)
-        report = fit_mple(batch, np.zeros(6), spectral_spread(0.9))
+        report = fit_mple(batch, np.zeros(6), SpectralSpread(0.9))
         trace = np.array(report.objective_trace)
         assert np.all(np.diff(trace) <= 1e-9)
 
     def test_estimate_is_feasible(self):
         model = spread_model(6, 0.9, seed=5)
         batch = sampler.exact_sample(model, 1000, seed=6)
-        cs = spectral_spread(0.9)
+        cs = SpectralSpread(0.9)
         report = fit_mple(batch, np.zeros(6), cs)
         assert membership(cs, report.estimate, tol=1e-6)
 
     def test_more_samples_reduce_error(self):
         model = spread_model(8, 0.9, seed=7)
-        cs = spectral_spread(0.9)
+        cs = SpectralSpread(0.9)
         errs = {}
         for l in (100, 10_000):
             batch = sampler.exact_sample(model, l, seed=70 + l)
@@ -56,8 +56,8 @@ class TestFitBasics:
     def test_determinism(self):
         model = spread_model(5, 0.8, seed=8)
         batch = sampler.exact_sample(model, 400, seed=9)
-        a = fit_mple(batch, np.zeros(5), op_norm_ball(2.0))
-        b = fit_mple(batch, np.zeros(5), op_norm_ball(2.0))
+        a = fit_mple(batch, np.zeros(5), OpNormBall(2.0))
+        b = fit_mple(batch, np.zeros(5), OpNormBall(2.0))
         np.testing.assert_array_equal(a.estimate.entries, b.estimate.entries)
         assert a.objective_trace == b.objective_trace
 
@@ -69,7 +69,7 @@ class TestGradientMapping:
         model = spread_model(6, 0.8, seed=10)
         batch = sampler.exact_sample(model, 2000, seed=11)
         cfg = FitConfig()
-        report = fit_mple(batch, np.zeros(6), op_norm_ball(10.0), cfg)
+        report = fit_mple(batch, np.zeros(6), OpNormBall(10.0), cfg)
         assert report.converged
         ctx = mple.PseudolikelihoodContext(batch, np.zeros(6))
         raw = np.linalg.norm(mple.gradient(report.estimate, ctx).entries)
@@ -78,7 +78,7 @@ class TestGradientMapping:
 
     def test_trace_lengths_consistent(self):
         batch = uniform_batch(4, 200, seed=12)
-        report = fit_mple(batch, np.zeros(4), op_norm_ball(1.0))
+        report = fit_mple(batch, np.zeros(4), OpNormBall(1.0))
         assert len(report.objective_trace) == report.iterations + 1
         assert len(report.grad_map_trace) == report.iterations
 
@@ -88,8 +88,8 @@ class TestConfig:
         batch = uniform_batch(4, 300, seed=13)
         wild = CouplingMatrix(np.full((4, 4), 5.0) - 5.0 * np.eye(4))
         cfg = FitConfig(init=wild, max_iters=1)
-        report = fit_mple(batch, np.zeros(4), op_norm_ball(1.0), cfg)
-        assert membership(op_norm_ball(1.0), report.estimate, tol=1e-6)
+        report = fit_mple(batch, np.zeros(4), OpNormBall(1.0), cfg)
+        assert membership(OpNormBall(1.0), report.estimate, tol=1e-6)
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -98,7 +98,7 @@ class TestConfig:
     def test_max_iters_respected(self):
         batch = uniform_batch(5, 200, seed=14)
         report = fit_mple(
-            batch, np.zeros(5), op_norm_ball(1.0), FitConfig(max_iters=3, grad_map_tol=1e-30)
+            batch, np.zeros(5), OpNormBall(1.0), FitConfig(max_iters=3, grad_map_tol=1e-30)
         )
         assert report.iterations <= 3
         assert not report.converged
@@ -112,8 +112,8 @@ def test_field_is_used(rng):
     h = np.array([0.8, -0.8, 0.4, 0.0])
     model = IsingModel(J, h)
     batch = sampler.exact_sample(model, l, seed=15)
-    good = fit_mple(batch, h, op_norm_ball(3.0))
-    bad = fit_mple(batch, np.zeros(n), op_norm_ball(3.0))
+    good = fit_mple(batch, h, OpNormBall(3.0))
+    bad = fit_mple(batch, np.zeros(n), OpNormBall(3.0))
     err_good = np.linalg.norm(good.estimate.entries - J.entries)
     err_bad = np.linalg.norm(bad.estimate.entries - J.entries)
     assert err_good < err_bad
@@ -126,10 +126,10 @@ def binding_cell(kind, constraint, seed=0, **params):
 
 
 BINDING_CELLS = {
-    "SpectralSpread": ("SK", spectral_spread(0.9), {"beta": 0.5}),
-    "OpNormBall": ("SK", op_norm_ball(0.5), {"beta": 0.5}),
-    "WidthBall": ("BoundedWidthRandom", width_ball(0.8), {"width": 1.0}),
-    "AntiferroSpike": ("AntiferroExpander", antiferro_spike(0.4, 1.0), {"d": 3, "beta": 0.1}),
+    "SpectralSpread": ("SK", SpectralSpread(0.9), {"beta": 0.5}),
+    "OpNormBall": ("SK", OpNormBall(0.5), {"beta": 0.5}),
+    "WidthBall": ("BoundedWidthRandom", WidthBall(0.8), {"width": 1.0}),
+    "AntiferroSpike": ("AntiferroExpander", AntiferroSpike(0.4, 1.0), {"d": 3, "beta": 0.1}),
 }
 
 
@@ -146,7 +146,7 @@ class TestSpectralStep:
     def test_sk_n30_converges_fast(self):
         model = ensembles.generate(ensembles.EnsembleSpec(kind="SK", n=30, beta=0.5, seed=0))
         batch = sampler.glauber_sample(model, 2000, sampler.GlauberConfig(seed=1))
-        report = fit_mple(batch, np.zeros(30), op_norm_ball(2.0))
+        report = fit_mple(batch, np.zeros(30), OpNormBall(2.0))
         assert report.converged
         assert report.iterations <= 60
 
@@ -186,13 +186,13 @@ class TestSpectralStep:
 
 class TestStopReason:
     def test_grad_map(self):
-        report = fit_mple(uniform_batch(5, 300, seed=16), np.zeros(5), op_norm_ball(1.0))
+        report = fit_mple(uniform_batch(5, 300, seed=16), np.zeros(5), OpNormBall(1.0))
         assert report.converged and report.stop_reason == "grad_map"
 
     def test_max_iters(self, projection_calls):
         batch = uniform_batch(5, 200, seed=14)
         cfg = FitConfig(max_iters=3, grad_map_tol=1e-30)
-        report = fit_mple(batch, np.zeros(5), op_norm_ball(1.0), cfg)
+        report = fit_mple(batch, np.zeros(5), OpNormBall(1.0), cfg)
         assert not report.converged and report.stop_reason == "max_iters"
         assert report.iterations == 3
         assert report.projections == len(projection_calls) >= 4
@@ -201,7 +201,7 @@ class TestStopReason:
         # an objective that never decreases defeats every Armijo test
         monkeypatch.setattr(mple, "objective", lambda J, ctx: np.inf)
         batch = uniform_batch(4, 100, seed=17)
-        report = fit_mple(batch, np.zeros(4), op_norm_ball(1.0))
+        report = fit_mple(batch, np.zeros(4), OpNormBall(1.0))
         assert not report.converged and report.stop_reason == "step_underflow"
         assert report.iterations == 0 and report.grad_map_trace == []
         # the initial projection, then steps 1, 1/2, ... down to the floor

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,24 +10,23 @@ from isingfit import projections
 from isingfit.core import CouplingMatrix, ParameterError, ValidationError
 from isingfit.projections import (
     FAMILIES,
+    AntiferroSpike,
     OpNormBall,
     ProjectionConvergenceWarning,
-    antiferro_spike,
+    SpectralSpread,
+    WidthBall,
     membership,
-    op_norm_ball,
     project,
     project_l1_ball,
-    spectral_spread,
-    width_ball,
 )
 
 from conftest import random_coupling
 
 ALL_SETS = [
-    op_norm_ball(0.8),
-    spectral_spread(0.7),
-    width_ball(1.2),
-    antiferro_spike(0.4, 1.0),
+    OpNormBall(0.8),
+    SpectralSpread(0.7),
+    WidthBall(1.2),
+    AntiferroSpike(0.4, 1.0),
 ]
 
 
@@ -36,15 +36,15 @@ def coupling(entries):
 
 class TestClosedFormExamples:
     def test_op_norm_clip(self):
-        out = project(op_norm_ball(1.0), coupling([[0, 2], [2, 0]]))
+        out = project(OpNormBall(1.0), coupling([[0, 2], [2, 0]]))
         np.testing.assert_allclose(out.entries, [[0, 1], [1, 0]], atol=1e-8)
 
     def test_spectral_spread_symmetric_interval(self):
-        out = project(spectral_spread(0.9), coupling([[0, 1], [1, 0]]))
+        out = project(SpectralSpread(0.9), coupling([[0, 1], [1, 0]]))
         np.testing.assert_allclose(out.entries, [[0, 0.45], [0.45, 0]], atol=1e-8)
 
     def test_width_row_projection(self):
-        out = project(width_ball(1.0), coupling([[0, 2], [2, 0]]))
+        out = project(WidthBall(1.0), coupling([[0, 2], [2, 0]]))
         np.testing.assert_allclose(out.entries, [[0, 1], [1, 0]], atol=1e-8)
 
 
@@ -55,12 +55,12 @@ class TestMembership:
             assert membership(cs, z)
 
     def test_eigenvalue_two_outside_unit_op_ball(self):
-        assert not membership(op_norm_ball(1.0), coupling([[0, 2], [2, 0]]))
+        assert not membership(OpNormBall(1.0), coupling([[0, 2], [2, 0]]))
 
     def test_curie_weiss_inside_width_ball(self):
         n, beta = 6, 0.9
         J = coupling((beta / n) * (np.ones((n, n)) - np.eye(n)))
-        assert membership(width_ball(beta), J)
+        assert membership(WidthBall(beta), J)
 
     def test_antiferro_canonical_example(self):
         # -beta * adjacency of a regular graph: all-ones eigenvector with
@@ -71,7 +71,7 @@ class TestMembership:
         adj = random_regular_graph(16, d, seed=3).entries
         J = coupling(-beta * adj)
         bulk = np.abs(np.linalg.eigvalsh(adj)[:-1]).max()
-        cs = antiferro_spike(alpha=2 * beta * bulk + 1e-9, c=beta * d)
+        cs = AntiferroSpike(alpha=2 * beta * bulk + 1e-9, c=beta * d)
         assert membership(cs, J, tol=1e-9)
 
 
@@ -196,12 +196,117 @@ class TestProjectionInvariants:
 
 class TestSpectralSpreadConvexity:
     def test_midpoints_stay_feasible(self, rng):
-        cs = spectral_spread(0.8)
+        cs = SpectralSpread(0.8)
         for _ in range(30):
             A = project(cs, random_coupling(6, rng))
             B = project(cs, random_coupling(6, rng))
             mid = CouplingMatrix(0.5 * (A.entries + B.entries))
             assert membership(cs, mid, tol=1e-7)
+
+
+def three_array_dykstra(cs, a, tol):
+    """Dykstra's scheme with both corrections p and q, ending in ``cs.affine(x)``.
+
+    Returns the output, the number of natural steps and how near a stop test
+    came to being decided by rounding: the least |max(gap, step) - tol|.
+    """
+    x = np.array(a, dtype=np.float64)
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    margin = np.inf
+    for steps in range(1, projections.DEFAULT_MAX_ITER + 1):
+        y = cs.affine(x + p)
+        p = x + p - y
+        x_new = cs.natural(y + q)
+        q = y + q - x_new
+        worst = max(np.linalg.norm(y - x_new), np.linalg.norm(x_new - x))
+        margin = min(margin, abs(worst - tol))
+        x = x_new
+        if worst <= tol:
+            break
+    return cs.affine(x), steps, margin
+
+
+class TestMultiplierLoop:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cs=st.sampled_from(ALL_SETS),
+        n=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.1, 3.0),
+        tol=st.sampled_from([1e-8, 1e-12]),
+    )
+    def test_matches_three_array_dykstra(self, cs, n, seed, scale, tol):
+        # The loops agree in exact arithmetic. In floating point the three-array
+        # loop's affine input carries p, rounding noise orthogonal to the affine
+        # subspace, so a stop test that lands within rounding of tol can go
+        # either way: the loops were seen to split at margins up to 9e-16, and
+        # inputs with a margin under ten times that are set aside.
+        a = random_coupling(n, np.random.default_rng(seed), scale).entries
+        want, steps, margin = three_array_dykstra(cs, a, tol)
+        assume(margin > 1e-14)
+        natural = type(cs).natural
+        with mock.patch.object(type(cs), "natural", autospec=True, side_effect=natural) as spy:
+            got = projections.project_array(cs, a, tol=tol)
+        assert spy.call_count == steps
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestAgainstScipyOracle:
+    """Nearest points at n = 3-6 from scipy solves of the optimality conditions.
+
+    For OpNormBall and SpectralSpread the nearest point is natural(A + Diag z)
+    for the diagonal multipliers z that make its diagonal zero, which
+    Levenberg-Marquardt finds. WidthBall's is a QP in the upper triangle x
+    with split variables t: min |x - a|^2 subject to -t <= x <= t and row sums
+    of t <= m, which SLSQP solves (it may stop reporting a positive directional
+    derivative once at the optimum, so only its answer is checked).
+    AntiferroSpike has no case here: Levenberg-Marquardt over its 2n - 1
+    multipliers did not converge.
+    """
+
+    @pytest.mark.parametrize("cs", [OpNormBall(0.8), SpectralSpread(0.7)], ids=lambda c: c.kind)
+    def test_diagonal_multipliers(self, cs, rng):
+        optimize = pytest.importorskip("scipy.optimize")
+        for _ in range(30):
+            n = int(rng.integers(3, 7))
+            a = random_coupling(n, rng).entries
+            z = optimize.least_squares(
+                lambda z: np.diag(cs.natural(a + np.diag(z))), np.zeros(n),
+                method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
+            ).x
+            want = cs.natural(a + np.diag(z))
+            np.testing.assert_allclose(
+                projections.project_array(cs, a, tol=1e-12), want, rtol=0, atol=1e-10
+            )
+
+    def test_width_ball_qp(self, rng):
+        optimize = pytest.importorskip("scipy.optimize")
+        cs = WidthBall(1.2)
+        for _ in range(10):
+            n = int(rng.integers(3, 7))
+            a = random_coupling(n, rng).entries
+            iu = np.triu_indices(n, 1)
+            k = iu[0].size
+            rows = np.zeros((n, k))  # t_ij counts in rows i and j
+            rows[iu[0], np.arange(k)] = rows[iu[1], np.arange(k)] = 1.0
+            eye = np.eye(k)
+            constraints = [
+                {"type": "ineq", "fun": lambda v: np.concatenate([v[k:] - v[:k], v[k:] + v[:k]]),
+                 "jac": lambda v: np.block([[-eye, eye], [eye, eye]])},
+                {"type": "ineq", "fun": lambda v: cs.m - rows @ v[k:],
+                 "jac": lambda v: np.hstack([np.zeros((n, k)), -rows])},
+            ]
+            v = optimize.minimize(
+                lambda v: np.sum((v[:k] - a[iu]) ** 2), np.zeros(2 * k),
+                jac=lambda v: np.concatenate([2.0 * (v[:k] - a[iu]), np.zeros(k)]),
+                method="SLSQP", constraints=constraints, options={"ftol": 1e-15, "maxiter": 1000},
+            ).x
+            want = np.zeros((n, n))
+            want[iu] = v[:k]
+            np.testing.assert_allclose(
+                projections.project_array(cs, a, tol=1e-12), want + want.T, rtol=0, atol=1e-10
+            )
 
 
 class TestAntiferroAgainstSDP:
@@ -226,13 +331,13 @@ class TestAntiferroAgainstSDP:
             cp.Problem(cp.Minimize(cp.norm(S - X, "fro")), constraints).solve(
                 solver=cp.SCS, eps=1e-10, max_iters=100_000
             )
-            mine = project(antiferro_spike(alpha, c), CouplingMatrix(X)).entries
+            mine = project(AntiferroSpike(alpha, c), CouplingMatrix(X)).entries
             np.testing.assert_allclose(mine, S.value, atol=1e-6)
 
 
 class TestStructuralDetails:
     def test_antiferro_output_has_ones_eigenvector(self, rng):
-        cs = antiferro_spike(0.5, 2.0)
+        cs = AntiferroSpike(0.5, 2.0)
         for _ in range(10):
             P = project(cs, random_coupling(7, rng)).entries
             row_sums = P @ np.ones(7)
@@ -240,11 +345,12 @@ class TestStructuralDetails:
             spike = row_sums.mean()
             assert -2.0 - 1e-7 <= spike <= 1e-7
 
-    def test_warning_carries_iterate_and_residual(self, rng):
+    def test_warning_carries_iterate_and_residual(self, rng, monkeypatch):
         J = random_coupling(6, rng)
+        monkeypatch.setattr(projections, "DEFAULT_MAX_ITER", 2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            project(spectral_spread(0.5), J, tol=1e-14, max_iter=2)
+            project(SpectralSpread(0.5), J, tol=1e-14)
         assert len(caught) == 1
         w = caught[0].message
         assert isinstance(w, ProjectionConvergenceWarning)
@@ -255,9 +361,9 @@ class TestStructuralDetails:
         with pytest.raises(ParameterError):
             OpNormBall(lam=None)
         with pytest.raises(ParameterError):
-            spectral_spread(1.5)
+            SpectralSpread(1.5)
         with pytest.raises(ParameterError):
-            antiferro_spike(0.5, -1.0)
+            AntiferroSpike(0.5, -1.0)
 
     @pytest.mark.parametrize("params", [
         {"kind": "OpNormBall", "lam": 1.0, "m": 3.0},
@@ -270,10 +376,10 @@ class TestStructuralDetails:
             family(**{k: v for k, v in params.items() if k != "kind"})
 
     @pytest.mark.parametrize("cs, text", [
-        (op_norm_ball(2.0), "OpNormBall(lam=2)"),
-        (spectral_spread(0.9), "SpectralSpread(s=0.9)"),
-        (width_ball(1.5), "WidthBall(m=1.5)"),
-        (antiferro_spike(0.5, 1.25), "AntiferroSpike(alpha=0.5 c=1.25)"),
+        (OpNormBall(2.0), "OpNormBall(lam=2)"),
+        (SpectralSpread(0.9), "SpectralSpread(s=0.9)"),
+        (WidthBall(1.5), "WidthBall(m=1.5)"),
+        (AntiferroSpike(0.5, 1.25), "AntiferroSpike(alpha=0.5 c=1.25)"),
     ], ids=["OpNormBall", "SpectralSpread", "WidthBall", "AntiferroSpike"])
     def test_describe_lists_own_parameters(self, cs, text):
         # the sweep's constraint column and perfbench's per-family spans read these
