@@ -5,10 +5,10 @@ constraint, optimizer, sampler, sweep}; command-line flags override file
 values. Exit codes: 0 success, 1 runtime failure, 2 configuration error
 (message names the offending field), 3 capability error (enumeration cap).
 
-Sweep results are one CSV row per (l, seed) cell. Cells are pure functions of
-the configuration and the cell seed, so a row can be reproduced by re-running
-its cell alone; cells run and rows are written in cell-key order, which makes
-serial and parallel runs produce identically ordered files.
+Sweep results are one CSV row per distinct (l, seed) cell. Cells are pure
+functions of the configuration and the cell seed, so a row can be reproduced
+by re-running its cell alone; cells run and rows are written in cell-key order,
+which makes serial and parallel runs produce identically ordered files.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def _cmd_fit(args) -> int:
     else:
         raise ConfigError("constraint: give --constraint or a config block")
     constraint = _constraint(block)
-    fit_cfg = _from_block(optimizer.FitConfig, cfg.get("optimizer"), "optimizer", init=None)
+    fit_cfg = _from_block(optimizer.FitConfig, cfg.get("optimizer"), "optimizer")
     h = _parse_field(args.h, batch.n)
     report = optimizer.fit_mple(batch, h, constraint, fit_cfg)
     save_model(IsingModel(report.estimate, h), args.out)
@@ -230,7 +230,7 @@ def _cmd_evaluate(args) -> int:
     est = load_model(args.model_b)
     if truth.n != est.n:
         raise ConfigError(f"model-b: dimension {est.n} does not match model-a {truth.n}")
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
+    metrics = list(dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip()))
     if not metrics:
         raise ConfigError("metrics: no metric given")
     for m in metrics:
@@ -319,7 +319,7 @@ def _cmd_sweep(args) -> int:
         )
     # Every block is checked once here, before any cell starts.
     constraint = _constraint(cfg["constraint"])
-    fit_cfg = _from_block(optimizer.FitConfig, cfg.get("optimizer"), "optimizer", init=None)
+    fit_cfg = _from_block(optimizer.FitConfig, cfg.get("optimizer"), "optimizer")
     glauber = _glauber_config(cfg.get("sampler"), 0)
     method = (cfg.get("sampler") or {}).get(
         "method", "exact" if spec.n <= exact.DEFAULT_ENUM_CAP else "glauber"
@@ -329,8 +329,8 @@ def _cmd_sweep(args) -> int:
 
     cell = functools.partial(_run_sweep_cell, spec, constraint, fit_cfg,
                              glauber if method == "glauber" else None, grid.metrics)
-    # Cells run in key order; every other column is fixed within a sweep.
-    keys = [(l, seed) for l in sorted(grid.l_values) for seed in sorted(grid.seeds)]
+    # Distinct cells run once each, in key order; other columns are fixed per sweep.
+    keys = [(l, seed) for l in sorted(set(grid.l_values)) for seed in sorted(set(grid.seeds))]
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(cell, keys))

@@ -260,32 +260,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def save_model(m: IsingModel, path, encoding: str = "dense") -> None:
-    """Write a model file; ``encoding`` is "dense" or "triplets"."""
-    n = m.n
+def save_model(m: IsingModel, path) -> None:
+    """Write a model file with the dense J encoding."""
     h = ", ".join(_fmt(v) for v in m.field)
-    if encoding == "dense":
-        rows = ",\n      ".join(
-            "[" + ", ".join(_fmt(v) for v in row) + "]" for row in m.coupling.entries
-        )
-        j_block = '{"dense": [\n      ' + rows + "\n    ]}"
-    elif encoding == "triplets":
-        trips = []
-        a = m.coupling.entries
-        for i in range(n):
-            for j in range(i + 1, n):
-                if a[i, j] != 0.0:
-                    trips.append(f"[{i}, {j}, {_fmt(a[i, j])}]")
-        j_block = '{"triplets": [' + ", ".join(trips) + "]}"
-    else:
-        raise ParameterError(f"unknown model encoding {encoding!r}")
-    text = f'{{\n  "n": {n},\n  "h": [{h}],\n  "J": {j_block}\n}}\n'
+    rows = ",\n      ".join(
+        "[" + ", ".join(_fmt(v) for v in row) + "]" for row in m.coupling.entries
+    )
+    j_block = '{"dense": [\n      ' + rows + "\n    ]}"
+    text = f'{{\n  "n": {m.n},\n  "h": [{h}],\n  "J": {j_block}\n}}\n'
     with open(path, "w") as fh:
         fh.write(text)
 
 
 def load_model(path) -> IsingModel:
-    """Read a model file written by :func:`save_model` (either J encoding)."""
+    """Read a model file in either J encoding (:func:`save_model` writes dense)."""
     with open(path) as fh:
         try:
             doc = json.load(fh)

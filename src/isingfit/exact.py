@@ -266,12 +266,12 @@ def hubbard_stratonovich_check(
 def hs_conditional_error(m: IsingModel, shift: float, y) -> float:
     """Max deviation between Bayes posterior of X given Y=y and the product law."""
     W = _shifted_matrix(m, shift)
-    y = np.asarray(y, dtype=np.float64)
-    table = distribution(m)
-    S = all_states(m.n)
-    resid = y[None, :] - S
-    post = np.log(table.probs) - 0.5 * np.einsum("si,si->s", resid @ W, resid)
+    wy = W @ np.asarray(y, dtype=np.float64)
+    # log p(x) - (y - x)^T W (y - x) / 2; the constant -y^T W y / 2 drops out in normalize
+    post = quadratic_table(-W, wy)
+    post += np.log(distribution(m).probs)
     normalize(post)
-    product = _product_table(S, (W @ y + m.field)[None, :])[0]
-    product /= product.sum()
-    return float(np.abs(post - product).max())
+    product = quadratic_table(np.zeros_like(W), wy + m.field)
+    normalize(product)
+    post -= product
+    return float(np.abs(post, out=post).max())

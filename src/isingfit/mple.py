@@ -17,6 +17,9 @@ Directional derivatives follow the convention that carries a 1/2 prefactor:
 so first is exactly half the plain line derivative d/dt phi(J + tA), and
 <grad, A> over the upper triangle equals 2 * first. Both relations are pinned
 by tests.
+
+The kernel keeps no cache: each call builds M = X J + h once from its J, and
+objective_and_gradient returns the value and the gradient from that one M.
 """
 
 from __future__ import annotations
@@ -47,14 +50,11 @@ def upper_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class PseudolikelihoodContext:
-    """Samples plus field, with a cached J X workspace.
+    """Samples as a float array plus the known field.
 
-    The row-product matrix M[k, i] = J_i X^(k) + h_i costs O(l n^2) and is
-    shared between the objective and the gradient, and the objective value
-    is cached with it, so a gradient taken where the value was just computed
-    does not recompute it. The cache is keyed on the identity of the
-    coupling array, which is safe because CouplingMatrix entries are frozen
-    read-only.
+    Holds no state beyond its inputs: every kernel call builds the row-product
+    matrix M[k, i] = J_i X^(k) + h_i, which costs O(l n^2), once and derives
+    what it returns from it.
     """
 
     def __init__(self, samples: SampleBatch, field=None) -> None:
@@ -67,9 +67,6 @@ class PseudolikelihoodContext:
             raise ValidationError(
                 f"field length mismatch: expected {samples.n}, got {self.field.shape}"
             )
-        self._cached_entries: np.ndarray | None = None
-        self._cached_m: np.ndarray | None = None
-        self._cached_value: float | None = None
 
     @property
     def l(self) -> int:
@@ -79,33 +76,22 @@ class PseudolikelihoodContext:
     def n(self) -> int:
         return self.samples.n
 
-    def _check(self, J: CouplingMatrix) -> np.ndarray:
-        if J.n != self.n:
-            raise ValidationError(f"dimension mismatch: J is {J.n}, samples are {self.n}")
-        return J.entries
-
     def fields_matrix(self, J: CouplingMatrix) -> np.ndarray:
         """M with M[k, i] = J_i X^(k) + h_i."""
-        entries = self._check(J)
-        if self._cached_entries is not entries:
-            self._cached_m = self.x @ entries + self.field
-            self._cached_entries = entries
-            self._cached_value = None
-        return self._cached_m
-
-    def value(self, J: CouplingMatrix) -> float:
-        """phi(J), computed once per cached M."""
-        m = self.fields_matrix(J)
-        if self._cached_value is None:
-            self._cached_value = float(np.sum(_logcosh(m) - self.x * m + np.log(2.0)))
-        return self._cached_value
+        if J.n != self.n:
+            raise ValidationError(f"dimension mismatch: J is {J.n}, samples are {self.n}")
+        return self.x @ J.entries + self.field
 
 
-def _raw_gradient(J: CouplingMatrix, ctx: PseudolikelihoodContext) -> np.ndarray:
+def _value(m: np.ndarray, ctx: PseudolikelihoodContext) -> float:
+    return float(np.sum(_logcosh(m) - ctx.x * m + np.log(2.0)))
+
+
+def _raw_gradient(m: np.ndarray, ctx: PseudolikelihoodContext) -> np.ndarray:
     """Gradient entry (i, j):
     sum_k (tanh(J_i X + h_i) - X_i) X_j + (tanh(J_j X + h_j) - X_j) X_i.
     """
-    r = np.tanh(ctx.fields_matrix(J)) - ctx.x
+    r = np.tanh(m) - ctx.x
     g = r.T @ ctx.x
     g = g + g.T
     np.fill_diagonal(g, 0.0)
@@ -113,20 +99,20 @@ def _raw_gradient(J: CouplingMatrix, ctx: PseudolikelihoodContext) -> np.ndarray
 
 
 def objective(J: CouplingMatrix, ctx: PseudolikelihoodContext) -> float:
-    return ctx.value(J)
+    return _value(ctx.fields_matrix(J), ctx)
 
 
 def gradient(J: CouplingMatrix, ctx: PseudolikelihoodContext) -> CouplingMatrix:
     """Symmetric zero-diagonal matrix of d phi / d J_ij over the upper triangle."""
-    return CouplingMatrix(_raw_gradient(J, ctx))
+    return CouplingMatrix(_raw_gradient(ctx.fields_matrix(J), ctx))
 
 
 def objective_and_gradient(
     J: CouplingMatrix, ctx: PseudolikelihoodContext
 ) -> tuple[float, np.ndarray]:
-    """Objective and raw gradient array (optimizer hot path); the value is
-    reused when ``objective`` was just called at the same J."""
-    return ctx.value(J), _raw_gradient(J, ctx)
+    """Objective and raw gradient array from one M (the optimizer hot path)."""
+    m = ctx.fields_matrix(J)
+    return _value(m, ctx), _raw_gradient(m, ctx)
 
 
 def directional_derivatives(

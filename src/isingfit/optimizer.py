@@ -11,7 +11,8 @@ Step: each search starts at the Barzilai-Borwein step <s, s> / <s, y>, with
 s = J_k - J_{k-1} and y the change of the gradient (Birgin, Martinez and
 Raydan 2000), clamped to [1e-10, 1e10]; it starts at 1 on the first iteration
 and whenever <s, y> <= 0. The search halves the step until the Armijo test
-holds.
+holds. Each projected trial point is evaluated once, value and gradient
+together, so an accepted trial carries its gradient into the next iteration.
 
 Stopping: the gradient mapping G_t(J) = (J - project(J - t grad)) / t. At an
 interior point G_1 is the raw upper-triangle gradient. ||G_t|| is
@@ -50,7 +51,6 @@ _PROJECTION_TOL = 1e-13
 class FitConfig:
     max_iters: int = 2000
     grad_map_tol: float | None = None  # default 1e-6 * n * l, set at fit time
-    init: CouplingMatrix | None = None  # None means the zero matrix
 
     def __post_init__(self):
         if not is_int(self.max_iters) or self.max_iters < 1:
@@ -92,7 +92,7 @@ def fit_mple(
         return CouplingMatrix(projections.project_array(constraint, arr, tol=_PROJECTION_TOL))
 
     report = FitReport(estimate=None, iterations=0)
-    J = proj(cfg.init.entries if cfg.init is not None else np.zeros((n, n)))
+    J = proj(np.zeros((n, n)))
 
     f_unnorm, g_raw = mple.objective_and_gradient(J, ctx)
     report.objective_trace.append(f_unnorm)
@@ -108,7 +108,7 @@ def fit_mple(
         step = start_step
         while step >= _STEP_FLOOR:
             cand = proj(J.entries - step * g)
-            cand_val = mple.objective(cand, ctx)
+            cand_val, cand_g = mple.objective_and_gradient(cand, ctx)
             s = cand.entries - J.entries
             if cand_val / scale <= f + _ARMIJO * float(np.sum(g * s)):
                 break
@@ -120,12 +120,11 @@ def fit_mple(
 
         grad_map = float(np.linalg.norm(s)) / min(step, 1.0)
         report.grad_map_trace.append(grad_map * 2.0 * scale)
-        J = cand
-        report.objective_trace.append(cand_val)
+        J, f_unnorm, g_raw = cand, cand_val, cand_g
+        report.objective_trace.append(f_unnorm)
         report.iterations = it + 1
-        if cand_val < best_val:
-            best_val, best_J = cand_val, J
-        f_unnorm, g_raw = mple.objective_and_gradient(J, ctx)
+        if f_unnorm < best_val:
+            best_val, best_J = f_unnorm, J
         if report.grad_map_trace[-1] <= grad_map_tol:
             report.converged = True
             report.stop_reason = "grad_map"

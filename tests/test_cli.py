@@ -153,6 +153,18 @@ class TestPipeline:
         assert out.splitlines()[0] == "metric,value"
         assert out.splitlines()[1] == "frobenius,0"
 
+    def test_evaluate_writes_each_metric_once(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", base_config(n=5))
+        model_path = tmp_path / "m.json"
+        cli.main(["generate", "--config", cfg, "--out", str(model_path)])
+        assert cli.main([
+            "evaluate", "--model-a", str(model_path), "--model-b", str(model_path),
+            "--metrics", "frobenius,frobenius,op_norm_err",
+        ]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "metric,value", "frobenius,0", "op_norm_err,0",
+        ]
+
     def test_bad_inline_constraint_exit_2(self, tmp_path, capsys):
         samples_path = tmp_path / "s.csv"
         samples_path.write_text("1,-1\n-1,1\n")
@@ -232,6 +244,15 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
         assert cli.main(["sweep", "--config", cfg, "--out", str(parallel), "--jobs", "2"]) == 0
         assert strip_wall_time(serial.read_text()) == strip_wall_time(parallel.read_text())
+
+    def test_repeated_grid_values_run_one_cell(self, tmp_path, distribution_calls):
+        doc = base_config(l_values=(50, 50), seeds=(3, 3), metrics=("frobenius",))
+        out = tmp_path / "r.csv"
+        assert cli.main(["sweep", "--config", write_config(tmp_path / "c.json", doc),
+                         "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert len(lines) == 2
+        assert distribution_calls == [6]
 
     def test_median_error_decreases_with_l(self, tmp_path):
         doc = base_config(l_values=(100, 1600), seeds=(0, 1, 2))
@@ -410,6 +431,7 @@ class TestBadInput:
         ({"initial_step": 2.0}, "optimizer.initial_step: unknown field"),
         ({"grad_map_tol": float("inf")}, "grad_map_tol"),
         ({"grad_map_tol": True}, "grad_map_tol"),
+        ({"init": None}, "optimizer.init: unknown field"),
     ])
     def test_bad_optimizer_block_exit_2(self, tmp_path, capsys, optimizer, message):
         samples = tmp_path / "s.csv"

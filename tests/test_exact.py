@@ -306,6 +306,37 @@ class TestHubbardStratonovich:
             y = rng.normal(size=5) * 2.0
             assert exact.hs_conditional_error(m, shift, y) <= 1e-10
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_conditional_matches_state_matrix_oracle(self, rng, n):
+        # the posterior and product law over the full (2^n, n) state matrix
+        m = IsingModel(random_coupling(n, rng, scale=n**-0.5), rng.normal(size=n))
+        shift = exact.default_hs_shift(m.coupling)
+        W = m.coupling.entries + shift * np.eye(n)
+        y = rng.normal(size=n) * 2.0
+        S = exact.all_states(n)
+        resid = y[None, :] - S
+        post = np.log(exact.distribution(m).probs) - 0.5 * np.einsum("si,si->s", resid @ W, resid)
+        exact.normalize(post)
+        product = exact._product_table(S, (W @ y + m.field)[None, :])[0]
+        product /= product.sum()
+        expected = float(np.abs(post - product).max())
+        assert exact.hs_conditional_error(m, shift, y) == pytest.approx(expected, abs=1e-14)
+
+    def test_conditional_memory(self, rng):
+        n = 16
+        m = IsingModel(random_coupling(n, rng, scale=0.25), rng.normal(size=n))
+        shift = exact.default_hs_shift(m.coupling)
+        y = rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            err = exact.hs_conditional_error(m, shift, y)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert err <= 1e-10
+        assert peak <= 4 * (1 << n) * 8
+
     def test_requires_positive_definite_shift(self, rng):
         m = zero_field([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ParameterError, match="positive definite"):

@@ -157,18 +157,6 @@ class TestPopulationOptimality:
         assert np.all(np.abs(t_stats) < 4.0)
 
 
-def test_context_caches_by_identity(rng):
-    n, l = 5, 20
-    ctx = make_ctx(rng, n, l)
-    J = random_coupling(n, rng)
-    m1 = ctx.fields_matrix(J)
-    m2 = ctx.fields_matrix(J)
-    assert m1 is m2
-    m3 = ctx.fields_matrix(CouplingMatrix(J.entries.copy()))
-    assert m3 is not m1
-    np.testing.assert_allclose(m3, m1)
-
-
 class TestValueCache:
     def count_logcosh(self, monkeypatch):
         calls = []
@@ -181,23 +169,6 @@ class TestValueCache:
         monkeypatch.setattr(mple, "_logcosh", counted)
         return calls
 
-    def test_gradient_after_objective_reuses_value(self, rng, monkeypatch):
-        n, l = 6, 50
-        ctx = make_ctx(rng, n, l, field=rng.normal(size=n))
-        J, K = random_coupling(n, rng), random_coupling(n, rng)
-        calls = self.count_logcosh(monkeypatch)
-        value = mple.objective(J, ctx)
-        cached_value, cached_grad = mple.objective_and_gradient(J, ctx)
-        assert len(calls) == 1
-        fresh = mple.PseudolikelihoodContext(ctx.samples, ctx.field)
-        fresh_value, fresh_grad = mple.objective_and_gradient(J, fresh)
-        assert value == cached_value == fresh_value
-        np.testing.assert_array_equal(cached_grad, fresh_grad)
-        # a new J invalidates the cached value along with M
-        mple.objective(K, ctx)
-        assert mple.objective_and_gradient(J, ctx)[0] == fresh_value
-        assert len(calls) == 4
-
     def test_gradient_alone_computes_no_value(self, rng, monkeypatch):
         n, l = 5, 30
         ctx = make_ctx(rng, n, l)
@@ -207,3 +178,20 @@ class TestValueCache:
         assert calls == []
         fresh = mple.PseudolikelihoodContext(ctx.samples)
         np.testing.assert_array_equal(grad.entries, mple.objective_and_gradient(J, fresh)[1])
+
+    def test_objective_and_gradient_builds_m_once(self, rng, monkeypatch):
+        # the context keeps no cache, and each kernel call builds M once
+        n, l = 6, 50
+        ctx = make_ctx(rng, n, l, field=rng.normal(size=n))
+        assert not [k for k in vars(ctx) if k.startswith("_cached")]
+        assert not hasattr(ctx, "value")
+        J = random_coupling(n, rng)
+        builds = []
+        original = ctx.fields_matrix
+        monkeypatch.setattr(ctx, "fields_matrix", lambda K: builds.append(K) or original(K))
+        calls = self.count_logcosh(monkeypatch)
+        value, grad = mple.objective_and_gradient(J, ctx)
+        assert len(builds) == len(calls) == 1
+        assert value == mple.objective(J, ctx)
+        np.testing.assert_array_equal(grad, mple.gradient(J, ctx).entries)
+        assert len(builds) == 3 and len(calls) == 2

@@ -84,13 +84,6 @@ class TestGradientMapping:
 
 
 class TestConfig:
-    def test_provided_init_is_projected(self):
-        batch = uniform_batch(4, 300, seed=13)
-        wild = CouplingMatrix(np.full((4, 4), 5.0) - 5.0 * np.eye(4))
-        cfg = FitConfig(init=wild, max_iters=1)
-        report = fit_mple(batch, np.zeros(4), OpNormBall(1.0), cfg)
-        assert membership(OpNormBall(1.0), report.estimate, tol=1e-6)
-
     def test_validation(self):
         with pytest.raises(ParameterError):
             FitConfig(max_iters=0)
@@ -199,13 +192,45 @@ class TestStopReason:
 
     def test_step_underflow(self, monkeypatch, projection_calls):
         # an objective that never decreases defeats every Armijo test
-        monkeypatch.setattr(mple, "objective", lambda J, ctx: np.inf)
+        original = mple.objective_and_gradient
+        evaluated = []
+
+        def stuck(J, ctx):
+            value, g = original(J, ctx)
+            evaluated.append(J)
+            return (value, g) if len(evaluated) == 1 else (np.inf, g)
+
+        monkeypatch.setattr(mple, "objective_and_gradient", stuck)
         batch = uniform_batch(4, 100, seed=17)
         report = fit_mple(batch, np.zeros(4), OpNormBall(1.0))
         assert not report.converged and report.stop_reason == "step_underflow"
         assert report.iterations == 0 and report.grad_map_trace == []
         # the initial projection, then steps 1, 1/2, ... down to the floor
         assert report.projections == len(projection_calls) == 61
+        assert len(evaluated) == 61
+
+
+def test_each_trial_point_is_evaluated_once(monkeypatch, projection_calls):
+    # one objective_and_gradient call per projected point, rejected Armijo
+    # trials and the initial projection included, and no value-only call
+    model = ensembles.generate(ensembles.EnsembleSpec(kind="SK", n=30, beta=0.5, seed=0))
+    batch = sampler.glauber_sample(model, 2000, sampler.GlauberConfig(seed=1))
+    kernel_calls = []
+    original = mple.objective_and_gradient
+
+    def counted(J, ctx):
+        kernel_calls.append(J)
+        return original(J, ctx)
+
+    def forbidden(J, ctx):
+        raise AssertionError("the fit called mple.objective")
+
+    monkeypatch.setattr(mple, "objective_and_gradient", counted)
+    monkeypatch.setattr(mple, "objective", forbidden)
+    report = fit_mple(batch, np.zeros(30), OpNormBall(2.0))
+    assert report.converged
+    assert report.projections > report.iterations + 1  # some trials were rejected
+    assert len(kernel_calls) == report.projections == len(projection_calls)
 
 
 def feasible(cs, a):
