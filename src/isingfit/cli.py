@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -140,6 +141,12 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _write_report(path: str, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def _cmd_sample(args) -> int:
     model = load_model(args.model)
     if args.l < 1:
@@ -148,12 +155,25 @@ def _cmd_sample(args) -> int:
         for flag in ("burn_in", "thinning", "chains", "alpha_hint"):
             if getattr(args, flag) is not None:
                 raise ConfigError(f"--{flag.replace('_', '-')}: applies to --method glauber only")
+        start = time.perf_counter()
         batch = sampler.exact_sample(model, args.l, seed=args.seed)
     else:
         block = {"alpha_hint": args.alpha_hint, "burn_in_sweeps": args.burn_in,
                  "thinning_sweeps": args.thinning, "chains": args.chains}
-        batch = sampler.glauber_sample(model, args.l, _glauber_config(block, args.seed))
+        cfg = _glauber_config(block, args.seed)
+        start = time.perf_counter()
+        batch = sampler.glauber_sample(model, args.l, cfg)
+    sample_time = time.perf_counter() - start
     save_samples(batch, args.out)
+    if args.report:
+        doc = {"method": args.method, "l": args.l, "chains": None, "burn_in_sweeps": None,
+               "thinning_sweeps": None, "site_updates": None, "sample_time": sample_time}
+        if args.method == "glauber":
+            doc.update(chains=min(cfg.chains, args.l), burn_in_sweeps=cfg.burn_in_sweeps,
+                       thinning_sweeps=cfg.thinning_sweeps,
+                       site_updates=sampler.site_updates(model.n, args.l, cfg),
+                       **sampler.mixing(model, batch, cfg))
+        _write_report(args.report, doc)
     return 0
 
 
@@ -201,9 +221,7 @@ def _cmd_fit(args) -> int:
             "stop_reason": report.stop_reason,
             "projections": report.projections,
         }
-        with open(args.report, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_report(args.report, doc)
     return 0
 
 
@@ -444,6 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chains", type=int, default=None)
     p.add_argument("--alpha-hint", type=float, default=None)
     p.add_argument("--out", required=True)
+    p.add_argument("--report", default=None, help="JSON file for run facts and split-R-hat")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("fit", help="constrained pseudolikelihood fit from samples")

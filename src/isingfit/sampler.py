@@ -8,7 +8,10 @@ the enumeration cap).
 
 Chains own disjoint RNG streams keyed by (seed, chain index), and samples are
 merged round-robin across chains, so the output is a pure function of the
-model, count, and config no matter how the chains are scheduled.
+model, count, and config no matter how the chains are scheduled. A chain keeps
+its local fields in one numpy vector and updates them with one vector add per
+flip; samples are byte-identical to those of earlier releases, whose loop added
+one scalar per site. :func:`mixing` gives split-R-hat across a batch's chains.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ class GlauberConfig:
             value = getattr(self, name)
             if not is_int(value) or value < 1:
                 raise ParameterError(f"{name} must be an integer >= 1")
+        if not is_int(self.seed):
+            raise ParameterError("seed must be an integer")
 
 
 def default_config(seed: int = 0, alpha: float | None = None) -> GlauberConfig:
@@ -60,25 +65,22 @@ def _run_chain(J: np.ndarray, h: np.ndarray, n_samples: int, cfg: GlauberConfig,
     n = h.shape[0]
     rng = stream(cfg.seed, chain)
     x = [1.0 if b else -1.0 for b in rng.integers(0, 2, size=n)]
-    # Local fields J x + h, updated incrementally; python lists beat numpy for
-    # the tiny per-step arithmetic at desk-scale n.
-    rows = [[float(v) for v in row] for row in J]
-    f = [sum(rows[i][j] * x[j] for j in range(n)) + float(h[i]) for i in range(n)]
+    # Local fields J x + h, summed in python order so their bits never change.
+    # A flip adds the row 2J_i or -2J_i: doubling is exact, so each f_j rounds
+    # as f_j + J_ij*d did with d = +-2. Draws are read through memoryviews.
+    f = np.array([sum(J.item(i, j) * x[j] for j in range(n)) + h.item(i) for i in range(n)])
+    up = list(2.0 * J)
+    down = [-r for r in up]
     tanh = math.tanh
 
     def sweeps(count: int) -> None:
+        nonlocal f
         steps = count * n
-        sites = rng.integers(0, n, size=steps)
-        us = rng.random(steps)
-        for t in range(steps):
-            i = int(sites[t])
-            s_new = 1.0 if us[t] < 0.5 * (1.0 + tanh(f[i])) else -1.0
+        for i, u in zip(memoryview(rng.integers(0, n, size=steps)), memoryview(rng.random(steps))):
+            s_new = 1.0 if u < 0.5 * (1.0 + tanh(f.item(i))) else -1.0
             if s_new != x[i]:
-                d = s_new - x[i]
                 x[i] = s_new
-                row = rows[i]
-                for j in range(n):
-                    f[j] += row[j] * d
+                f += up[i] if s_new > 0.0 else down[i]
     sweeps(cfg.burn_in_sweeps)
     out = np.empty((n_samples, n), dtype=np.int8)
     for k in range(n_samples):
@@ -94,8 +96,8 @@ def glauber_sample(m: IsingModel, l: int, cfg: GlauberConfig | None = None) -> S
     the burn-in, then records one configuration every ``thinning_sweeps``
     sweeps, interleaving chains round-robin until l samples are collected.
     """
-    if l < 1:
-        raise ParameterError("sample count must be >= 1")
+    if not is_int(l) or l < 1:
+        raise ParameterError("sample count must be an integer >= 1")
     if cfg is None:
         cfg = default_config()
     chains = min(cfg.chains, l)
@@ -108,9 +110,47 @@ def glauber_sample(m: IsingModel, l: int, cfg: GlauberConfig | None = None) -> S
     return SampleBatch(spins)
 
 
+def site_updates(n: int, l: int, cfg: GlauberConfig) -> int:
+    """Single-site updates that ``glauber_sample`` makes for l samples at size n."""
+    return n * (min(cfg.chains, l) * cfg.burn_in_sweeps + l * cfg.thinning_sweeps)
+
+
+def split_rhat(draws: np.ndarray) -> float | None:
+    """Split-R-hat (BDA3; Vehtari et al. 2021) of a (chains, draws) array.
+
+    Each chain is cut into its first and last halves, dropping the middle draw
+    of an odd length. None when a half has fewer than 2 draws or the
+    within-half variance W is 0, that is, every half is constant (tested
+    exactly, as rounding can leave a constant half a variance near 0).
+    """
+    half = draws.shape[1] // 2
+    if half < 2:
+        return None
+    halves = np.concatenate([draws[:, :half], draws[:, -half:]]).astype(np.float64)
+    if not np.ptp(halves, axis=1).any():
+        return None
+    within = halves.var(axis=1, ddof=1).mean()
+    between = half * halves.mean(axis=1).var(ddof=1)
+    return float(np.sqrt(((half - 1) * within + between) / (half * within)))
+
+
+def mixing(m: IsingModel, batch: SampleBatch, cfg: GlauberConfig) -> dict[str, float | None]:
+    """Split-R-hat of the energy x'Jx/2 + h.x and of the magnetization sum(x)
+    across the chains of a ``glauber_sample`` batch, each chain's rows
+    ``spins[c::chains]`` cut to the shortest chain."""
+    chains = min(cfg.chains, batch.l)
+    rows = batch.l // chains * chains  # the round-robin merge puts them first
+    x = batch.as_float()[:rows]
+    energy = 0.5 * ((x @ m.coupling.entries) * x).sum(axis=1) + x @ m.field
+    return {f"rhat_{name}": split_rhat(v.reshape(-1, chains).T)
+            for name, v in (("energy", energy), ("magnetization", x.sum(axis=1)))}
+
+
 def exact_sample(m: IsingModel | exact.DistributionTable, l: int, seed: int = 0) -> SampleBatch:
     """Draw l i.i.d. samples by inverse CDF over the model's 2^n table; ``m`` may be that table."""
-    if l < 1:
-        raise ParameterError("sample count must be >= 1")
+    if not is_int(l) or l < 1:
+        raise ParameterError("sample count must be an integer >= 1")
+    if not is_int(seed):
+        raise ParameterError("seed must be an integer")
     table = m if isinstance(m, exact.DistributionTable) else exact.distribution(m)
     return SampleBatch(exact.states(exact.draw(table, stream(seed, 0xE).random(l)), m.n))

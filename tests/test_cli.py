@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from isingfit import cli
-from isingfit.core import load_model, load_samples
+from isingfit.core import load_model, load_samples, save_model
+
+from conftest import dobrushin_model
 
 
 def write_config(path, doc):
@@ -184,6 +186,42 @@ class TestPipeline:
             "--seed", "3", "--burn-in", "20", "--thinning", "2", "--out", str(out),
         ]) == 0
         assert load_samples(out).l == 50
+
+    def test_glauber_sample_report(self, tmp_path):
+        model_path = tmp_path / "m.json"
+        save_model(dobrushin_model(6, 0.3, seed=5), model_path)
+        report_path = tmp_path / "report.json"
+        argv = ["sample", "--model", str(model_path), "--l", "4000", "--seed", "2"]
+        assert cli.main(argv + ["--out", str(tmp_path / "a.csv"),
+                                "--report", str(report_path)]) == 0
+        report = json.loads(report_path.read_text())
+        assert list(report) == [
+            "method", "l", "chains", "burn_in_sweeps", "thinning_sweeps", "site_updates",
+            "sample_time", "rhat_energy", "rhat_magnetization",
+        ]
+        assert report["method"] == "glauber"
+        assert (report["l"], report["chains"], report["burn_in_sweeps"],
+                report["thinning_sweeps"]) == (4000, 4, 200, 5)
+        assert report["site_updates"] == 6 * (4 * 200 + 4000 * 5)
+        assert report["sample_time"] > 0.0
+        assert report["rhat_energy"] <= 1.05
+        assert report["rhat_magnetization"] <= 1.05
+        # the report leaves the samples as they are
+        assert cli.main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_exact_sample_report_has_no_rhat(self, tmp_path):
+        model_path = tmp_path / "m.json"
+        save_model(dobrushin_model(6, 0.3, seed=5), model_path)
+        report_path = tmp_path / "report.json"
+        assert cli.main([
+            "sample", "--model", str(model_path), "--l", "100", "--method", "exact",
+            "--out", str(tmp_path / "s.csv"), "--report", str(report_path),
+        ]) == 0
+        report = json.loads(report_path.read_text())
+        assert report["method"] == "exact"
+        assert not any(key.startswith("rhat") for key in report)
+        assert report["chains"] is report["site_updates"] is None
 
 
 class TestCapabilityGate:

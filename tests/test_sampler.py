@@ -1,10 +1,16 @@
+import math
+import statistics
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isingfit import exact, sampler
-from isingfit.core import CapabilityError, CouplingMatrix, IsingModel, ParameterError, stream
+from isingfit.core import (
+    CapabilityError, CouplingMatrix, IsingModel, ParameterError, SampleBatch, stream,
+)
 from isingfit.ensembles import EnsembleSpec, generate
 
 from conftest import dobrushin_model, random_coupling
@@ -12,6 +18,46 @@ from conftest import dobrushin_model, random_coupling
 
 def zero_field(J):
     return IsingModel.zero_field(CouplingMatrix(J))
+
+
+def oracle_chain(J, h, n_samples, cfg, chain):
+    """The heat-bath chain with python-list fields, one scalar add per site and
+    flip: the loop that ``sampler._run_chain`` must match byte for byte."""
+    n = h.shape[0]
+    rng = stream(cfg.seed, chain)
+    x = [1.0 if b else -1.0 for b in rng.integers(0, 2, size=n)]
+    rows = [[float(v) for v in row] for row in J]
+    f = [sum(rows[i][j] * x[j] for j in range(n)) + float(h[i]) for i in range(n)]
+    tanh = math.tanh
+
+    def sweeps(count):
+        steps = count * n
+        sites = rng.integers(0, n, size=steps)
+        us = rng.random(steps)
+        for t in range(steps):
+            i = int(sites[t])
+            s_new = 1.0 if us[t] < 0.5 * (1.0 + tanh(f[i])) else -1.0
+            if s_new != x[i]:
+                d = s_new - x[i]
+                x[i] = s_new
+                row = rows[i]
+                for j in range(n):
+                    f[j] += row[j] * d
+    sweeps(cfg.burn_in_sweeps)
+    out = np.empty((n_samples, n), dtype=np.int8)
+    for k in range(n_samples):
+        sweeps(cfg.thinning_sweeps)
+        out[k] = x
+    return out
+
+
+def oracle_glauber(m, l, cfg):
+    chains = min(cfg.chains, l)
+    spins = np.empty((l, m.n), dtype=np.int8)
+    for c in range(chains):
+        spins[c::chains] = oracle_chain(m.coupling.entries, m.field,
+                                        (l - c + chains - 1) // chains, cfg, c)
+    return spins
 
 
 def empirical_table(batch):
@@ -111,6 +157,101 @@ class TestGlauber:
     def test_alpha_hint_burn_in(self):
         cfg = sampler.default_config(alpha=0.3)
         assert cfg.burn_in_sweeps == 50 * 4  # ceil(1/0.3) = 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.one_of(st.integers(1, 12), st.just(30)), data=st.data(),
+           scale=st.floats(0.0, 3.0), coupling_seed=st.integers(0, 2**32 - 1),
+           chains=st.integers(1, 5), burn_in=st.integers(1, 5), thinning=st.integers(1, 3),
+           l=st.integers(1, 60), seed=st.integers(-2**63, 2**63 - 1))
+    def test_matches_list_loop_byte_for_byte(self, n, data, scale, coupling_seed, chains,
+                                             burn_in, thinning, l, seed):
+        h = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+        m = IsingModel(random_coupling(n, np.random.default_rng(coupling_seed), scale), np.array(h))
+        cfg = sampler.GlauberConfig(burn_in_sweeps=burn_in, thinning_sweeps=thinning,
+                                    seed=seed, chains=chains)
+        spins = sampler.glauber_sample(m, l, cfg).spins
+        assert spins.dtype == np.int8
+        assert spins.tobytes() == oracle_glauber(m, l, cfg).tobytes()
+
+    def test_benchmark_sample_matches_list_loop(self):
+        # SK n = 30, l = 2000 under the default config, as the glauber_n30 workload samples
+        m = generate(EnsembleSpec(kind="SK", n=30, beta=0.5, seed=0))
+        cfg = sampler.default_config()
+        spins = sampler.glauber_sample(m, 2000, cfg).spins
+        assert spins.tobytes() == oracle_glauber(m, 2000, cfg).tobytes()
+
+    def test_chain_memory_is_the_draw_arrays(self):
+        # one sweeps call holds its site and uniform draws as two numpy arrays
+        # (8 bytes each per step); python lists of them would take far more
+        m = generate(EnsembleSpec(kind="SK", n=30, beta=0.5, seed=0))
+        cfg = sampler.GlauberConfig(burn_in_sweeps=5000, chains=1)
+        tracemalloc.start()
+        try:
+            sampler.glauber_sample(m, 1, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (5000 * 30) * 16
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("l", [2.5, True, "3", 0, None])
+    def test_sample_count_must_be_an_integer(self, l):
+        m = zero_field(np.zeros((3, 3)))
+        for draw in (sampler.glauber_sample, sampler.exact_sample):
+            with pytest.raises(ParameterError, match="sample count must be an integer >= 1"):
+                draw(m, l)
+
+    @pytest.mark.parametrize("seed", ["a", 1.5, True, None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            sampler.GlauberConfig(seed=seed)
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            sampler.exact_sample(zero_field(np.zeros((3, 3))), 5, seed=seed)
+
+    def test_numpy_integers_pass(self):
+        m = dobrushin_model(4, 0.3, seed=2)
+        cfg = sampler.GlauberConfig(burn_in_sweeps=3, seed=np.int64(-5), chains=np.int32(2))
+        plain = sampler.GlauberConfig(burn_in_sweeps=3, seed=-5, chains=2)
+        np.testing.assert_array_equal(sampler.glauber_sample(m, np.int64(7), cfg).spins,
+                                      sampler.glauber_sample(m, 7, plain).spins)
+        np.testing.assert_array_equal(sampler.exact_sample(m, np.uint16(7), seed=np.int64(3)).spins,
+                                      sampler.exact_sample(m, 7, seed=3).spins)
+
+
+class TestMixing:
+    def test_split_rhat_matches_the_bda3_formula(self, rng):
+        draws = rng.normal(size=(3, 9))
+        halves = [list(c[:4]) for c in draws] + [list(c[5:]) for c in draws]  # middle draw dropped
+        w = statistics.fmean(statistics.variance(s) for s in halves)
+        b = 4 * statistics.variance([statistics.fmean(s) for s in halves])
+        expected = math.sqrt((3 / 4 * w + b / 4) / w)
+        assert sampler.split_rhat(draws) == pytest.approx(expected, rel=1e-12)
+
+    def test_offset_chains_flagged(self, rng):
+        draws = rng.normal(size=(4, 500)) + 3.0 * np.arange(4)[:, None]
+        assert sampler.split_rhat(draws) > 1.5
+
+    def test_iid_normals_near_one(self, rng):
+        assert abs(sampler.split_rhat(rng.normal(size=(4, 2000))) - 1.0) < 0.02
+
+    @pytest.mark.parametrize("draws", [np.zeros((4, 3)), np.ones((1, 1)), np.ones((2, 100)),
+                                       np.full((2, 72), -5.356693731611109)])
+    def test_undefined_is_none(self, draws):
+        # halves of 1 draw, or constant halves; numpy's variance of the last
+        # (36 equal draws a half) rounds to 8e-31, not 0
+        assert sampler.split_rhat(draws) is None
+
+    def test_chains_are_the_round_robin_rows(self):
+        # chain c owns rows c, c + chains, ...; rows past the shortest chain are dropped
+        m = zero_field(np.zeros((2, 2)))
+        spins = np.ones((14, 2), dtype=np.int8)
+        spins[1::3] = -1  # chain 1 sits at -1 and the others at +1: no within variance
+        cfg = sampler.GlauberConfig(chains=3)
+        assert sampler.mixing(m, SampleBatch(spins), cfg) == {
+            "rhat_energy": None, "rhat_magnetization": None}
+        spins[12] = -1  # chain 0's fifth row, past the shortest chain's four
+        assert sampler.mixing(m, SampleBatch(spins), cfg)["rhat_magnetization"] is None
 
 
 class TestExactSampler:
