@@ -6,8 +6,9 @@ Submodules: core (types and files), ensembles (matrix generators), sampler
 (projected gradient descent), diagnostics (structural probes), cli.
 """
 
+import importlib
+
 from . import (  # noqa: F401
-    cli,
     core,
     diagnostics,
     ensembles,
@@ -41,3 +42,9 @@ from .projections import (  # noqa: F401
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # cli loads on first use: `python -m isingfit.cli` runs one copy
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,11 +22,11 @@ unnormalized scale (multiplied back by 2*n*l), is what grad_map_trace records
 and what is compared with grad_map_tol; the stop certifies the unit-step
 gradient mapping whatever the step size.
 
-Projection tolerance: the fit projects with Dykstra tolerance 1e-13, not the
-1e-8 default of projections.project. An iterate left outside the set by 1e-8
-shifts the objective by more than the Armijo decrease near the optimum, so a
-search started at a long step then halves down to underflow instead of
-converging.
+Projection tolerance: the fit projects to KKT residual 1e-13 (the norm of the
+dual gradient of projections.dual_solve), not the 1e-8 default of
+projections.project. An iterate left outside the set by 1e-8 shifts the
+objective by more than the Armijo decrease near the optimum, so a search
+started at a long step then halves down to underflow instead of converging.
 """
 
 from __future__ import annotations

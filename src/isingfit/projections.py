@@ -2,13 +2,18 @@
 
 A family (`OpNormBall`, `SpectralSpread`, `WidthBall`, `AntiferroSpike`, by
 name in ``FAMILIES``) is a frozen dataclass whose fields are its parameters,
-checked when built: the intersection of a "natural" convex set with a linear
-subspace of symmetric zero-diagonal matrices. It carries ``member(a, tol)``
-(its inequalities hold within tol) and closed-form projections onto the two
-factors, ``natural(a)`` (eigenvalue clipping, row-wise l1 projection,
-spike/bulk clipping) and ``affine(a)``. Dykstra's scheme alternates them and
-converges to the Frobenius-nearest point; its correction for the subspace never
-moves an iterate, so it is ascent on the subspace constraints' multiplier.
+checked when built: the intersection of a "natural" convex set with the
+symmetric zero-diagonal matrices. It carries ``member(a, tol)`` (its
+inequalities hold within tol) and ``natural(a)``, the closed-form projection
+onto the natural set (eigenvalue clipping, row-wise l1 projection, spike/bulk
+clipping). ``dual_solve`` projects by Newton's method on n multipliers y of
+the affine constraints (Malick 2004; Qi and Sun 2006). With A0 the input's
+symmetric part with zero diagonal, a spectral family's point is natural(Z),
+Z = A0 + Diag y, at the minimizer of the convex
+theta(y) = |y|^2/2 - |Z - natural(Z)|^2/2, whose gradient is diag natural(Z);
+AntiferroSpike's natural set has equal row sums, so it needs no more
+multipliers. WidthBall's entry ij is soft(A0_ij, (y_i + y_j) / 2) for row
+multipliers y >= 0.
 """
 
 from __future__ import annotations
@@ -22,29 +27,22 @@ from .core import CouplingMatrix, ParameterError, ValidationError, is_real
 
 __all__ = [
     "ConstraintSet", "OpNormBall", "SpectralSpread", "WidthBall", "AntiferroSpike", "FAMILIES",
-    "membership", "project", "project_l1_ball", "ProjectionConvergenceWarning",
+    "membership", "project", "dual_solve", "project_l1_ball", "ProjectionConvergenceWarning",
 ]
 
-# Iteration budget sized so random desk-scale inputs reach tol 1e-8. Typical
-# inputs need a few hundred iterations, but the linear rate degrades when the
-# optimum sits on a degenerate spectral face (repeated clipped eigenvalues);
-# worst observed ~2.6e4 iterations, budgeted with 4x headroom. Read at call time.
-DEFAULT_MAX_ITER = 100_000
+# Newton step budget; far inputs (scale up to 1e2, n up to 30) were seen to
+# need up to 67, fit inputs up to 6. Read at call time.
+DEFAULT_MAX_ITER = 100
 
 
 class ProjectionConvergenceWarning(UserWarning):
-    """Dykstra hit DEFAULT_MAX_ITER; carries the last iterate and its residual."""
+    """Newton hit DEFAULT_MAX_ITER; carries the last iterate and its KKT residual."""
 
     def __init__(self, message: str, iterate: np.ndarray, residual: float):
         super().__init__(message)
         self.iterate = iterate
         self.residual = residual
 
-
-# ---------------------------------------------------------------------------
-# Closed-form factors. Eigen-based sets first symmetrize, which is the exact
-# Frobenius projection from a general matrix onto symmetric members.
-# ---------------------------------------------------------------------------
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
@@ -53,12 +51,9 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
 def _spike_bulk(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Spike coordinate along 1/sqrt(n), cross-term vector, bulk operator."""
     n = a.shape[0]
-    e = np.full(n, 1.0 / np.sqrt(n))
-    ae = a @ e
-    spike = float(e @ ae)
-    cross = ae - spike * e
-    bulk = a - np.outer(e, ae) - np.outer(ae, e) + spike * np.outer(e, e)
-    return spike, cross, bulk
+    off = np.eye(n) - 1.0 / n  # the projector off the ones direction
+    rows = a.sum(axis=1)
+    return float(rows.sum()) / n, (rows - rows.mean()) / np.sqrt(n), off @ a @ off
 
 
 def _l1_rows(a: np.ndarray, radius: float) -> np.ndarray:
@@ -111,43 +106,28 @@ def _proj_zero_diag(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _proj_zero_diag_equal_rowsums(a: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto {S symmetric, diag S = 0, S 1 = sigma 1}.
+def _eigen_clip(w, V, lo, hi):
+    """V clip(w, lo, hi) V^T and a function giving the Jacobian of its diagonal in
+    the input's diagonal: W diag(vec Omega) W^T, W[i, (k, l)] = V_ik V_il, Omega
+    the Loewner divided differences of the clip."""
+    f = np.clip(w, lo, hi)
 
-    Folding the eigenvector-alignment constraint into the affine factor keeps
-    Dykstra fast for the spike family; alternating it against the spectral
-    factor alone converges at a badly conditioned angle. Writing the
-    correction as diag(mu) + sym(nu 1^T) with mean-zero nu, the stationarity
-    conditions solve in closed form:
+    def jacobian():
+        inside = ((w > lo) & (w < hi)).astype(np.float64)
+        dw = w[:, None] - w
+        omega = np.divide(f[:, None] - f, dw, out=np.outer(inside, inside), where=dw != 0)
+        W = (V[:, :, None] * V[:, None, :]).reshape(w.size, -1)
+        return (W * omega.ravel()) @ W.T
 
-        nu = (Q diag(a) - Q a 1) / (1 - n/2),   Q = I - 1 1^T / n
-        mu = diag(a) - nu
+    return (V * f) @ V.T, jacobian
 
-    For n <= 2 the row-sum constraint is implied by the zero diagonal.
-    """
-    n = a.shape[0]
-    if n <= 2:
-        return _proj_zero_diag(a)
-    s = _symmetrize(a)
-    diag = np.diag(s).copy()
-    row_sums = s.sum(axis=1)
-    nu = (diag - diag.mean()) - (row_sums - row_sums.mean())
-    nu /= 1.0 - 0.5 * n
-    # mu only moves the diagonal, which is zeroed anyway
-    out = s - 0.5 * (nu[:, None] + nu)
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The families.
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Base of the families; a subclass defines ``member`` and ``natural``."""
+    """Base of the families. A spectral family defines ``_clip(z)``: the natural
+    point of a symmetric z and the lazy Jacobian of its diagonal in diag z."""
 
-    affine = staticmethod(_proj_zero_diag)
+    lower = -np.inf  # the multipliers' bound
 
     @property
     def kind(self) -> str:
@@ -156,6 +136,16 @@ class ConstraintSet:
     def describe(self) -> str:
         params = " ".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
         return f"{self.kind}({params})"
+
+    def natural(self, a: np.ndarray) -> np.ndarray:
+        return self._clip(_symmetrize(a))[0]
+
+    def _dual(self, a0: np.ndarray, y: np.ndarray):
+        """theta, its gradient, a function giving its Hessian, natural(Z), |diag natural(Z)|."""
+        z = a0 + np.diag(y)
+        x, jacobian = self._clip(z)
+        grad = np.diag(x).copy()
+        return 0.5 * (y @ y - np.sum((z - x) ** 2)), grad, jacobian, x, float(np.linalg.norm(grad))
 
 
 @dataclass(frozen=True)
@@ -171,9 +161,8 @@ class OpNormBall(ConstraintSet):
     def member(self, a: np.ndarray, tol: float) -> bool:
         return float(np.abs(np.linalg.eigvalsh(a)).max()) <= self.lam + tol
 
-    def natural(self, a: np.ndarray) -> np.ndarray:
-        w, V = np.linalg.eigh(_symmetrize(a))
-        return (V * np.clip(w, -self.lam, self.lam)) @ V.T
+    def _clip(self, z):
+        return _eigen_clip(*np.linalg.eigh(z), -self.lam, self.lam)
 
 
 @dataclass(frozen=True)
@@ -190,13 +179,16 @@ class SpectralSpread(ConstraintSet):
         eigs = np.linalg.eigvalsh(a)
         return float(eigs[-1] - eigs[0]) <= self.s + tol
 
-    def natural(self, a: np.ndarray) -> np.ndarray:
-        sym = _symmetrize(a)
-        w, V = np.linalg.eigh(sym)
+    def _clip(self, z):
+        w, V = np.linalg.eigh(z)
         if w[-1] - w[0] <= self.s:
-            return sym
+            return z, lambda: np.eye(w.size)
         t = _spread_interval_start(w, self.s)
-        return (V * np.clip(w, t, t + self.s)) @ V.T
+        x, jacobian = _eigen_clip(w, V, t, t + self.s)
+        # the window start t moves with the mean of the clipped eigenvalues
+        clipped = (w < t) | (w > t + self.s)
+        u = (V[:, clipped] ** 2).sum(axis=1)
+        return x, lambda: jacobian() + np.outer(u, u) / clipped.sum()
 
 
 @dataclass(frozen=True)
@@ -204,6 +196,8 @@ class WidthBall(ConstraintSet):
     """Every row l1 norm <= m."""
 
     m: float
+
+    lower = 0.0
 
     def __post_init__(self):
         if not is_real(self.m) or not self.m > 0:
@@ -215,6 +209,17 @@ class WidthBall(ConstraintSet):
     def natural(self, a: np.ndarray) -> np.ndarray:
         return _l1_rows(a, self.m)
 
+    def _dual(self, a0: np.ndarray, lam: np.ndarray):
+        """As for the spectral families, theta being minus the Lagrange dual in the row
+        multipliers, the residual max |min(lam, slack)|."""
+        t = 0.5 * (lam[:, None] + lam)
+        active = np.abs(a0) > t
+        x = np.where(active, a0 - np.sign(a0) * t, 0.0)
+        grad = self.m - np.abs(x).sum(axis=1)
+        theta = self.m * lam.sum() - 0.5 * np.sum((x - a0) ** 2 + 2.0 * t * np.abs(x))
+        hessian = lambda: 0.5 * (np.diag(active.sum(axis=1)) + active)  # noqa: E731
+        return theta, grad, hessian, x, float(np.abs(np.minimum(lam, grad)).max())
+
 
 @dataclass(frozen=True)
 class AntiferroSpike(ConstraintSet):
@@ -225,8 +230,6 @@ class AntiferroSpike(ConstraintSet):
 
     alpha: float
     c: float
-
-    affine = staticmethod(_proj_zero_diag_equal_rowsums)
 
     def __post_init__(self):
         if not is_real(self.alpha) or not 0 < self.alpha < 1:
@@ -241,16 +244,15 @@ class AntiferroSpike(ConstraintSet):
         # the artificial zero eigenvalue along 1 sits inside [-alpha/2, alpha/2]
         return float(np.abs(np.linalg.eigvalsh(bulk)).max()) <= self.alpha / 2 + tol
 
-    def natural(self, a: np.ndarray) -> np.ndarray:
+    def _clip(self, z):
         # Clip the spike and eigen-clip the bulk; the cross terms, orthogonal to
-        # both and zero on the set, are dropped.
-        spike, _, bulk = _spike_bulk(_symmetrize(a))
+        # both and zero on the set, are dropped. The eigenvectors are taken off
+        # the ones direction, where the bulk's artificial zero eigenvalue lies.
+        spike, _, bulk = _spike_bulk(z)
         w, V = np.linalg.eigh(bulk)
-        e = np.full(a.shape[0], 1.0 / np.sqrt(a.shape[0]))
-        return (
-            (V * np.clip(w, -self.alpha / 2, self.alpha / 2)) @ V.T
-            + np.clip(spike, -self.c, 0.0) * np.outer(e, e)
-        )
+        x, jacobian = _eigen_clip(w, V - V.mean(axis=0), -self.alpha / 2, self.alpha / 2)
+        x += min(max(spike, -self.c), 0.0) / w.size
+        return x, lambda: jacobian() + (-self.c < spike < 0) / w.size**2
 
 
 FAMILIES = {cls.__name__: cls for cls in (OpNormBall, SpectralSpread, WidthBall, AntiferroSpike)}
@@ -261,28 +263,45 @@ def membership(cs: ConstraintSet, J: CouplingMatrix, tol: float = 1e-8) -> bool:
     return cs.member(J.entries, tol)
 
 
-def project_array(cs: ConstraintSet, a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """Dykstra iteration on a raw array; returns the last affine step."""
-    x = np.asarray(a, dtype=np.float64)
-    y = cs.affine(x)
-    w = y.copy()  # the natural factor's input; w - cs.affine(a) is the multiplier
+def dual_solve(cs: ConstraintSet, a: np.ndarray, tol: float = 1e-8):
+    """Nearest symmetric zero-diagonal point of cs to a raw array, its multipliers
+    and its KKT residual, found by Newton on the dual from y = 0.
+
+    eps = min(1e-4, residual) regularizes the Hessian; a multiplier within eps of
+    its bound whose gradient pushes it out takes a gradient step (Bertsekas'
+    projected Newton). Armijo backtracking on theta, and a step that changes
+    theta only by rounding is taken when it lowers the residual.
+    """
+    a0 = _proj_zero_diag(np.asarray(a, dtype=np.float64))
+    y = np.zeros(a0.shape[0])
+    theta, grad, hessian, x, residual = cs._dual(a0, y)
     for _ in range(DEFAULT_MAX_ITER):
-        x_new = cs.natural(w)
-        done = np.linalg.norm(y - x_new) <= tol and np.linalg.norm(x_new - x) <= tol
-        x, y = x_new, cs.affine(x_new)
-        if done:
-            return y
-        w += y - x
-    residual = float(np.linalg.norm(y - x))
-    warnings.warn(
-        ProjectionConvergenceWarning(
-            f"projection onto {cs.describe()} stopped after {DEFAULT_MAX_ITER} iterations "
-            f"(residual {residual:.3g})",
-            iterate=y,
-            residual=residual,
-        )
-    )
-    return y
+        if residual <= tol:
+            break
+        eps = min(1e-4, residual)
+        free = (y > cs.lower + eps) | (grad <= 0)
+        d = -grad
+        d[free] = np.linalg.solve(hessian()[np.ix_(free, free)] + eps * np.eye(free.sum()), d[free])
+        for step in 0.5 ** np.arange(60):
+            y_new = np.maximum(y + step * d, cs.lower)
+            trial = cs._dual(a0, y_new)
+            flat = abs(trial[0] - theta) <= 1e-13 * max(1.0, abs(theta)) and trial[4] < residual
+            if flat or trial[0] <= theta - 1e-4 * float(grad @ (y - y_new)):
+                break
+        else:
+            break  # no decrease left but rounding
+        y, (theta, grad, hessian, x, residual) = y_new, trial
+    x = _proj_zero_diag(x)
+    if residual > tol:
+        message = (f"projection onto {cs.describe()} stopped at KKT residual {residual:.3g} "
+                   f"(budget {DEFAULT_MAX_ITER} Newton steps)")
+        warnings.warn(ProjectionConvergenceWarning(message, iterate=x, residual=residual))
+    return x, y, residual
+
+
+def project_array(cs: ConstraintSet, a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """The point of ``dual_solve``: the projection the fit takes."""
+    return dual_solve(cs, a, tol)[0]
 
 
 def project(cs: ConstraintSet, J: CouplingMatrix, tol: float = 1e-8) -> CouplingMatrix:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -564,3 +568,15 @@ class TestBadInput:
         capsys.readouterr()
         assert cli.main([a.format(**paths) for a in argv]) == 2
         assert message in capsys.readouterr().err
+
+
+def test_run_as_module_without_warning():
+    # the package does not import cli, so runpy finds no copy of it in sys.modules
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "isingfit.cli", "sample", "--help"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,6 +1,4 @@
 import warnings
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -204,27 +202,65 @@ class TestSpectralSpreadConvexity:
             assert membership(cs, mid, tol=1e-7)
 
 
-def three_array_dykstra(cs, a, tol):
-    """Dykstra's scheme with both corrections p and q, ending in ``cs.affine(x)``.
+def zero_diag(a):
+    out = 0.5 * (a + a.T)
+    np.fill_diagonal(out, 0.0)
+    return out
 
-    Returns the output, the number of natural steps and how near a stop test
-    came to being decided by rounding: the least |max(gap, step) - tol|.
+
+def zero_diag_equal_rowsums(a):
+    """Orthogonal projection onto {S symmetric, diag S = 0, S 1 = sigma 1}.
+
+    Writing the correction as diag(mu) + sym(nu 1^T) with mean-zero nu, the
+    stationarity conditions solve in closed form:
+
+        nu = (Q diag(a) - Q a 1) / (1 - n/2),   Q = I - 1 1^T / n
+        mu = diag(a) - nu
+
+    For n <= 2 the row-sum constraint is implied by the zero diagonal.
     """
+    n = a.shape[0]
+    if n <= 2:
+        return zero_diag(a)
+    s = 0.5 * (a + a.T)
+    diag = np.diag(s).copy()
+    row_sums = s.sum(axis=1)
+    nu = (diag - diag.mean()) - (row_sums - row_sums.mean())
+    nu /= 1.0 - 0.5 * n
+    # mu only moves the diagonal, which is zeroed anyway
+    out = s - 0.5 * (nu[:, None] + nu)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def three_array_dykstra(cs, a, tol, max_iter=100_000):
+    """Dykstra's scheme with both corrections p and q, alternating ``cs.natural``
+    with the affine factor (the equal row sums folded in for AntiferroSpike,
+    which keeps the angle between the factors wide), ending in an affine step."""
+    affine = zero_diag_equal_rowsums if isinstance(cs, AntiferroSpike) else zero_diag
     x = np.array(a, dtype=np.float64)
     p = np.zeros_like(x)
     q = np.zeros_like(x)
-    margin = np.inf
-    for steps in range(1, projections.DEFAULT_MAX_ITER + 1):
-        y = cs.affine(x + p)
+    for _ in range(max_iter):
+        y = affine(x + p)
         p = x + p - y
         x_new = cs.natural(y + q)
         q = y + q - x_new
         worst = max(np.linalg.norm(y - x_new), np.linalg.norm(x_new - x))
-        margin = min(margin, abs(worst - tol))
         x = x_new
         if worst <= tol:
             break
-    return cs.affine(x), steps, margin
+    return affine(x)
+
+
+def kkt_residual(cs, a, y):
+    """The KKT residual of multipliers y, from ``natural`` and the soft threshold."""
+    a0 = zero_diag(a)
+    if isinstance(cs, WidthBall):
+        x = np.sign(a0) * np.maximum(np.abs(a0) - 0.5 * (y[:, None] + y), 0.0)
+        return float(np.abs(np.minimum(y, cs.m - np.abs(x).sum(axis=1))).max()), x
+    x = cs.natural(a0 + np.diag(y))
+    return float(np.linalg.norm(np.diag(x))), zero_diag(x)
 
 
 class TestMultiplierLoop:
@@ -234,22 +270,35 @@ class TestMultiplierLoop:
         n=st.integers(2, 8),
         seed=st.integers(0, 2**32 - 1),
         scale=st.floats(0.1, 3.0),
-        tol=st.sampled_from([1e-8, 1e-12]),
     )
-    def test_matches_three_array_dykstra(self, cs, n, seed, scale, tol):
-        # The loops agree in exact arithmetic. In floating point the three-array
-        # loop's affine input carries p, rounding noise orthogonal to the affine
-        # subspace, so a stop test that lands within rounding of tol can go
-        # either way: the loops were seen to split at margins up to 9e-16, and
-        # inputs with a margin under ten times that are set aside.
+    def test_matches_three_array_dykstra(self, cs, n, seed, scale):
         a = random_coupling(n, np.random.default_rng(seed), scale).entries
-        want, steps, margin = three_array_dykstra(cs, a, tol)
-        assume(margin > 1e-14)
-        natural = type(cs).natural
-        with mock.patch.object(type(cs), "natural", autospec=True, side_effect=natural) as spy:
-            got = projections.project_array(cs, a, tol=tol)
-        assert spy.call_count == steps
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        want = three_array_dykstra(cs, a, tol=1e-13)
+        got = projections.project_array(cs, a, tol=1e-13)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cs=st.sampled_from(ALL_SETS),
+        n=st.integers(2, 30),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-2.0, 2.0),
+    )
+    def test_far_inputs_certified(self, cs, n, seed, log_scale):
+        # inputs up to 1e2 times the sets' radii, where Dykstra needed up to 1e5 iterations
+        a = random_coupling(n, np.random.default_rng(seed), 10.0**log_scale).entries
+        size = max(1.0, float(np.linalg.norm(a)))
+        tol = 1e-13 * size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ProjectionConvergenceWarning)
+            x, y, residual = projections.dual_solve(cs, a, tol)
+            again = projections.project_array(cs, x, tol)
+        assert cs.member(x, 1e-10 * size)
+        assert residual <= tol
+        recomputed, point = kkt_residual(cs, a, y)
+        assert recomputed <= tol
+        np.testing.assert_allclose(x, point, rtol=0, atol=1e-12 * size)
+        np.testing.assert_allclose(again, x, rtol=0, atol=1e-10 * size)
 
 
 class TestAgainstScipyOracle:
@@ -261,8 +310,10 @@ class TestAgainstScipyOracle:
     with split variables t: min |x - a|^2 subject to -t <= x <= t and row sums
     of t <= m, which SLSQP solves (it may stop reporting a positive directional
     derivative once at the optimum, so only its answer is checked).
-    AntiferroSpike has no case here: Levenberg-Marquardt over its 2n - 1
-    multipliers did not converge.
+    AntiferroSpike's is natural(A + Diag y) at the minimizer y of the convex
+    dual theta(y) = |y|^2/2 - |Z - natural(Z)|^2/2, Z = A + Diag y, whose
+    gradient is diag natural(Z); BFGS finds it (every point of the natural set
+    has equal row sums, so n multipliers suffice).
     """
 
     @pytest.mark.parametrize("cs", [OpNormBall(0.8), SpectralSpread(0.7)], ids=lambda c: c.kind)
@@ -278,6 +329,26 @@ class TestAgainstScipyOracle:
             want = cs.natural(a + np.diag(z))
             np.testing.assert_allclose(
                 projections.project_array(cs, a, tol=1e-12), want, rtol=0, atol=1e-10
+            )
+
+    def test_antiferro_dual_bfgs(self, rng):
+        optimize = pytest.importorskip("scipy.optimize")
+        cs = AntiferroSpike(0.4, 1.0)
+        for _ in range(10):
+            n = int(rng.integers(3, 7))
+            a = random_coupling(n, rng).entries
+
+            def theta(y):
+                z = a + np.diag(y)
+                x = cs.natural(z)
+                return 0.5 * (y @ y - np.sum((z - x) ** 2)), np.diag(x).copy()
+
+            y = optimize.minimize(
+                theta, np.zeros(n), jac=True, method="BFGS", options={"gtol": 1e-13}
+            ).x
+            want = zero_diag(cs.natural(a + np.diag(y)))
+            np.testing.assert_allclose(
+                projections.project_array(cs, a, tol=1e-12), want, rtol=0, atol=1e-7
             )
 
     def test_width_ball_qp(self, rng):
