@@ -210,8 +210,8 @@ class WidthBall(ConstraintSet):
         return _l1_rows(a, self.m)
 
     def _dual(self, a0: np.ndarray, lam: np.ndarray):
-        """As for the spectral families, theta being minus the Lagrange dual in the row
-        multipliers, the residual max |min(lam, slack)|."""
+        """As for the spectral families, with theta minus the Lagrange dual in the row
+        multipliers and the residual max |min(lam, slack)|."""
         t = 0.5 * (lam[:, None] + lam)
         active = np.abs(a0) > t
         x = np.where(active, a0 - np.sign(a0) * t, 0.0)
@@ -269,8 +269,8 @@ def dual_solve(cs: ConstraintSet, a: np.ndarray, tol: float = 1e-8):
 
     eps = min(1e-4, residual) regularizes the Hessian; a multiplier within eps of
     its bound whose gradient pushes it out takes a gradient step (Bertsekas'
-    projected Newton). Armijo backtracking on theta, and a step that changes
-    theta only by rounding is taken when it lowers the residual.
+    projected Newton). Steps backtrack by Armijo on theta; a step that changes
+    theta only by rounding is also taken when it lowers the residual.
     """
     a0 = _proj_zero_diag(np.asarray(a, dtype=np.float64))
     y = np.zeros(a0.shape[0])
