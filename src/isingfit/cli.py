@@ -62,10 +62,6 @@ class ConfigError(ParameterError):
     pass
 
 
-def _fmt_metric(v: float) -> str:
-    return format(float(v), ".12g")
-
-
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -145,6 +141,33 @@ def _write_report(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def _cell(v) -> str:
+    """One CSV cell: text as is, None empty, bools lower case, integers in full, reals at .12g."""
+    if v is None:
+        return ""
+    if isinstance(v, (bool, np.bool_)):
+        return str(bool(v)).lower()
+    if isinstance(v, (str, int, np.integer)):
+        return str(v)
+    return format(float(v), ".12g")
+
+
+def _csv_text(rows: list[dict], header: bool = True) -> str:
+    """``rows`` as CSV lines, led by the first row's keys when ``header``."""
+    lines = [",".join(rows[0])] if header else []
+    lines += [",".join(map(_cell, row.values())) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def _write_csv(path: str | None, rows: list[dict]) -> None:
+    """Write ``rows`` as CSV to ``path``, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(_csv_text(rows))
+        return
+    with open(path, "w") as fh:
+        fh.write(_csv_text(rows))
 
 
 def _cmd_sample(args) -> int:
@@ -243,11 +266,17 @@ def _pair_metrics(truth: IsingModel, est: IsingModel, metrics: list[str],
     return out
 
 
+def _model_b(args, n: int) -> IsingModel:
+    """The ``--model-b`` file, which must have the first model's dimension ``n``."""
+    other = load_model(args.model_b)
+    if other.n != n:
+        raise ConfigError(f"model-b: dimension {other.n} does not match the first model's {n}")
+    return other
+
+
 def _cmd_evaluate(args) -> int:
     truth = load_model(args.model_a)
-    est = load_model(args.model_b)
-    if truth.n != est.n:
-        raise ConfigError(f"model-b: dimension {est.n} does not match model-a {truth.n}")
+    est = _model_b(args, truth.n)
     metrics = list(dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip()))
     if not metrics:
         raise ConfigError("metrics: no metric given")
@@ -255,13 +284,7 @@ def _cmd_evaluate(args) -> int:
         if m not in SWEEP_METRICS:
             raise ConfigError(f"metrics: unknown metric {m!r}")
     values = _pair_metrics(truth, est, metrics)
-    lines = ["metric,value"] + [f"{m},{_fmt_metric(values[m])}" for m in metrics]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_csv(args.out, [{"metric": m, "value": values[m]} for m in metrics])
     return 0
 
 
@@ -283,21 +306,12 @@ def _run_sweep_cell(spec, constraint, fit_cfg, glauber, metrics, key) -> dict:
     est = IsingModel.zero_field(report.estimate)
     values = _pair_metrics(model, est, metrics, p_true)
 
-    row = {
-        "ensemble": spec.kind,
-        "n": str(spec.n),
-        "beta": format(spec.beta, ".6g"),
-        "d": str(spec.d) if spec.d is not None else "",
-        "l": str(l),
-        "seed": str(seed),
-        "constraint": constraint.describe(),
-        "iters": str(report.iterations),
-        "wall_time": format(report.wall_time, ".6f"),
-    }
-    for metric in SWEEP_METRICS:
-        column = "frob_err" if metric == "frobenius" else metric
-        row[column] = _fmt_metric(values[metric]) if metric in values else ""
-    return row
+    # Keys in SWEEP_COLUMNS order; beta and wall_time keep their own precision.
+    return {"ensemble": spec.kind, "n": spec.n, "beta": format(spec.beta, ".6g"), "d": spec.d,
+            "l": l, "seed": seed, "constraint": constraint.describe(),
+            "frob_err": values.get("frobenius"), "tv_exact": values.get("tv_exact"),
+            "kl_exact": values.get("kl_exact"), "iters": report.iterations,
+            "wall_time": format(report.wall_time, ".6f"), "op_norm_err": values.get("op_norm_err")}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -354,11 +368,8 @@ def _cmd_sweep(args) -> int:
             rows = list(pool.map(cell, keys))
     else:
         rows = [cell(key) for key in keys]
-    with open(args.out, "a") as fh:
-        if fh.tell() == 0:  # append mode opens at the end: empty or new file
-            fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(row[c] for c in SWEEP_COLUMNS) + "\n")
+    with open(args.out, "a") as fh:  # append mode opens at the end: a header only if empty
+        fh.write(_csv_text(rows, header=fh.tell() == 0))
     return 0
 
 
@@ -366,76 +377,56 @@ def _cmd_sweep(args) -> int:
 # Diagnose.
 # ---------------------------------------------------------------------------
 
-def _write_row(out_path, header: list[str], row: list[str]) -> None:
-    text = ",".join(header) + "\n" + ",".join(row) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _subset_row(args, model) -> dict:
+    dec = diagnostics.subset_decomposition(model.coupling, args.m, args.eta, seed=args.seed)
+    problems = diagnostics.check_subset_decomposition(model.coupling, dec)
+    return {"r": dec.r, "membership_count": dec.membership_count, "eta": dec.eta,
+            "certified": not problems}
+
+
+def _regularity_row(args, model) -> dict:
+    rep = diagnostics.regularity_probe(model, args.gamma, num_perturbations=args.num,
+                                       seed=args.seed)
+    return {"gamma": rep.gamma_probe, "directions": len(rep.ratios), "excluded": rep.excluded,
+            "max_ratio": rep.max_ratio}
+
+
+def _metric_row(args, model) -> dict:
+    cmp = diagnostics.metric_comparison(model, _model_b(args, model.n).coupling)
+    return {"e_jstar": cmp.e_jstar, "frob_sq": cmp.frob_sq, "ratio": cmp.ratio,
+            "degenerate": cmp.degenerate}
+
+
+def _tvfrob_row(args, model) -> dict:
+    rep = diagnostics.tv_frobenius_check(model, _model_b(args, model.n))
+    return {"tv": rep.tv, "frob": rep.frob, "bound_ok": rep.bound_ok, "kl": rep.kl,
+            "pinsker_ok": rep.pinsker_ok}
+
+
+def _gradconc_row(args, model) -> dict:
+    raw = np.triu(stream(args.seed, 0xD1).normal(size=(model.n, model.n)), k=1)
+    rep = diagnostics.gradient_concentration_probe(model, CouplingMatrix(raw + raw.T), l=args.l,
+                                                   batches=args.batches, seed=args.seed)
+    exceed = rep.exceed_fraction
+    return {"l": args.l, "batches": args.batches, "mean": rep.mean, "std": rep.std,
+            "exceed1": exceed[1.0], "exceed2": exceed[2.0], "exceed4": exceed[4.0]}
+
+
+PROBES = {  # name: (function giving the row's columns after probe,n; flags the probe needs)
+    "subset": (_subset_row, ("--m", "--eta")),
+    "regularity": (_regularity_row, ("--gamma",)),
+    "metric": (_metric_row, ("--model-b",)),
+    "tvfrob": (_tvfrob_row, ("--model-b",)),
+    "gradconc": (_gradconc_row, ("--l",)),
+}
 
 
 def _cmd_diagnose(args) -> int:
     model = load_model(args.model)
-    if args.probe in ("metric", "tvfrob") and args.model_b is None:
-        raise ConfigError(f"diagnose: {args.probe} probe needs --model-b")
-    if args.probe == "subset":
-        if args.m is None or args.eta is None:
-            raise ConfigError("diagnose: subset probe needs --m and --eta")
-        dec = diagnostics.subset_decomposition(model.coupling, args.m, args.eta, seed=args.seed)
-        problems = diagnostics.check_subset_decomposition(model.coupling, dec)
-        _write_row(
-            args.out,
-            ["probe", "n", "r", "membership_count", "eta", "certified"],
-            ["subset", str(model.n), str(dec.r), str(dec.membership_count),
-             _fmt_metric(dec.eta), str(not problems).lower()],
-        )
-    elif args.probe == "regularity":
-        if args.gamma is None:
-            raise ConfigError("diagnose: regularity probe needs --gamma")
-        rep = diagnostics.regularity_probe(
-            model, args.gamma, num_perturbations=args.num, seed=args.seed
-        )
-        _write_row(
-            args.out,
-            ["probe", "n", "gamma", "directions", "excluded", "max_ratio"],
-            ["regularity", str(model.n), _fmt_metric(rep.gamma_probe),
-             str(len(rep.ratios)), str(rep.excluded), _fmt_metric(rep.max_ratio)],
-        )
-    elif args.probe == "metric":
-        other = load_model(args.model_b)
-        cmp = diagnostics.metric_comparison(model, other.coupling)
-        _write_row(
-            args.out,
-            ["probe", "n", "e_jstar", "frob_sq", "ratio", "degenerate"],
-            ["metric", str(model.n), _fmt_metric(cmp.e_jstar), _fmt_metric(cmp.frob_sq),
-             "nan" if cmp.degenerate else _fmt_metric(cmp.ratio), str(cmp.degenerate).lower()],
-        )
-    elif args.probe == "tvfrob":
-        other = load_model(args.model_b)
-        rep = diagnostics.tv_frobenius_check(model, other)
-        _write_row(
-            args.out,
-            ["probe", "n", "tv", "frob", "bound_ok", "kl", "pinsker_ok"],
-            ["tvfrob", str(model.n), _fmt_metric(rep.tv), _fmt_metric(rep.frob),
-             str(rep.bound_ok).lower(), _fmt_metric(rep.kl), str(rep.pinsker_ok).lower()],
-        )
-    else:  # gradconc
-        if args.l is None:
-            raise ConfigError("diagnose: gradconc probe needs --l")
-        raw = np.triu(stream(args.seed, 0xD1).normal(size=(model.n, model.n)), k=1)
-        direction = CouplingMatrix(raw + raw.T)
-        rep = diagnostics.gradient_concentration_probe(
-            model, direction, l=args.l, batches=args.batches, seed=args.seed
-        )
-        _write_row(
-            args.out,
-            ["probe", "n", "l", "batches", "mean", "std", "exceed1", "exceed2", "exceed4"],
-            ["gradconc", str(model.n), str(args.l), str(args.batches),
-             _fmt_metric(rep.mean), _fmt_metric(rep.std),
-             _fmt_metric(rep.exceed_fraction[1.0]), _fmt_metric(rep.exceed_fraction[2.0]),
-             _fmt_metric(rep.exceed_fraction[4.0])],
-        )
+    row, flags = PROBES[args.probe]
+    if any(getattr(args, flag[2:].replace("-", "_")) is None for flag in flags):
+        raise ConfigError(f"diagnose: {args.probe} probe needs {' and '.join(flags)}")
+    _write_csv(args.out, [{"probe": args.probe, "n": model.n, **row(args, model)}])
     return 0
 
 
@@ -488,8 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("diagnose", help="run a named structural probe")
-    p.add_argument("--probe", required=True,
-                   choices=("subset", "regularity", "metric", "tvfrob", "gradconc"))
+    p.add_argument("--probe", required=True, choices=tuple(PROBES))
     p.add_argument("--model", required=True)
     p.add_argument("--model-b", default=None)
     p.add_argument("--m", type=float, default=None)

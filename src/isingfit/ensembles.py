@@ -48,9 +48,13 @@ class EnsembleSpec:
                 raise ParameterError(f"degree d={self.d} must be < n={self.n}")
             if (self.n * self.d) % 2 != 0:
                 raise ParameterError(f"n*d must be even for a {self.d}-regular graph")
+        elif self.d is not None:
+            raise ParameterError(f"d: {self.kind} takes no degree")
         if self.kind == "BoundedWidthRandom":
             if not (is_real(self.width) and 0 < self.width < np.inf):
                 raise ParameterError("BoundedWidthRandom needs a finite width > 0")
+        elif self.width is not None:
+            raise ParameterError(f"width: {self.kind} takes no width")
 
 
 def _pairing_attempt(n: int, d: int, rng: np.random.Generator):

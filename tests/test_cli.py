@@ -12,6 +12,8 @@ from isingfit.core import load_model, load_samples, save_model
 
 from conftest import dobrushin_model
 
+MODEL_N2 = str(Path(__file__).parent / "data" / "model_n2.json")
+
 
 def write_config(path, doc):
     path.write_text(json.dumps(doc, indent=1))
@@ -364,6 +366,28 @@ class TestDiagnose:
         header = out.read_text().splitlines()[0]
         assert "exceed4" in header
 
+    @pytest.mark.parametrize("probe, flags, header, cells", [
+        ("subset", ["--m", "2.0", "--eta", "0.5"],
+         "probe,n,r,membership_count,eta,certified", "subset,6,1,1,0.5,true"),
+        ("regularity", ["--gamma", "0.05", "--num", "5"],
+         "probe,n,gamma,directions,excluded,max_ratio", "regularity,6,0.05,5,0,"),
+        ("metric", ["--model-b", "{model}"],
+         "probe,n,e_jstar,frob_sq,ratio,degenerate", "metric,6,0,0,nan,true"),
+        ("tvfrob", ["--model-b", "{model}"],
+         "probe,n,tv,frob,bound_ok,kl,pinsker_ok", "tvfrob,6,0,0,true,0,true"),
+        ("gradconc", ["--l", "100", "--batches", "20"],
+         "probe,n,l,batches,mean,std,exceed1,exceed2,exceed4", "gradconc,6,100,20,"),
+    ])
+    def test_probe_header_and_cells(self, model_path, capsys, probe, flags, header, cells):
+        # metric and tvfrob compare the model with itself (a degenerate metric row);
+        # reals whose digits depend on the draws are left out of ``cells``
+        argv = ["diagnose", "--probe", probe, "--model", model_path]
+        assert cli.main(argv + [f.format(model=model_path) for f in flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == header
+        assert lines[1].startswith(cells)
+        assert len(lines) == 2 and len(lines[1].split(",")) == len(header.split(","))
+
     def test_missing_probe_arg_exit_2(self, model_path, capsys):
         assert cli.main(["diagnose", "--probe", "subset", "--model", model_path]) == 2
         assert "--m" in capsys.readouterr().err
@@ -495,6 +519,10 @@ class TestBadInput:
         ({"betta": 0.3}, "ensemble.betta: unknown field"),
         ({"beta": True}, "beta must be finite"),
         ({"kind": "BoundedWidthRandom", "width": True}, "width"),
+        ({"d": 3, "width": 9.0}, "ensemble: d: SK takes no degree"),
+        ({"width": 9.0}, "ensemble: width: SK takes no width"),
+        ({"kind": "BoundedWidthRandom", "width": 1.0, "d": 2}, "d: BoundedWidthRandom takes no"),
+        ({"kind": "DilutedSK", "d": 3, "width": 1.0}, "width: DilutedSK takes no width"),
     ])
     def test_bad_ensemble_block_exit_2(self, tmp_path, capsys, fields, message):
         doc = base_config()
@@ -553,6 +581,12 @@ class TestBadInput:
           "--out", "{est}"], "--chains: applies to --method glauber only"),
         (["sample", "--model", "{model}", "--l", "10", "--method", "exact", "--alpha-hint",
           "0.3", "--out", "{est}"], "--alpha-hint: applies to --method glauber only"),
+        (["diagnose", "--probe", "metric", "--model", "{model}", "--model-b", MODEL_N2],
+         "model-b: dimension 2 does not match"),
+        (["diagnose", "--probe", "tvfrob", "--model", "{model}", "--model-b", MODEL_N2],
+         "model-b: dimension 2 does not match"),
+        (["evaluate", "--model-a", "{model}", "--model-b", MODEL_N2],
+         "model-b: dimension 2 does not match"),
     ])
     def test_bad_command_line_exit_2(self, tmp_path, capsys, argv, message):
         names = ("model", "samples", "nan_h", "inf_h", "bool_h", "dict_h", "est")
@@ -568,6 +602,15 @@ class TestBadInput:
         capsys.readouterr()
         assert cli.main([a.format(**paths) for a in argv]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, text", [
+    (None, ""), ("", ""), ("OpNormBall(lam=2)", "OpNormBall(lam=2)"), (True, "true"),
+    (np.True_, "true"), (False, "false"), (3, "3"), (np.int64(3), "3"), (0.1, "0.1"),
+    (1 / 3, "0.333333333333"), (np.float64(2.0), "2"), (float("nan"), "nan"),
+])
+def test_cell_format(value, text):
+    assert cli._cell(value) == text
 
 
 def test_run_as_module_without_warning():

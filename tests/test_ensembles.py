@@ -123,3 +123,11 @@ class TestGenericInvariants:
             EnsembleSpec(kind="BoundedWidthRandom", n=5, width=0.0)
         with pytest.raises(ParameterError):
             EnsembleSpec(kind="Mystery", n=5)
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("SK", "d", 3), ("CurieWeiss", "d", 2), ("BoundedWidthRandom", "d", 3),
+        ("SK", "width", 9.0), ("DilutedSK", "width", 1.0), ("AntiferroExpander", "width", 1.0),
+    ])
+    def test_foreign_parameter_rejected(self, kind, field, value):
+        with pytest.raises(ParameterError, match=f"^{field}: {kind} takes no"):
+            spec_for(kind, 12, **{field: value})
