@@ -18,6 +18,7 @@ import concurrent.futures
 import dataclasses
 import functools
 import json
+import os
 import sys
 import time
 
@@ -358,6 +359,10 @@ def _cmd_sweep(args) -> int:
     )
     if method not in ("exact", "glauber"):
         raise ConfigError(f"sampler.method: unknown method {method!r}")
+    if os.path.isfile(args.out) and os.path.getsize(args.out):
+        with open(args.out) as fh:
+            if fh.readline().rstrip("\r\n") != ",".join(SWEEP_COLUMNS):
+                raise ConfigError(f"out: {args.out} does not start with the sweep header")
 
     cell = functools.partial(_run_sweep_cell, spec, constraint, fit_cfg,
                              glauber if method == "glauber" else None, grid.metrics)

@@ -21,7 +21,7 @@ from .core import (
     ValidationError,
     stream,
 )
-from .mple import _logcosh
+from . import mple
 
 DEFAULT_ENUM_CAP = 20
 DEFAULT_CHAIN_CAP = 8  # dense 2^n x 2^n eigenproblem
@@ -224,7 +224,7 @@ def _shifted_matrix(m: IsingModel, shift: float) -> np.ndarray:
 
 def _product_table(S: np.ndarray, fields: np.ndarray) -> np.ndarray:
     """Tables of product measures; fields has one row per measure."""
-    logp = fields @ S.T - (_logcosh(fields) + np.log(2.0)).sum(axis=1, keepdims=True)
+    logp = fields @ S.T - (mple._logcosh(fields) + np.log(2.0)).sum(axis=1, keepdims=True)
     return np.exp(logp)
 
 

@@ -96,7 +96,6 @@ def fit_mple(
 
     f_unnorm, g_raw = mple.objective_and_gradient(J, ctx)
     report.objective_trace.append(f_unnorm)
-    best_val, best_J = f_unnorm, J
     start_step = 1.0
 
     for it in range(cfg.max_iters):
@@ -123,8 +122,6 @@ def fit_mple(
         J, f_unnorm, g_raw = cand, cand_val, cand_g
         report.objective_trace.append(f_unnorm)
         report.iterations = it + 1
-        if f_unnorm < best_val:
-            best_val, best_J = f_unnorm, J
         if report.grad_map_trace[-1] <= grad_map_tol:
             report.converged = True
             report.stop_reason = "grad_map"
@@ -132,6 +129,6 @@ def fit_mple(
         sy = float(np.sum(s * (g_raw / (2.0 * scale) - g)))
         start_step = min(max(float(np.sum(s * s)) / sy, _STEP_MIN), _STEP_MAX) if sy > 0 else 1.0
 
-    report.estimate = best_J
+    report.estimate = J
     report.wall_time = time.perf_counter() - t_start
     return report

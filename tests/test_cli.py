@@ -298,6 +298,24 @@ class TestSweep:
         assert len(lines) == 2
         assert distribution_calls == [6]
 
+    def test_appends_to_sweep_file_only(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", base_config(l_values=(100,), seeds=(0,)))
+        out = tmp_path / "results.csv"
+        for _ in range(2):
+            assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == ",".join(cli.SWEEP_COLUMNS) and len(lines) == 3
+
+        model = tmp_path / "m.json"
+        assert cli.main(["generate", "--config", cfg, "--out", str(model)]) == 0
+        ev = tmp_path / "ev.csv"
+        assert cli.main(["evaluate", "--model-a", str(model), "--model-b", str(model),
+                         "--out", str(ev)]) == 0
+        before = ev.read_bytes()
+        assert cli.main(["sweep", "--config", cfg, "--out", str(ev)]) == 2
+        assert "out:" in capsys.readouterr().err
+        assert ev.read_bytes() == before
+
     def test_median_error_decreases_with_l(self, tmp_path):
         doc = base_config(l_values=(100, 1600), seeds=(0, 1, 2))
         out = tmp_path / "results.csv"

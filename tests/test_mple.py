@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isingfit import mple, sampler
 from isingfit.core import CouplingMatrix, SampleBatch, ValidationError
@@ -195,3 +197,81 @@ class TestValueCache:
         assert value == mple.objective(J, ctx)
         np.testing.assert_array_equal(grad, mple.gradient(J, ctx).entries)
         assert len(builds) == 3 and len(calls) == 2
+
+
+def few_state_batch(n, k, l, seed):
+    """l rows drawn from k random rows of {-1,+1}^n, with a field, J and A."""
+    rng = np.random.default_rng(seed)
+    spins = rng.choice([-1, 1], size=(k, n))[rng.integers(0, k, size=l)]
+    return spins, 0.3 * rng.normal(size=n), random_coupling(n, rng, 0.5), random_coupling(n, rng)
+
+
+def per_row_terms(spins, h, J, A):
+    """Each row's contribution to the value, the gradient and both directional
+    derivatives, computed one row at a time."""
+    value, grad, first, second = [], [], [], []
+    for x in spins.astype(float):
+        m = J.entries @ x + h
+        t = np.tanh(m)
+        value.append(np.log(np.cosh(m)) - x * m + np.log(2.0))
+        g = np.outer(t - x, x)
+        g = g + g.T
+        np.fill_diagonal(g, 0.0)
+        grad.append(g)
+        b = A.entries @ x
+        first.append(0.5 * b * (t - x))
+        second.append(0.5 * b * b * (1.0 - t * t))
+    return [np.array(terms) for terms in (value, grad, first, second)]
+
+
+def assert_sums(got, terms, axis):
+    # relative to the sum of absolute terms, so cancelling entries are held to it too
+    got = np.asarray(got)
+    assert np.all(np.abs(got - terms.sum(axis=axis)) <= 1e-12 * np.abs(terms).sum(axis=axis))
+
+
+batch_shapes = dict(n=st.integers(2, 6), k=st.integers(1, 12), l=st.integers(1, 600),
+                    seed=st.integers(0, 2**32 - 1))
+
+
+class TestDistinctRowFold:
+    @settings(max_examples=100, deadline=None)
+    @example(n=6, k=12, l=64, seed=1)  # 2^n = l: the smallest folded batch
+    @example(n=6, k=12, l=63, seed=1)  # one row short: kept as given
+    @example(n=2, k=12, l=4, seed=2)
+    @given(**batch_shapes)
+    def test_matches_per_row_reference(self, n, k, l, seed):
+        spins, h, J, A = few_state_batch(n, k, l, seed)
+        ctx = mple.PseudolikelihoodContext(SampleBatch(spins), h)
+        assert ctx.x.shape[0] == (len(np.unique(spins, axis=0)) if 1 << n <= l else l)
+        value, grad, first, second = per_row_terms(spins, h, J, A)
+        v, g = mple.objective_and_gradient(J, ctx)
+        assert_sums(v, value, axis=None)
+        assert_sums(mple.objective(J, ctx), value, axis=None)
+        assert_sums(g, grad, axis=0)
+        assert_sums(mple.gradient(J, ctx).entries, grad, axis=0)
+        d1, d2 = mple.directional_derivatives(J, A, ctx)
+        assert_sums(d1, first, axis=None)
+        assert_sums(d2, second, axis=None)
+
+    @settings(max_examples=100, deadline=None)
+    @example(n=6, k=12, l=32, seed=3)  # 2^n = 2l: only the stacked batch is folded
+    @example(n=6, k=12, l=64, seed=3)
+    @given(**batch_shapes)
+    def test_stacking_a_batch_on_itself_doubles(self, n, k, l, seed):
+        spins, h, J, A = few_state_batch(n, k, l, seed)
+        one = mple.PseudolikelihoodContext(SampleBatch(spins), h)
+        two = mple.PseudolikelihoodContext(SampleBatch(np.vstack([spins, spins])), h)
+        assert two.l == 2 * one.l
+        v1, g1 = mple.objective_and_gradient(J, one)
+        v2, g2 = mple.objective_and_gradient(J, two)
+        d1 = np.array(mple.directional_derivatives(J, A, one))
+        d2 = np.array(mple.directional_derivatives(J, A, two))
+        if 1 << n <= l:  # both folded: the same rows with doubled counts
+            assert v2 == 2.0 * v1
+            np.testing.assert_array_equal(g2, 2.0 * g1)
+            np.testing.assert_array_equal(d2, 2.0 * d1)
+        else:  # a sum over rows as given doubles up to summation order
+            assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
+            np.testing.assert_allclose(g2, 2.0 * g1, rtol=1e-12, atol=1e-12 * np.abs(g1).max())
+            np.testing.assert_allclose(d2, 2.0 * d1, rtol=1e-12, atol=1e-12 * np.abs(d1).max())
