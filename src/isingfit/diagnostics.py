@@ -192,25 +192,21 @@ def regularity_probe(
     n = model.n
     rng = _probe_rng(seed, "regular")
     report = RegularityReport(gamma_probe=gamma)
-    base_probs = exact.distribution(model).probs
-    base_log_weights = exact.quadratic_table(model.coupling.entries, model.field)
-    zero = np.zeros(n)
+    base_second = exact.second_moments(exact.distribution(model))[1]
     for pid in range(num_perturbations):
         raw = np.triu(rng.normal(size=(n, n)), k=1)
         A = raw + raw.T
-        second = exact.quadratic_table(2.0 * (A @ A), zero)  # ||A x||^2 per state
-        e_star = float(base_probs @ second)
+        A_sq = A @ A  # E||A x||^2 = <A^2, E[x x^T]>
+        e_star = float(np.vdot(A_sq, base_second))
         if e_star <= 0:
             report.excluded += 1
             continue
         A *= np.sqrt(gamma / e_star)
-        # log weights of J* + A: the base ones plus x^T A x / 2
-        log_weights = exact.quadratic_table(A, zero)
-        log_weights += base_log_weights
+        log_weights = exact.quadratic_table(model.coupling.entries + A, model.field)
         exact.normalize(log_weights)
-        probs = exact.DistributionTable(n=n, probs=log_weights).probs
-        # the rescaled direction's ||A x||^2 is (gamma / e_star) * second
-        report.ratios.append((pid, float(probs @ second) / e_star))
+        second = exact.second_moments(exact.DistributionTable(n=n, probs=log_weights))[1]
+        # the rescaled direction's ||A x||^2 is (gamma / e_star) * x^T A_sq x
+        report.ratios.append((pid, float(np.vdot(A_sq, second)) / e_star))
     report.max_ratio = max((r for _, r in report.ratios), default=0.0)
     return report
 

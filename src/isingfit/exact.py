@@ -37,8 +37,11 @@ def _check_cap(n: int, what: str, cap: int = DEFAULT_ENUM_CAP) -> None:
 
 def states(idx, n: int) -> np.ndarray:
     """Float +-1 configurations of the given state indices, one row each."""
-    bits = (np.asarray(idx, dtype=np.int64)[:, None] >> np.arange(n, dtype=np.int64)) & 1
-    return 2.0 * bits - 1.0
+    octets = np.ascontiguousarray(idx, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    x = np.unpackbits(octets, axis=1, count=n, bitorder="little").astype(np.float64)
+    x *= 2.0  # in place, so no second (len(idx), n) float array
+    x -= 1.0
+    return x
 
 
 def all_states(n: int) -> np.ndarray:
@@ -79,10 +82,16 @@ def normalize(log_weights: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class DistributionTable:
-    """Probability table over all 2^n states, indexed as in :func:`all_states`."""
+    """Probability table over all 2^n states, indexed as in :func:`all_states`.
+
+    A table from :func:`distribution` also carries the model and its log Z,
+    which :func:`kl_divergence` needs; a hand-built table has neither.
+    """
 
     n: int
     probs: np.ndarray
+    log_z: float | None = None
+    model: IsingModel | None = None
 
     def __post_init__(self):
         if self.probs.shape != (1 << self.n,):
@@ -108,8 +117,8 @@ def partition_function(m: IsingModel) -> float:
 def distribution(m: IsingModel) -> DistributionTable:
     _check_cap(m.n, "distribution table")
     table = quadratic_table(m.coupling.entries, m.field)
-    normalize(table)
-    return DistributionTable(n=m.n, probs=table)
+    log_z = normalize(table)
+    return DistributionTable(n=m.n, probs=table, log_z=log_z, model=m)
 
 
 def tv_distance(p: DistributionTable, q: DistributionTable) -> float:
@@ -119,18 +128,37 @@ def tv_distance(p: DistributionTable, q: DistributionTable) -> float:
     return 0.5 * float(np.abs(diff, out=diff).sum())
 
 
+def second_moments(table: DistributionTable) -> tuple[np.ndarray, np.ndarray]:
+    """E[x] and E[x x^T] under ``table``, without a 2^n temporary.
+
+    With the (2^|b|, 2^|a|) half split of :func:`quadratic_table`, the diagonal
+    blocks and E[x] come from the marginals of the two halves and the cross
+    block is S_b^T (P S_a).
+    """
+    k = table.n // 2
+    Sa, Sb = all_states(k), all_states(table.n - k)
+    p2 = table.probs.reshape(Sb.shape[0], Sa.shape[0])
+    pa, pb = p2.sum(axis=0), p2.sum(axis=1)
+    second = np.empty((table.n, table.n))
+    # S^T diag(p) S of each half; einsum's row scaling needs no broadcast buffer
+    second[:k, :k] = Sa.T @ np.einsum("si,s->si", Sa, pa)
+    second[k:, k:] = Sb.T @ np.einsum("si,s->si", Sb, pb)
+    second[k:, :k] = Sb.T @ (p2 @ Sa)
+    second[:k, k:] = second[k:, :k].T
+    return np.concatenate([Sa.T @ pa, Sb.T @ pb]), second
+
+
 def kl_divergence(p: DistributionTable, q: DistributionTable) -> float:
-    """sum p log(p/q) with the 0 log 0 = 0 convention."""
+    """KL(p || q) = E_p[theta_p - theta_q] - log Z_p + log Z_q, with
+    theta(x) = x^T J x / 2 + h . x, so both tables must come from :func:`distribution`."""
     if p.n != q.n:
         raise ValidationError(f"dimension mismatch: {p.n} vs {q.n}")
-    support = p.probs > 0
-    log_q = q.probs[support]
-    if np.any(log_q == 0):
-        raise ValidationError("q vanishes on the support of p")
-    terms = np.log(p.probs[support])  # in place, so at most three 2^n arrays are alive
-    terms -= np.log(log_q, out=log_q)
-    terms *= p.probs[support]
-    return max(float(terms.sum()), 0.0)
+    if any(t.model is None or t.log_z is None for t in (p, q)):
+        raise ValidationError("KL needs tables built from a model (with log Z)")
+    mean, second = second_moments(p)
+    d_theta = (0.5 * float(np.vdot(p.model.coupling.entries - q.model.coupling.entries, second))
+               + float((p.model.field - q.model.field) @ mean))
+    return max(d_theta - p.log_z + q.log_z, 0.0)
 
 
 @dataclass(frozen=True)
@@ -146,17 +174,14 @@ def moments(m: IsingModel, A: CouplingMatrix) -> MomentSummary:
     if A.n != m.n:
         raise ValidationError(f"dimension mismatch: {A.n} vs {m.n}")
     a = A.entries
-    p = distribution(m).probs
-    # E[X] from the marginals of the two halves; rows of p2 index the high half
-    p2 = p.reshape(1 << (m.n - m.n // 2), -1)
-    mean_x = np.r_[all_states(m.n // 2).T @ p2.sum(axis=0),
-                   all_states(m.n - m.n // 2).T @ p2.sum(axis=1)]
+    table = distribution(m)
+    mean_x, second = second_moments(table)
     quad = quadratic_table(2.0 * a, np.zeros(m.n))  # x^T A x
-    quad_mean = float(p @ quad)
-    quad_sq = float(p @ np.square(quad, out=quad))
+    quad_mean = float(table.probs @ quad)
+    quad_sq = float(table.probs @ np.square(quad, out=quad))
     return MomentSummary(
         mean_vec=a @ mean_x,
-        second=float(p @ quadratic_table(2.0 * (a @ a), np.zeros(m.n))),  # ||A x||^2
+        second=float(np.vdot(a @ a, second)),  # E||A x||^2 = <A^2, E[x x^T]>
         quad_mean=quad_mean,
         quad_var=max(quad_sq - quad_mean**2, 0.0),
     )
@@ -265,11 +290,13 @@ def hubbard_stratonovich_check(
 
 def hs_conditional_error(m: IsingModel, shift: float, y) -> float:
     """Max deviation between Bayes posterior of X given Y=y and the product law."""
+    _check_cap(m.n, "posterior table")
     W = _shifted_matrix(m, shift)
     wy = W @ np.asarray(y, dtype=np.float64)
-    # log p(x) - (y - x)^T W (y - x) / 2; the constant -y^T W y / 2 drops out in normalize
+    # log p(x) - (y - x)^T W (y - x) / 2, with log p the log weights; the
+    # constants -log Z and -y^T W y / 2 drop out in normalize
     post = quadratic_table(-W, wy)
-    post += np.log(distribution(m).probs)
+    post += quadratic_table(m.coupling.entries, m.field)
     normalize(post)
     product = quadratic_table(np.zeros_like(W), wy + m.field)
     normalize(product)

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isingfit import exact
-from isingfit.core import CapabilityError, CouplingMatrix, IsingModel, ParameterError
+from isingfit.core import (
+    CapabilityError,
+    CouplingMatrix,
+    IsingModel,
+    ParameterError,
+    ValidationError,
+)
 
 from conftest import dobrushin_model, random_coupling, spread_model
 
@@ -153,10 +159,61 @@ class TestDraw:
         np.testing.assert_array_equal(exact.draw(table, np.array([top, 0.9])), [1, 1])
 
 
+def log_form_kl(p, q):
+    """sum p log(p / q) over the support of p: the oracle for the log Z identity."""
+    support = p.probs > 0
+    terms = p.probs[support] * (np.log(p.probs[support]) - np.log(q.probs[support]))
+    return float(terms.sum())
+
+
 class TestKlDivergence:
     def test_identical_zero(self, rng):
         t = exact.distribution(IsingModel(random_coupling(4, rng), rng.normal(size=4)))
         assert exact.kl_divergence(t, t) == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+    def test_matches_log_form(self, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        p, q = (exact.distribution(IsingModel(random_coupling(n, rng, scale),
+                                              scale * rng.normal(size=n)))
+                for _ in range(2))
+        assert exact.kl_divergence(p, q) == pytest.approx(log_form_kl(p, q), rel=1e-10, abs=1e-13)
+
+    def test_underflowing_q_stays_finite(self):
+        # q's anti-aligned states underflow to 0 on p's full support; with
+        # E_p[x0 x1] = tanh(beta_p), KL = (beta_p - beta_q) tanh(beta_p) - log Z_p + log Z_q
+        beta_p, beta_q = 0.5, 1000.0
+        p = exact.distribution(zero_field([[0.0, beta_p], [beta_p, 0.0]]))
+        q = exact.distribution(zero_field([[0.0, beta_q], [beta_q, 0.0]]))
+        assert q.probs[1] == q.probs[2] == 0.0
+        log_z = lambda b: b + np.log(2.0) + np.log1p(np.exp(-2.0 * b))  # log(4 cosh b)
+        closed = (beta_p - beta_q) * np.tanh(beta_p) - log_z(beta_p) + log_z(beta_q)
+        kl = exact.kl_divergence(p, q)
+        assert np.isfinite(kl)
+        assert kl == pytest.approx(closed, rel=1e-12)
+
+    def test_hand_built_table_rejected(self):
+        p = exact.DistributionTable(n=1, probs=np.array([0.5, 0.5]))
+        q = exact.distribution(zero_field([[0.0]]))
+        for a, b in ((p, q), (q, p)):
+            with pytest.raises(ValidationError, match="built from a model"):
+                exact.kl_divergence(a, b)
+
+    def test_small_temporaries(self, rng):
+        n = 16
+        p = exact.distribution(IsingModel(random_coupling(n, rng, scale=0.1), rng.normal(size=n)))
+        q = exact.distribution(zero_field(random_coupling(n, rng, scale=0.1).entries))
+        expected = log_form_kl(p, q)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kl = exact.kl_divergence(p, q)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert kl == pytest.approx(expected, rel=1e-10)
+        assert peak < p.probs.nbytes / 8
 
     def test_pinsker(self, rng):
         for _ in range(100):
@@ -205,6 +262,17 @@ class TestQuadraticTable:
         scale = 0.5 * np.abs(Q).sum() + np.abs(h).sum()  # bound on any entry
         np.testing.assert_allclose(exact.quadratic_table(Q, h), direct,
                                    rtol=0.0, atol=1e-12 * scale)
+
+
+class TestSecondMoments:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_state_matrix(self, rng, n):
+        table = exact.distribution(IsingModel(random_coupling(n, rng), rng.normal(size=n)))
+        S = exact.all_states(n)
+        mean, second = exact.second_moments(table)
+        np.testing.assert_allclose(mean, S.T @ table.probs, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(second, S.T @ np.diag(table.probs) @ S, rtol=0.0, atol=1e-14)
+        np.testing.assert_array_equal(second, second.T)
 
 
 class TestMoments:
@@ -321,6 +389,17 @@ class TestHubbardStratonovich:
         product /= product.sum()
         expected = float(np.abs(post - product).max())
         assert exact.hs_conditional_error(m, shift, y) == pytest.approx(expected, abs=1e-14)
+
+    def test_conditional_underflowing_table(self):
+        # two of the four probabilities underflow to 0; the posterior is built
+        # from log weights, so no log of a probability is taken
+        beta = 400.0
+        m = zero_field([[0.0, beta], [beta, 0.0]])
+        assert exact.distribution(m).probs[1] == 0.0
+        shift = exact.default_hs_shift(m.coupling)
+        with np.errstate(divide="raise", invalid="raise"):  # exp may underflow
+            for y in ([0.3, -0.2], [-2.0, 0.5]):
+                assert exact.hs_conditional_error(m, shift, y) <= 1e-10
 
     def test_conditional_memory(self, rng):
         n = 16
