@@ -439,6 +439,7 @@ def _cmd_diagnose(args) -> int:
 # Entry point.
 # ---------------------------------------------------------------------------
 
+@functools.cache  # one parser per process; parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="isingfit")
     sub = parser.add_subparsers(dest="command", required=True)

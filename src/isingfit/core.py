@@ -201,23 +201,22 @@ def matrix_norms(J: CouplingMatrix) -> MatrixNorms:
 
 
 def _coupling_errors(arr: np.ndarray) -> list[str]:
-    errors: list[str] = []
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         return ["coupling matrix must be square and non-empty"]
-    bad = np.argwhere(~np.isfinite(arr))
-    for i, j in bad[:5]:
-        errors.append(f"non-finite coupling at ({i},{j})")
-    if len(bad) > 5:
-        errors.append(f"... {len(bad) - 5} more non-finite couplings")
-    if errors:
+    nonfinite = ~np.isfinite(arr)
+    if nonfinite.any():
+        bad = np.argwhere(nonfinite)
+        errors = [f"non-finite coupling at ({i},{j})" for i, j in bad[:5]]
+        if len(bad) > 5:
+            errors.append(f"... {len(bad) - 5} more non-finite couplings")
         return errors
-    asym = np.argwhere(arr != arr.T)
-    for i, j in asym[:5]:
-        if i < j:
-            errors.append(f"asymmetric pair at ({i},{j})")
-    diag = np.nonzero(np.diag(arr))[0]
-    for i in diag[:5]:
-        errors.append(f"nonzero diagonal at {i}")
+    errors: list[str] = []
+    asym = arr != arr.T
+    if asym.any():  # messages only for a matrix that has hits
+        errors += [f"asymmetric pair at ({i},{j})" for i, j in np.argwhere(asym)[:5] if i < j]
+    diag = arr.diagonal()
+    if diag.any():
+        errors += [f"nonzero diagonal at {i}" for i in np.flatnonzero(diag)[:5]]
     return errors
 
 

@@ -33,6 +33,7 @@ __all__ = [
 # Newton step budget; far inputs (scale up to 1e2, n up to 30) were seen to
 # need up to 67, fit inputs up to 6. Read at call time.
 DEFAULT_MAX_ITER = 100
+_HALVINGS = 0.5 ** np.arange(60)  # Armijo step lengths
 
 
 class ProjectionConvergenceWarning(UserWarning):
@@ -86,18 +87,19 @@ def _spread_interval_start(v: np.ndarray, s: float) -> float:
     continuous, piecewise linear and nondecreasing, with breakpoints
     {v_i, v_i - s}. Evaluate D at every breakpoint at once and solve the affine
     segment ending at the first where D >= 0; the root is unique whenever v
-    does not already fit in a window of length s.
+    does not already fit in a window of length s. A repeated breakpoint is never
+    the first where D >= 0, as its copy before it has the same D.
     """
     v = np.sort(v)
-    points = np.unique(np.concatenate([v, v - s]))
+    points = np.sort(np.concatenate([v, v - s]))
     d = (np.maximum(points[:, None] - v, 0.0).sum(axis=1)
          - np.maximum(v - s - points[:, None], 0.0).sum(axis=1))
     j = int(np.argmax(d >= 0))  # D(max v) >= 0, so some breakpoint qualifies
     if j == 0:
         return float(points[0])
     mid = 0.5 * (points[j - 1] + points[j])
-    low, high = v <= mid, v >= mid + s
-    return float((v[low].sum() + v[high].sum() - high.sum() * s) / (low.sum() + high.sum()))
+    low, high = np.searchsorted(v, mid, "right"), np.searchsorted(v, mid + s)  # v <= mid, v >= mid + s
+    return float((v[:low].sum() + v[high:].sum() - (v.size - high) * s) / (low + v.size - high))
 
 
 def _proj_zero_diag(a: np.ndarray) -> np.ndarray:
@@ -110,12 +112,12 @@ def _eigen_clip(w, V, lo, hi):
     """V clip(w, lo, hi) V^T and a function giving the Jacobian of its diagonal in
     the input's diagonal: W diag(vec Omega) W^T, W[i, (k, l)] = V_ik V_il, Omega
     the Loewner divided differences of the clip."""
-    f = np.clip(w, lo, hi)
+    f = np.minimum(np.maximum(w, lo), hi)
 
     def jacobian():
-        inside = ((w > lo) & (w < hi)).astype(np.float64)
+        inside = (w > lo) & (w < hi)
         dw = w[:, None] - w
-        omega = np.divide(f[:, None] - f, dw, out=np.outer(inside, inside), where=dw != 0)
+        omega = np.divide(f[:, None] - f, dw, out=(inside[:, None] & inside) * 1.0, where=dw != 0)
         W = (V[:, :, None] * V[:, None, :]).reshape(w.size, -1)
         return (W * omega.ravel()) @ W.T
 
@@ -142,10 +144,12 @@ class ConstraintSet:
 
     def _dual(self, a0: np.ndarray, y: np.ndarray):
         """theta, its gradient, a function giving its Hessian, natural(Z), |diag natural(Z)|."""
-        z = a0 + np.diag(y)
+        z = a0.copy()  # a0 has a zero diagonal
+        z.flat[::y.size + 1] = y
         x, jacobian = self._clip(z)
-        grad = np.diag(x).copy()
-        return 0.5 * (y @ y - np.sum((z - x) ** 2)), grad, jacobian, x, float(np.linalg.norm(grad))
+        grad = x.diagonal().copy()
+        r = (z - x).ravel()
+        return 0.5 * (y @ y - r @ r), grad, jacobian, x, float(np.sqrt(grad @ grad))
 
 
 @dataclass(frozen=True)
@@ -281,8 +285,10 @@ def dual_solve(cs: ConstraintSet, a: np.ndarray, tol: float = 1e-8):
         eps = min(1e-4, residual)
         free = (y > cs.lower + eps) | (grad <= 0)
         d = -grad
-        d[free] = np.linalg.solve(hessian()[np.ix_(free, free)] + eps * np.eye(free.sum()), d[free])
-        for step in 0.5 ** np.arange(60):
+        h = hessian()[free][:, free]
+        h.flat[::h.shape[0] + 1] += eps
+        d[free] = np.linalg.solve(h, d[free])
+        for step in _HALVINGS:
             y_new = np.maximum(y + step * d, cs.lower)
             trial = cs._dual(a0, y_new)
             flat = abs(trial[0] - theta) <= 1e-13 * max(1.0, abs(theta)) and trial[4] < residual

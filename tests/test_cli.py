@@ -631,6 +631,20 @@ def test_cell_format(value, text):
     assert cli._cell(value) == text
 
 
+def test_parser_built_once_per_process(tmp_path, capsys):
+    # main reuses one parser; an argv that argparse rejects leaves it usable
+    cli._build_parser.cache_clear()
+    cfg = write_config(tmp_path / "c.json", base_config(n=4))
+    assert cli.main(["generate", "--config", cfg, "--out", str(tmp_path / "m1.json")]) == 0
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["generate", "--config", cfg])
+    assert stop.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert cli.main(["generate", "--config", cfg, "--out", str(tmp_path / "m2.json")]) == 0
+    assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_run_as_module_without_warning():
     # the package does not import cli, so runpy finds no copy of it in sys.modules
     src = str(Path(cli.__file__).resolve().parents[1])

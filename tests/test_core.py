@@ -99,6 +99,49 @@ class TestValidation:
             J.entries[0, 1] = 1.0
 
 
+def per_entry_coupling_errors(arr):
+    """The per-entry check written out entry by entry: the oracle for which
+    matrices are valid and what a bad one's messages say."""
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        return ["coupling matrix must be square and non-empty"]
+    bad = np.argwhere(~np.isfinite(arr))
+    errors = [f"non-finite coupling at ({i},{j})" for i, j in bad[:5]]
+    if len(bad) > 5:
+        errors.append(f"... {len(bad) - 5} more non-finite couplings")
+    if errors:
+        return errors
+    errors = [f"asymmetric pair at ({i},{j})" for i, j in np.argwhere(arr != arr.T)[:5] if i < j]
+    return errors + [f"nonzero diagonal at {i}" for i in np.nonzero(np.diag(arr))[0][:5]]
+
+
+_EDIT_VALUES = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, np.nan, np.inf, -np.inf])
+
+
+class TestCouplingCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        data=st.data(),
+        edits=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), _EDIT_VALUES, st.booleans()),
+                       max_size=8),
+    )
+    def test_same_verdict_and_messages_as_per_entry_check(self, n, data, edits):
+        # a symmetric zero-diagonal matrix, then edits that may break finiteness,
+        # symmetry (unless mirrored) or the diagonal (unless a signed zero)
+        upper = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n * n, max_size=n * n))
+        a = np.triu(np.reshape(upper, (n, n)), k=1)
+        a = a + a.T
+        for i, j, v, mirror in edits:
+            a[i % n, j % n] = v
+            if mirror:
+                a[j % n, i % n] = v
+        assert core._coupling_errors(a) == per_entry_coupling_errors(a)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,)])
+    def test_bad_shapes_keep_their_message(self, shape):
+        assert core._coupling_errors(np.zeros(shape)) == per_entry_coupling_errors(np.zeros(shape))
+
+
 class TestSerialization:
     def test_round_trip_exact(self, rng, tmp_path):
         model = IsingModel(random_coupling(7, rng), rng.normal(size=7))

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from isingfit import projections
+from isingfit import ensembles, projections
 from isingfit.core import CouplingMatrix, ParameterError, ValidationError
+from isingfit.ensembles import EnsembleSpec
 from isingfit.projections import (
     FAMILIES,
     AntiferroSpike,
@@ -128,12 +129,14 @@ class TestSpreadInterval:
         assert t == pytest.approx(1.0, abs=1e-12)
 
     def test_against_grid_oracle(self, rng):
-        for trial in range(30):
+        for trial in range(45):
             v = rng.normal(size=int(rng.integers(2, 31))) * 2
-            if trial % 2:  # repeated values: a degenerate spectrum
+            if trial % 3 == 1:  # repeated values: a degenerate spectrum
                 v = rng.choice(np.round(v[:3], 1), size=v.size)
-            v = np.sort(v)
             s = float(rng.uniform(0.3, 1.0))
+            if trial % 3 == 2:  # tied breakpoints v_j = v_i - s exactly, and repeats
+                v = np.concatenate([v, v[: (v.size + 1) // 2] - s, v[:2]])
+            v = np.sort(v)
             if v[-1] - v[0] <= s:
                 continue
             t_star = projections._spread_interval_start(v, s)
@@ -144,6 +147,8 @@ class TestSpreadInterval:
             grid = np.linspace(v[0] - s, v[-1], 4001)
             best = grid[np.argmin([cost(t) for t in grid])]
             assert cost(t_star) <= cost(best) + 1e-12
+            low, high = np.maximum(t_star - v, 0.0).sum(), np.maximum(v - s - t_star, 0.0).sum()
+            assert abs(low - high) <= 1e-12 * (np.abs(v).sum() + s * v.size)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -299,6 +304,59 @@ class TestMultiplierLoop:
         assert recomputed <= tol
         np.testing.assert_allclose(x, point, rtol=0, atol=1e-12 * size)
         np.testing.assert_allclose(again, x, rtol=0, atol=1e-10 * size)
+
+
+# The constrained_n8 benchmark families, each with the ensemble whose truth lies outside it.
+FIT_CASES = [
+    (OpNormBall(0.5), EnsembleSpec("SK", 8, beta=0.5)),
+    (SpectralSpread(0.9), EnsembleSpec("SK", 8, beta=0.5)),
+    (WidthBall(0.8), EnsembleSpec("BoundedWidthRandom", 8, width=1.0)),
+    (AntiferroSpike(0.4, 1.0), EnsembleSpec("AntiferroExpander", 8, d=3, beta=0.1)),
+]
+
+
+class TestNewtonWork:
+    """Eigendecompositions and Newton steps that dual_solve spends on fixed fit-like
+    inputs: counts that do not depend on timing. BOUNDS holds the totals when the test
+    was written; a change may lower them, never raise them. They were recorded with
+    numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64). At tol = 1e-13 the solve stops near the
+    rounding limit, so another BLAS/LAPACK build may move a stop by one step; on such
+    a build, record the totals of the unchanged code there before reading a failure."""
+
+    BOUNDS = {  # kind -> (eigh calls, Newton steps) over the 24 inputs
+        "OpNormBall": (105, 80),
+        "SpectralSpread": (96, 72),
+        "WidthBall": (0, 91),
+        "AntiferroSpike": (92, 68),
+    }
+
+    @staticmethod
+    def fit_like_inputs(cs, spec):
+        # the fit projects J - t g with J in the set: far from it at first, then ever
+        # closer; here J is the projected truth and the step mixes the way back to the
+        # truth with noise, at lengths from the whole truth down to 1e-4 of it
+        rng = np.random.default_rng(11)
+        truth = ensembles.generate(spec).coupling.entries
+        inside = projections.project_array(cs, truth, tol=1e-13)
+        for scale in (1.0, 0.3, 0.1, 1e-2, 1e-3, 1e-4):
+            for _ in range(4):
+                noise = random_coupling(8, rng).entries
+                step = (truth - inside) + np.linalg.norm(truth) / np.linalg.norm(noise) * noise
+                yield inside + scale * step
+
+    @pytest.mark.parametrize("cs, spec", FIT_CASES, ids=[cs.kind for cs, _ in FIT_CASES])
+    def test_counts_do_not_rise(self, cs, spec, monkeypatch):
+        inputs = list(self.fit_like_inputs(cs, spec))
+        counts = dict.fromkeys(("eigh", "solve"), 0)
+        for name in counts:  # one np.linalg.solve per Newton step
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        for a in inputs:
+            projections.dual_solve(cs, a, tol=1e-13)
+        eighs, steps = self.BOUNDS[cs.kind]
+        assert counts["eigh"] <= eighs and counts["solve"] <= steps, counts
 
 
 class TestAgainstScipyOracle:
