@@ -29,8 +29,6 @@ __all__ = [
     "is_int",
     "is_real",
     "matrix_norms",
-    "validate_model",
-    "validation_errors",
     "save_model",
     "load_model",
     "save_samples",
@@ -229,21 +227,6 @@ def _field_errors(f: np.ndarray, n: int) -> list[str]:
     for i in np.argwhere(~np.isfinite(f))[:5]:
         errors.append(f"non-finite field at {int(i)}")
     return errors
-
-
-def validation_errors(entries, field=None) -> list[str]:
-    """Collect every invariant violation of raw (J, h) arrays, without raising."""
-    arr = np.asarray(entries, dtype=np.float64)
-    errors = _coupling_errors(arr)
-    if field is not None:
-        n = arr.shape[0] if arr.ndim == 2 else 0
-        errors += _field_errors(np.asarray(field, dtype=np.float64), n)
-    return errors
-
-
-def validate_model(m: IsingModel) -> list[str]:
-    """Re-check all invariants of a constructed model; empty list means valid."""
-    return validation_errors(m.coupling.entries, m.field)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .core import (
     ValidationError,
     stream,
 )
-from . import mple
 
 DEFAULT_ENUM_CAP = 20
 DEFAULT_CHAIN_CAP = 8  # dense 2^n x 2^n eigenproblem
@@ -106,12 +105,6 @@ def draw(table: DistributionTable, u) -> np.ndarray:
     """State index for each uniform in ``u``, by inverse CDF over ``table``."""
     idx = np.searchsorted(np.cumsum(table.probs), u, side="right")
     return np.minimum(idx, table.probs.size - 1)  # cumsum rounding can end below 1
-
-
-def partition_function(m: IsingModel) -> float:
-    """log Z, from the table that :func:`distribution` also builds."""
-    _check_cap(m.n, "partition function")
-    return normalize(quadratic_table(m.coupling.entries, m.field))
 
 
 def distribution(m: IsingModel) -> DistributionTable:
@@ -249,7 +242,7 @@ def _shifted_matrix(m: IsingModel, shift: float) -> np.ndarray:
 
 def _product_table(S: np.ndarray, fields: np.ndarray) -> np.ndarray:
     """Tables of product measures; fields has one row per measure."""
-    logp = fields @ S.T - (mple._logcosh(fields) + np.log(2.0)).sum(axis=1, keepdims=True)
+    logp = fields @ S.T - np.logaddexp(fields, -fields).sum(axis=1, keepdims=True)  # log 2cosh
     return np.exp(logp)
 
 

@@ -21,12 +21,6 @@ nonincreasing in t and t ||G_t|| nondecreasing, so the accepted step t gives
 unnormalized scale (multiplied back by 2*n*l), is what grad_map_trace records
 and what is compared with grad_map_tol; the stop certifies the unit-step
 gradient mapping whatever the step size.
-
-Projection tolerance: the fit projects to KKT residual 1e-13 (the norm of the
-dual gradient of projections.dual_solve), not the 1e-8 default of
-projections.project. An iterate left outside the set by 1e-8 shifts the
-objective by more than the Armijo decrease near the optimum, so a search
-started at a long step then halves down to underflow instead of converging.
 """
 
 from __future__ import annotations
@@ -44,7 +38,6 @@ __all__ = ["FitConfig", "FitReport", "fit_mple"]
 _ARMIJO = 1e-4  # sufficient-decrease constant; each search halves from its start step
 _STEP_MIN, _STEP_MAX = 1e-10, 1e10  # clamp of the Barzilai-Borwein start step
 _STEP_FLOOR = 1e-18
-_PROJECTION_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,7 @@ def fit_mple(
 
     def proj(arr: np.ndarray) -> CouplingMatrix:
         report.projections += 1
-        return CouplingMatrix(projections.project_array(constraint, arr, tol=_PROJECTION_TOL))
+        return CouplingMatrix(projections.project_array(constraint, arr)[0])
 
     report = FitReport(estimate=None, iterations=0)
     J = proj(np.zeros((n, n)))

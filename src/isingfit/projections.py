@@ -6,7 +6,7 @@ checked when built: the intersection of a "natural" convex set with the
 symmetric zero-diagonal matrices. It carries ``member(a, tol)`` (its
 inequalities hold within tol) and ``natural(a)``, the closed-form projection
 onto the natural set (eigenvalue clipping, row-wise l1 projection, spike/bulk
-clipping). ``dual_solve`` projects by Newton's method on n multipliers y of
+clipping). ``project_array`` projects by Newton's method on n multipliers y of
 the affine constraints (Malick 2004; Qi and Sun 2006). With A0 the input's
 symmetric part with zero diagonal, a spectral family's point is natural(Z),
 Z = A0 + Diag y, at the minimizer of the convex
@@ -27,22 +27,20 @@ from .core import CouplingMatrix, ParameterError, ValidationError, is_real
 
 __all__ = [
     "ConstraintSet", "OpNormBall", "SpectralSpread", "WidthBall", "AntiferroSpike", "FAMILIES",
-    "membership", "project", "dual_solve", "project_l1_ball", "ProjectionConvergenceWarning",
+    "membership", "project", "project_array", "DEFAULT_TOL", "ProjectionConvergenceWarning",
 ]
 
 # Newton step budget; far inputs (scale up to 1e2, n up to 30) were seen to
 # need up to 67, fit inputs up to 6. Read at call time.
 DEFAULT_MAX_ITER = 100
+# A point further off the set shifts the objective by more than the Armijo
+# decrease near the optimum, and the fit's search halves down to underflow.
+DEFAULT_TOL = 1e-13
 _HALVINGS = 0.5 ** np.arange(60)  # Armijo step lengths
 
 
 class ProjectionConvergenceWarning(UserWarning):
-    """Newton hit DEFAULT_MAX_ITER; carries the last iterate and its KKT residual."""
-
-    def __init__(self, message: str, iterate: np.ndarray, residual: float):
-        super().__init__(message)
-        self.iterate = iterate
-        self.residual = residual
+    """Newton hit DEFAULT_MAX_ITER before the KKT residual reached tol."""
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
@@ -55,29 +53,6 @@ def _spike_bulk(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     off = np.eye(n) - 1.0 / n  # the projector off the ones direction
     rows = a.sum(axis=1)
     return float(rows.sum()) / n, (rows - rows.mean()) / np.sqrt(n), off @ a @ off
-
-
-def _l1_rows(a: np.ndarray, radius: float) -> np.ndarray:
-    """Each row of a 2-D array projected onto the l1 ball, by sort and soft threshold."""
-    mag = np.abs(a)
-    inside = mag.sum(axis=1) <= radius
-    u = np.sort(mag, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    above = u * np.arange(1, u.shape[1] + 1) > css - radius
-    above[:, 0] = True  # exact for k = 0; rounding can lose it when radius << u_0
-    k = u.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)  # the last k where it holds
-    tau = np.where(inside, 0.0, (css[np.arange(k.size), k] - radius) / (k + 1.0))
-    return np.where(inside[:, None], a, np.sign(a) * np.maximum(mag - tau[:, None], 0.0))
-
-
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of a vector, or of each row of a 2-D array, onto the l1 ball."""
-    if not is_real(radius) or not 0 < radius < np.inf:
-        raise ParameterError(f"l1 ball radius must be positive and finite, got {radius!r}")
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim > 2 or v.size == 0 or not np.isfinite(v).all():
-        raise ValidationError("project_l1_ball needs a non-empty vector or 2-D array, all finite")
-    return _l1_rows(np.atleast_2d(v), radius).reshape(v.shape)
 
 
 def _spread_interval_start(v: np.ndarray, s: float) -> float:
@@ -204,14 +179,23 @@ class WidthBall(ConstraintSet):
     lower = 0.0
 
     def __post_init__(self):
-        if not is_real(self.m) or not self.m > 0:
-            raise ParameterError("WidthBall needs m > 0")
+        if not is_real(self.m) or not 0 < self.m < np.inf:  # m = inf makes theta NaN at y = 0
+            raise ParameterError("WidthBall needs a finite m > 0")
 
     def member(self, a: np.ndarray, tol: float) -> bool:
         return float(np.abs(a).sum(axis=1).max()) <= self.m + tol
 
     def natural(self, a: np.ndarray) -> np.ndarray:
-        return _l1_rows(a, self.m)
+        """Each row of a 2-D array projected onto the l1 ball, by sort and soft threshold."""
+        mag = np.abs(a)
+        inside = mag.sum(axis=1) <= self.m
+        u = np.sort(mag, axis=1)[:, ::-1]
+        css = np.cumsum(u, axis=1)
+        above = u * np.arange(1, u.shape[1] + 1) > css - self.m
+        above[:, 0] = True  # exact for k = 0; rounding can lose it when m << u_0
+        k = u.shape[1] - 1 - np.argmax(above[:, ::-1], axis=1)  # the last k where it holds
+        tau = np.where(inside, 0.0, (css[np.arange(k.size), k] - self.m) / (k + 1.0))
+        return np.where(inside[:, None], a, np.sign(a) * np.maximum(mag - tau[:, None], 0.0))
 
     def _dual(self, a0: np.ndarray, lam: np.ndarray):
         """As for the spectral families, with theta minus the Lagrange dual in the row
@@ -267,7 +251,7 @@ def membership(cs: ConstraintSet, J: CouplingMatrix, tol: float = 1e-8) -> bool:
     return cs.member(J.entries, tol)
 
 
-def dual_solve(cs: ConstraintSet, a: np.ndarray, tol: float = 1e-8):
+def project_array(cs: ConstraintSet, a: np.ndarray, tol: float = DEFAULT_TOL):
     """Nearest symmetric zero-diagonal point of cs to a raw array, its multipliers
     and its KKT residual, found by Newton on the dual from y = 0.
 
@@ -276,7 +260,10 @@ def dual_solve(cs: ConstraintSet, a: np.ndarray, tol: float = 1e-8):
     projected Newton). Steps backtrack by Armijo on theta; a step that changes
     theta only by rounding is also taken when it lowers the residual.
     """
-    a0 = _proj_zero_diag(np.asarray(a, dtype=np.float64))
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0 or not np.isfinite(a).all():
+        raise ValidationError("projection needs a non-empty, square, finite array")
+    a0 = _proj_zero_diag(a)
     y = np.zeros(a0.shape[0])
     theta, grad, hessian, x, residual = cs._dual(a0, y)
     for _ in range(DEFAULT_MAX_ITER):
@@ -297,22 +284,16 @@ def dual_solve(cs: ConstraintSet, a: np.ndarray, tol: float = 1e-8):
         else:
             break  # no decrease left but rounding
         y, (theta, grad, hessian, x, residual) = y_new, trial
-    x = _proj_zero_diag(x)
-    if residual > tol:
-        message = (f"projection onto {cs.describe()} stopped at KKT residual {residual:.3g} "
-                   f"(budget {DEFAULT_MAX_ITER} Newton steps)")
-        warnings.warn(ProjectionConvergenceWarning(message, iterate=x, residual=residual))
-    return x, y, residual
+    if not residual <= tol:  # a NaN residual warns too
+        warnings.warn(ProjectionConvergenceWarning(
+            f"projection onto {cs.describe()} stopped at KKT residual {residual:.3g} "
+            f"(budget {DEFAULT_MAX_ITER} Newton steps)"))
+    return _proj_zero_diag(x), y, residual
 
 
-def project_array(cs: ConstraintSet, a: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """The point of ``dual_solve``: the projection the fit takes."""
-    return dual_solve(cs, a, tol)[0]
-
-
-def project(cs: ConstraintSet, J: CouplingMatrix, tol: float = 1e-8) -> CouplingMatrix:
+def project(cs: ConstraintSet, J: CouplingMatrix, tol: float = DEFAULT_TOL) -> CouplingMatrix:
     """Frobenius-nearest point of the constraint family intersected with the
     symmetric zero-diagonal subspace."""
     if not isinstance(J, CouplingMatrix):
         raise ValidationError("project expects a CouplingMatrix")
-    return CouplingMatrix(project_array(cs, J.entries, tol=tol))
+    return CouplingMatrix(project_array(cs, J.entries, tol=tol)[0])

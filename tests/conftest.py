@@ -56,12 +56,13 @@ def distribution_calls(monkeypatch):
 
 @pytest.fixture
 def projection_calls(monkeypatch):
-    """List that grows by the ``tol`` keyword of each ``projections.project_array`` call."""
+    """List that grows by the tolerance of each ``projections.project_array`` call:
+    its ``tol`` keyword, or the default when the call passes none."""
     calls = []
     original = projections.project_array
 
     def counted(cs, a, **kwargs):
-        calls.append(kwargs.get("tol"))
+        calls.append(kwargs.get("tol", projections.DEFAULT_TOL))
         return original(cs, a, **kwargs)
 
     monkeypatch.setattr(projections, "project_array", counted)

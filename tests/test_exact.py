@@ -28,12 +28,12 @@ def curie_weiss(n, beta):
 
 class TestPartitionFunction:
     def test_single_site(self):
-        assert exact.partition_function(zero_field([[0.0]])) == pytest.approx(np.log(2.0))
+        assert exact.distribution(zero_field([[0.0]])).log_z == pytest.approx(np.log(2.0))
 
     def test_two_sites_closed_form(self):
         for beta in (0.3, 1.0, 4.0):
             m = zero_field([[0.0, beta], [beta, 0.0]])
-            assert exact.partition_function(m) == pytest.approx(
+            assert exact.distribution(m).log_z == pytest.approx(
                 np.log(4.0 * np.cosh(beta)), rel=1e-12
             )
 
@@ -48,11 +48,11 @@ class TestPartitionFunction:
         ]
         peak = max(log_terms)
         oracle = peak + np.log(sum(np.exp(t - peak) for t in log_terms))
-        assert exact.partition_function(curie_weiss(n, beta)) == pytest.approx(oracle, rel=1e-12)
+        assert exact.distribution(curie_weiss(n, beta)).log_z == pytest.approx(oracle, rel=1e-12)
 
     def test_cap(self):
         with pytest.raises(CapabilityError, match="enumeration cap"):
-            exact.partition_function(zero_field(np.zeros((25, 25))))
+            exact.distribution(zero_field(np.zeros((25, 25))))
 
 
 class TestDistribution:
@@ -230,7 +230,7 @@ class TestKlDivergence:
         delta = CouplingMatrix(J2.entries - J1.entries)
         quad = exact.moments(m1, delta).quad_mean
         identity = (
-            exact.partition_function(m2) - exact.partition_function(m1) - 0.5 * quad
+            exact.distribution(m2).log_z - p1.log_z - 0.5 * quad
         )
         assert exact.kl_divergence(p1, exact.distribution(m2)) == pytest.approx(
             identity, rel=1e-9, abs=1e-12

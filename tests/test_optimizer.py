@@ -131,7 +131,7 @@ def unit_step_grad_map(J, batch, constraint):
     scale = batch.n * batch.l
     ctx = mple.PseudolikelihoodContext(batch, np.zeros(batch.n))
     g = mple.gradient(J, ctx).entries / (2.0 * scale)
-    step = projections.project_array(constraint, J.entries - g, tol=1e-13)
+    step = projections.project_array(constraint, J.entries - g, tol=1e-13)[0]
     return float(np.linalg.norm(J.entries - step)) * 2.0 * scale
 
 
@@ -234,7 +234,7 @@ def test_each_trial_point_is_evaluated_once(monkeypatch, projection_calls):
 
 
 def feasible(cs, a):
-    return projections.project_array(cs, a, tol=1e-13)
+    return projections.project_array(cs, a, tol=1e-13)[0]
 
 
 @pytest.mark.filterwarnings("error::isingfit.projections.ProjectionConvergenceWarning")

@@ -16,7 +16,7 @@ from isingfit.projections import (
     WidthBall,
     membership,
     project,
-    project_l1_ball,
+    project_array,
 )
 
 from conftest import random_coupling
@@ -75,9 +75,11 @@ class TestMembership:
 
 
 class TestL1Ball:
+    """``WidthBall(r).natural``: each row projected onto the l1 ball of radius r."""
+
     def test_inside_untouched(self):
-        v = np.array([0.2, -0.3, 0.1])
-        np.testing.assert_array_equal(project_l1_ball(v, 1.0), v)
+        v = np.array([[0.2, -0.3, 0.1]])
+        np.testing.assert_array_equal(WidthBall(1.0).natural(v), v)
 
     def test_against_bisection_oracle(self, rng):
         # independent oracle, row by row: solve sum max(|v|-tau, 0) = r for
@@ -101,10 +103,10 @@ class TestL1Ball:
                     else:
                         hi = mid
                 row[:] = np.sign(v) * np.maximum(np.abs(v) - (lo + hi) / 2, 0.0)
-            out = project_l1_ball(V, r)
+            out = WidthBall(r).natural(V)
             np.testing.assert_allclose(out, oracle, atol=1e-10)
             np.testing.assert_array_equal(out[:3], V[:3])
-            np.testing.assert_array_equal(project_l1_ball(V[-1], r), out[-1])
+            np.testing.assert_array_equal(WidthBall(r).natural(V[-1:])[0], out[-1])
 
     @pytest.mark.parametrize("v, radius, error", [
         ([1.0, -2.0], 0.0, ParameterError),
@@ -118,8 +120,9 @@ class TestL1Ball:
         ([[[1.0, 2.0]]], 1.0, ValidationError),
     ])
     def test_bad_radius_or_entries_raise(self, v, radius, error):
+        # the radius is checked when the family is built, the entries when projected
         with pytest.raises(error):
-            project_l1_ball(np.array(v), radius)
+            project_array(WidthBall(radius), np.array(v))
 
 
 class TestSpreadInterval:
@@ -279,7 +282,7 @@ class TestMultiplierLoop:
     def test_matches_three_array_dykstra(self, cs, n, seed, scale):
         a = random_coupling(n, np.random.default_rng(seed), scale).entries
         want = three_array_dykstra(cs, a, tol=1e-13)
-        got = projections.project_array(cs, a, tol=1e-13)
+        got = project_array(cs, a, tol=1e-13)[0]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
     @settings(max_examples=100, deadline=None)
@@ -296,8 +299,8 @@ class TestMultiplierLoop:
         tol = 1e-13 * size
         with warnings.catch_warnings():
             warnings.simplefilter("error", ProjectionConvergenceWarning)
-            x, y, residual = projections.dual_solve(cs, a, tol)
-            again = projections.project_array(cs, x, tol)
+            x, y, residual = project_array(cs, a, tol)
+            again = project_array(cs, x, tol)[0]
         assert cs.member(x, 1e-10 * size)
         assert residual <= tol
         recomputed, point = kkt_residual(cs, a, y)
@@ -316,7 +319,7 @@ FIT_CASES = [
 
 
 class TestNewtonWork:
-    """Eigendecompositions and Newton steps that dual_solve spends on fixed fit-like
+    """Eigendecompositions and Newton steps that project_array spends on fixed fit-like
     inputs: counts that do not depend on timing. BOUNDS holds the totals when the test
     was written; a change may lower them, never raise them. They were recorded with
     numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64). At tol = 1e-13 the solve stops near the
@@ -337,7 +340,7 @@ class TestNewtonWork:
         # truth with noise, at lengths from the whole truth down to 1e-4 of it
         rng = np.random.default_rng(11)
         truth = ensembles.generate(spec).coupling.entries
-        inside = projections.project_array(cs, truth, tol=1e-13)
+        inside = project_array(cs, truth, tol=1e-13)[0]
         for scale in (1.0, 0.3, 0.1, 1e-2, 1e-3, 1e-4):
             for _ in range(4):
                 noise = random_coupling(8, rng).entries
@@ -354,9 +357,15 @@ class TestNewtonWork:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         for a in inputs:
-            projections.dual_solve(cs, a, tol=1e-13)
+            project_array(cs, a, tol=1e-13)
         eighs, steps = self.BOUNDS[cs.kind]
         assert counts["eigh"] <= eighs and counts["solve"] <= steps, counts
+
+    @pytest.mark.parametrize("cs, spec", FIT_CASES, ids=[cs.kind for cs, _ in FIT_CASES])
+    def test_default_tolerance_is_the_fits(self, cs, spec):
+        # the fit passes no tol, so the default must be tight enough for its Armijo search
+        for a in self.fit_like_inputs(cs, spec):
+            assert project_array(cs, a)[2] <= 1e-13
 
 
 class TestAgainstScipyOracle:
@@ -386,7 +395,7 @@ class TestAgainstScipyOracle:
             ).x
             want = cs.natural(a + np.diag(z))
             np.testing.assert_allclose(
-                projections.project_array(cs, a, tol=1e-12), want, rtol=0, atol=1e-10
+                project_array(cs, a, tol=1e-12)[0], want, rtol=0, atol=1e-10
             )
 
     def test_antiferro_dual_bfgs(self, rng):
@@ -406,7 +415,7 @@ class TestAgainstScipyOracle:
             ).x
             want = zero_diag(cs.natural(a + np.diag(y)))
             np.testing.assert_allclose(
-                projections.project_array(cs, a, tol=1e-12), want, rtol=0, atol=1e-7
+                project_array(cs, a, tol=1e-12)[0], want, rtol=0, atol=1e-7
             )
 
     def test_width_ball_qp(self, rng):
@@ -434,7 +443,7 @@ class TestAgainstScipyOracle:
             want = np.zeros((n, n))
             want[iu] = v[:k]
             np.testing.assert_allclose(
-                projections.project_array(cs, a, tol=1e-12), want + want.T, rtol=0, atol=1e-10
+                project_array(cs, a, tol=1e-12)[0], want + want.T, rtol=0, atol=1e-10
             )
 
 
@@ -464,6 +473,31 @@ class TestAntiferroAgainstSDP:
             np.testing.assert_allclose(mine, S.value, atol=1e-6)
 
 
+BAD_INPUTS = {
+    "nan": [[0.0, np.nan], [np.nan, 0.0]],
+    "inf": [[0.0, 1.0], [-np.inf, 0.0]],
+    "empty": np.zeros((0, 0)),
+    "vector": [1.0, -2.0],
+    "non_square": np.zeros((2, 3)),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("cs", ALL_SETS, ids=lambda c: c.kind)
+    @pytest.mark.parametrize("a", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
+    def test_bad_input_raises(self, cs, a):
+        with pytest.raises(ValidationError, match="non-empty, square, finite"):
+            project_array(cs, np.asarray(a))
+
+    def test_nan_residual_warns(self, monkeypatch):
+        real = OpNormBall._dual
+        monkeypatch.setattr(OpNormBall, "_dual", lambda self, a0, y: (*real(self, a0, y)[:4], np.nan))
+        monkeypatch.setattr(projections, "DEFAULT_MAX_ITER", 2)
+        with pytest.warns(ProjectionConvergenceWarning, match="residual nan"):
+            residual = project_array(OpNormBall(1.0), np.array([[0.0, 2.0], [2.0, 0.0]]))[2]
+        assert np.isnan(residual)
+
+
 class TestStructuralDetails:
     def test_antiferro_output_has_ones_eigenvector(self, rng):
         cs = AntiferroSpike(0.5, 2.0)
@@ -474,17 +508,16 @@ class TestStructuralDetails:
             spike = row_sums.mean()
             assert -2.0 - 1e-7 <= spike <= 1e-7
 
-    def test_warning_carries_iterate_and_residual(self, rng, monkeypatch):
-        J = random_coupling(6, rng)
+    def test_budget_warning_returns_point_and_residual(self, rng, monkeypatch):
+        a = random_coupling(6, rng).entries
         monkeypatch.setattr(projections, "DEFAULT_MAX_ITER", 2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            project(SpectralSpread(0.5), J, tol=1e-14)
+            x, _, residual = project_array(SpectralSpread(0.5), a, tol=1e-14)
         assert len(caught) == 1
-        w = caught[0].message
-        assert isinstance(w, ProjectionConvergenceWarning)
-        assert w.iterate.shape == (6, 6)
-        assert w.residual >= 0.0
+        assert isinstance(caught[0].message, ProjectionConvergenceWarning)
+        assert x.shape == (6, 6)
+        assert residual > 1e-14
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):
