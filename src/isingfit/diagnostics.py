@@ -289,10 +289,10 @@ def gradient_concentration_probe(
         raise ParameterError("need at least 2 batches")
     a_frob = float(np.linalg.norm(A.entries))
     rng = _probe_rng(seed, "gradcon")
-    table = exact.distribution(model)  # one table serves every batch
+    cdf = np.cumsum(exact.distribution(model).probs)  # one table and one CDF serve every batch
     values = np.empty(batches)
     for b in range(batches):
-        batch = sampler.exact_sample(table, l, seed=int(rng.integers(0, 2**62)))
+        batch = sampler.exact_sample(cdf, l, seed=int(rng.integers(0, 2**62)))
         ctx = mple.PseudolikelihoodContext(batch, model.field)
         first, _ = mple.directional_derivatives(model.coupling, A, ctx)
         values[b] = first

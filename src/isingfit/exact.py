@@ -95,16 +95,24 @@ class DistributionTable:
     def __post_init__(self):
         if self.probs.shape != (1 << self.n,):
             raise ValidationError("probability table has wrong length")
-        if np.any(self.probs < 0):
-            raise ValidationError("negative probability entry")
-        if abs(float(self.probs.sum()) - 1.0) > 1e-12:
+        # written so that NaN fails both tests and +-inf fails one
+        if not self.probs.min() >= 0:
+            raise ValidationError("negative or NaN probability entry")
+        if not abs(float(self.probs.sum()) - 1.0) <= 1e-12:
             raise ValidationError("probability table does not sum to 1")
 
 
-def draw(table: DistributionTable, u) -> np.ndarray:
-    """State index for each uniform in ``u``, by inverse CDF over ``table``."""
-    idx = np.searchsorted(np.cumsum(table.probs), u, side="right")
-    return np.minimum(idx, table.probs.size - 1)  # cumsum rounding can end below 1
+def draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """State index for each uniform in ``u``, by inverse CDF over
+    ``cdf = np.cumsum(table.probs)``, which many draws from one table can share.
+
+    Sorted keys walk ``cdf`` once from left to right. Each key's index does not
+    depend on the order of the keys, so the result is that of an unsorted search.
+    """
+    order = np.argsort(u)
+    idx = np.empty(order.shape, dtype=np.intp)
+    idx[order] = np.searchsorted(cdf, u[order], side="right")
+    return np.minimum(idx, cdf.size - 1, out=idx)  # cumsum rounding can end below 1
 
 
 def distribution(m: IsingModel) -> DistributionTable:
@@ -261,6 +269,7 @@ def hubbard_stratonovich_check(
     W_inv_sqrt = (V / np.sqrt(w)) @ V.T
 
     table = distribution(m)
+    cdf = np.cumsum(table.probs)
     half = m.n // 2
     Sa, Sb = all_states(half), all_states(m.n - half)
     rng = stream(seed, 0x48)
@@ -271,7 +280,7 @@ def hubbard_stratonovich_check(
     chunk = max(1, min(draws, 1 << 14))
     while done < draws:
         k = min(chunk, draws - done)
-        X = states(draw(table, rng.random(k)), m.n)
+        X = states(draw(cdf, rng.random(k)), m.n)
         G = rng.standard_normal((k, m.n))
         Y = X + G @ W_inv_sqrt
         F = Y @ W + m.field

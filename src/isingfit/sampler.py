@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .core import IsingModel, ParameterError, SampleBatch, is_int, is_real, stream
+from .core import IsingModel, ParameterError, SampleBatch, ValidationError, is_int, is_real, stream
 
 
 @dataclass(frozen=True)
@@ -146,11 +146,24 @@ def mixing(m: IsingModel, batch: SampleBatch, cfg: GlauberConfig) -> dict[str, f
             for name, v in (("energy", energy), ("magnetization", x.sum(axis=1)))}
 
 
-def exact_sample(m: IsingModel | exact.DistributionTable, l: int, seed: int = 0) -> SampleBatch:
-    """Draw l i.i.d. samples by inverse CDF over the model's 2^n table; ``m`` may be that table."""
+def exact_sample(m: IsingModel | exact.DistributionTable | np.ndarray, l: int,
+                 seed: int = 0) -> SampleBatch:
+    """Draw l i.i.d. samples by inverse CDF over the model's 2^n table.
+
+    ``m`` is the model, its table from :func:`exact.distribution`, or that
+    table's CDF ``np.cumsum(table.probs)``; all three give the same bytes. Many
+    batches from one model should share one CDF.
+    """
     if not is_int(l) or l < 1:
         raise ParameterError("sample count must be an integer >= 1")
     if not is_int(seed):
         raise ParameterError("seed must be an integer")
-    table = m if isinstance(m, exact.DistributionTable) else exact.distribution(m)
-    return SampleBatch(exact.states(exact.draw(table, stream(seed, 0xE).random(l)), m.n))
+    if isinstance(m, np.ndarray):
+        cdf = m
+        if cdf.ndim != 1 or cdf.size < 2 or cdf.size & (cdf.size - 1):
+            raise ValidationError("a CDF must be a 1-d array of length 2^n, n >= 1")
+    else:
+        table = m if isinstance(m, exact.DistributionTable) else exact.distribution(m)
+        cdf = np.cumsum(table.probs)
+    n = cdf.size.bit_length() - 1
+    return SampleBatch(exact.states(exact.draw(cdf, stream(seed, 0xE).random(l)), n))

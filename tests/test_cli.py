@@ -13,6 +13,7 @@ from isingfit.core import load_model, load_samples, save_model
 from conftest import dobrushin_model
 
 MODEL_N2 = str(Path(__file__).parent / "data" / "model_n2.json")
+MODEL_SK8 = str(Path(__file__).parent / "data" / "model_sk8.json")  # SK n=8 beta=0.5 seed 3
 
 
 def write_config(path, doc):
@@ -383,6 +384,15 @@ class TestDiagnose:
         ]) == 0
         header = out.read_text().splitlines()[0]
         assert "exceed4" in header
+
+    def test_gradconc_bytes_pinned(self, tmp_path):
+        # every batch's exact draw feeds the row, so a change to the sampled
+        # bytes (the table, its CDF or the search) moves these digits
+        out = tmp_path / "probe.csv"
+        assert cli.main(["diagnose", "--probe", "gradconc", "--model", MODEL_SK8, "--l", "200",
+                         "--batches", "20", "--seed", "0", "--out", str(out)]) == 0
+        assert out.read_bytes() == (b"probe,n,l,batches,mean,std,exceed1,exceed2,exceed4\n"
+                                    b"gradconc,8,200,20,-32.5225626426,67.3860531298,1,1,0.75\n")
 
     @pytest.mark.parametrize("probe, flags, header, cells", [
         ("subset", ["--m", "2.0", "--eta", "0.5"],

@@ -188,11 +188,20 @@ class TestGradientConcentration:
         assert 0.4 <= slope <= 0.6
 
     @pytest.mark.parametrize("batches", [2, 9])
-    def test_one_table_for_all_batches(self, rng, distribution_calls, batches):
+    def test_one_table_for_all_batches(self, rng, distribution_calls, monkeypatch, batches):
         model = IsingModel(random_coupling(7, rng, 0.3), rng.normal(size=7))
         A = random_coupling(7, rng)
+        cumsum_sizes = []
+        cumsum = np.cumsum
+
+        def counted(a, *args, **kwargs):
+            cumsum_sizes.append(np.size(a))
+            return cumsum(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cumsum", counted)
         rep = diagnostics.gradient_concentration_probe(model, A, l=150, batches=batches, seed=4)
         assert distribution_calls == [7]
+        assert cumsum_sizes == [2**7]
         # reference: a fresh exact sample of the model for each batch seed
         seeds = diagnostics._probe_rng(4, "gradcon")
         reference = []

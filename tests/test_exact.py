@@ -76,6 +76,11 @@ class TestDistribution:
             assert abs(table.probs.sum() - 1.0) < 1e-12
             assert np.all(table.probs >= 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25])
+    def test_hand_built_table_rejects_non_finite_or_negative(self, bad):
+        with pytest.raises(ValidationError):
+            exact.DistributionTable(n=2, probs=np.array([0.25, bad, 0.25, 0.25]))
+
     def test_scalar_shift_invariance(self, rng):
         # adding c*I before the zero-diagonal convention only rescales Z,
         # because x_i^2 = 1; the renormalized table must be unchanged
@@ -150,13 +155,29 @@ class TestDraw:
     def test_inverse_cdf(self):
         table = exact.DistributionTable(n=2, probs=np.array([0.25, 0.0, 0.5, 0.25]))
         u = np.array([0.0, 0.2, 0.25, 0.6, 0.75, 0.9])
-        np.testing.assert_array_equal(exact.draw(table, u), [0, 0, 2, 2, 3, 3])
+        np.testing.assert_array_equal(exact.draw(np.cumsum(table.probs), u), [0, 0, 2, 2, 3, 3])
 
     def test_cumsum_below_one_maps_to_last_state(self):
         table = exact.DistributionTable(n=1, probs=np.array([0.5, 0.5 - 1e-13]))
         top = np.nextafter(1.0, 0.0)
         assert np.cumsum(table.probs)[-1] < top
-        np.testing.assert_array_equal(exact.draw(table, np.array([top, 0.9])), [1, 1])
+        np.testing.assert_array_equal(exact.draw(np.cumsum(table.probs), np.array([top, 0.9])),
+                                      [1, 1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 7), scale=st.floats(0.5, 1.0))
+    def test_sorted_search_matches_unsorted(self, data, n, scale):
+        # zero entries repeat CDF values; keys hit CDF entries exactly, sit at 0
+        # and in [cdf[-1], 1), where rounding leaves the top of the CDF
+        weights = data.draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=1 << n,
+                                     max_size=1 << n).filter(lambda w: sum(w) > 0))
+        cdf = np.cumsum(scale * np.array(weights) / sum(weights))
+        keys = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([0.0, *cdf[cdf < 1.0]])
+        if cdf[-1] < 1.0:
+            keys = keys | st.floats(float(cdf[-1]), 1.0, exclude_max=True)
+        u = np.array(data.draw(st.lists(keys, min_size=1, max_size=300)))
+        expected = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+        np.testing.assert_array_equal(exact.draw(cdf, u), expected)
 
 
 def log_form_kl(p, q):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from isingfit import exact, sampler
 from isingfit.core import (
-    CapabilityError, CouplingMatrix, IsingModel, ParameterError, SampleBatch, stream,
+    CapabilityError, CouplingMatrix, IsingModel, ParameterError, SampleBatch, ValidationError,
+    stream,
 )
 from isingfit.ensembles import EnsembleSpec, generate
 
@@ -291,8 +292,17 @@ class TestExactSampler:
     def test_table_in_place_of_model(self, n, data, l, seed, scale, coupling_seed):
         h = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
         m = IsingModel(random_coupling(n, np.random.default_rng(coupling_seed), scale), np.array(h))
-        from_table = sampler.exact_sample(exact.distribution(m), l, seed=seed)
+        table = exact.distribution(m)
         from_model = sampler.exact_sample(m, l, seed=seed)
-        assert from_table.spins.dtype == from_model.spins.dtype
-        assert from_table.spins.shape == (l, n)
-        assert from_table.spins.tobytes() == from_model.spins.tobytes()
+        for stage in (table, np.cumsum(table.probs)):
+            batch = sampler.exact_sample(stage, l, seed=seed)
+            assert batch.spins.dtype == from_model.spins.dtype
+            assert batch.spins.shape == (l, n)
+            assert batch.spins.tobytes() == from_model.spins.tobytes()
+
+    @pytest.mark.parametrize("cdf", [np.linspace(0.25, 1.0, 4).reshape(2, 2),
+                                     np.array([1 / 3, 2 / 3, 1.0]), np.array([1.0]),
+                                     np.array([])])
+    def test_cdf_of_no_table_rejected(self, cdf):
+        with pytest.raises(ValidationError, match="CDF"):
+            sampler.exact_sample(cdf, 5)
