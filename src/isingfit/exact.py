@@ -19,6 +19,7 @@ from .core import (
     IsingModel,
     ParameterError,
     ValidationError,
+    is_int,
     stream,
 )
 
@@ -93,8 +94,9 @@ class DistributionTable:
     model: IsingModel | None = None
 
     def __post_init__(self):
-        if self.probs.shape != (1 << self.n,):
-            raise ValidationError("probability table has wrong length")
+        if not (is_int(self.n) and self.n >= 0 and isinstance(self.probs, np.ndarray)
+                and self.probs.shape == (1 << self.n,)):
+            raise ValidationError("probability table needs an integer n >= 0 and an ndarray of 2^n")
         # written so that NaN fails both tests and +-inf fails one
         if not self.probs.min() >= 0:
             raise ValidationError("negative or NaN probability entry")

@@ -12,8 +12,11 @@ symmetric part with zero diagonal, a spectral family's point is natural(Z),
 Z = A0 + Diag y, at the minimizer of the convex
 theta(y) = |y|^2/2 - |Z - natural(Z)|^2/2, whose gradient is diag natural(Z);
 AntiferroSpike's natural set has equal row sums, so it needs no more
-multipliers. WidthBall's entry ij is soft(A0_ij, (y_i + y_j) / 2) for row
-multipliers y >= 0.
+multipliers. One dual evaluation is one eigendecomposition Z = V diag(w) V^T:
+with f the clipped eigenvalues, |Z - natural(Z)|^2 = |w - f|^2 (AntiferroSpike
+adds the clipped-off spike and the cross terms) and diag natural(Z) = (V*V) f,
+so the point natural(Z) is built once per call. WidthBall's entry ij is
+soft(A0_ij, (y_i + y_j) / 2) for row multipliers y >= 0.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .core import CouplingMatrix, ParameterError, ValidationError, is_real
 
@@ -43,16 +47,26 @@ class ProjectionConvergenceWarning(UserWarning):
     """Newton hit DEFAULT_MAX_ITER before the KKT residual reached tol."""
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+def _lapack(gufunc, message: str):
+    """numpy.linalg's call of a float64 gufunc, minus its checks; a non-finite matrix raises."""
+    def call(a, *rest):
+        if not np.isfinite(a).all():
+            raise LinAlgError(message)
+        return gufunc(a, *rest)
+    return call
+
+
+_eigh = _lapack(_umath_linalg.eigh_lo, "Eigenvalues did not converge")  # = np.linalg.eigh(z)
+_solve = _lapack(_umath_linalg.solve1, "Singular matrix")  # = np.linalg.solve(h, b), b a vector
 
 
 def _spike_bulk(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Spike coordinate along 1/sqrt(n), cross-term vector, bulk operator."""
+    """Spike coordinate along 1/sqrt(n), cross-term vector, bulk operator of a symmetric a."""
     n = a.shape[0]
-    off = np.eye(n) - 1.0 / n  # the projector off the ones direction
     rows = a.sum(axis=1)
-    return float(rows.sum()) / n, (rows - rows.mean()) / np.sqrt(n), off @ a @ off
+    mean = float(rows.sum()) / n
+    c = (rows - mean / 2) / n  # bulk P a P = a_ij - c_i - c_j, P = I - 11^T/n
+    return mean, (rows - mean) / np.sqrt(n), a - c[:, None] - c
 
 
 def _spread_interval_start(v: np.ndarray, s: float) -> float:
@@ -60,34 +74,36 @@ def _spread_interval_start(v: np.ndarray, s: float) -> float:
 
     Half the derivative is D(t) = sum (t - v_i)_+ - sum (v_i - s - t)_+:
     continuous, piecewise linear and nondecreasing, with breakpoints
-    {v_i, v_i - s}. Evaluate D at every breakpoint at once and solve the affine
-    segment ending at the first where D >= 0; the root is unique whenever v
-    does not already fit in a window of length s. A repeated breakpoint is never
-    the first where D >= 0, as its copy before it has the same D.
+    {v_i, v_i - s}. Scan them in ascending order, v in any order, with running counts
+    and sums of the v_i below t and above t + s, and solve the affine segment ending
+    at the first where D >= 0; the root is unique unless v fits in a window of length s.
     """
-    v = np.sort(v)
-    points = np.sort(np.concatenate([v, v - s]))
-    d = (np.maximum(points[:, None] - v, 0.0).sum(axis=1)
-         - np.maximum(v - s - points[:, None], 0.0).sum(axis=1))
-    j = int(np.argmax(d >= 0))  # D(max v) >= 0, so some breakpoint qualifies
-    if j == 0:
-        return float(points[0])
-    mid = 0.5 * (points[j - 1] + points[j])
-    low, high = np.searchsorted(v, mid, "right"), np.searchsorted(v, mid + s)  # v <= mid, v >= mid + s
-    return float((v[:low].sum() + v[high:].sum() - (v.size - high) * s) / (low + v.size - high))
+    v = sorted(v.tolist()) + [np.inf]  # inf: past the last breakpoint of either kind
+    n, low, high = len(v) - 1, 0, 0  # on the segment ending at p: v[:low] <= p, v[high:n] >= p + s
+    low_sum, high_sum = 0.0, sum(v[:n])
+    for _ in range(2 * n):
+        p = min(v[low], v[high] - s)
+        if low * p - low_sum >= high_sum - (n - high) * (s + p):  # D(p) >= 0
+            break
+        if p == v[low]:
+            low, low_sum = low + 1, low_sum + p
+        else:
+            high, high_sum = high + 1, high_sum - v[high]
+    return (sum(v[:low]) + sum(v[high:n]) - (n - high) * s) / (low + n - high)
 
 
 def _proj_zero_diag(a: np.ndarray) -> np.ndarray:
-    out = _symmetrize(a)
+    out = 0.5 * (a + a.T)
     np.fill_diagonal(out, 0.0)
     return out
 
 
 def _eigen_clip(w, V, lo, hi):
-    """V clip(w, lo, hi) V^T and a function giving the Jacobian of its diagonal in
-    the input's diagonal: W diag(vec Omega) W^T, W[i, (k, l)] = V_ik V_il, Omega
-    the Loewner divided differences of the clip."""
+    """For X = V clip(w, lo, hi) V^T: diag X, |V diag(w) V^T - X|^2, functions building X
+    and the Jacobian of diag X in the input's diagonal, W diag(vec Omega) W^T with
+    W[i, (k, l)] = V_ik V_il and Omega the Loewner divided differences of the clip."""
     f = np.minimum(np.maximum(w, lo), hi)
+    r = w - f
 
     def jacobian():
         inside = (w > lo) & (w < hi)
@@ -96,13 +112,14 @@ def _eigen_clip(w, V, lo, hi):
         W = (V[:, :, None] * V[:, None, :]).reshape(w.size, -1)
         return (W * omega.ravel()) @ W.T
 
-    return (V * f) @ V.T, jacobian
+    return (V * V) @ f, float(r @ r), lambda: (V * f) @ V.T, jacobian
 
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Base of the families. A spectral family defines ``_clip(z)``: the natural
-    point of a symmetric z and the lazy Jacobian of its diagonal in diag z."""
+    """Base of the families. A spectral family defines ``_clip(z)`` of a symmetric z:
+    diag natural(z), |z - natural(z)|^2, and functions giving natural(z) and the
+    Jacobian of its diagonal in diag z."""
 
     lower = -np.inf  # the multipliers' bound
 
@@ -115,16 +132,14 @@ class ConstraintSet:
         return f"{self.kind}({params})"
 
     def natural(self, a: np.ndarray) -> np.ndarray:
-        return self._clip(_symmetrize(a))[0]
+        return self._clip(0.5 * (a + a.T))[2]()
 
     def _dual(self, a0: np.ndarray, y: np.ndarray):
-        """theta, its gradient, a function giving its Hessian, natural(Z), |diag natural(Z)|."""
+        """theta, its gradient, functions giving its Hessian and natural(Z), |diag natural(Z)|."""
         z = a0.copy()  # a0 has a zero diagonal
         z.flat[::y.size + 1] = y
-        x, jacobian = self._clip(z)
-        grad = x.diagonal().copy()
-        r = (z - x).ravel()
-        return 0.5 * (y @ y - r @ r), grad, jacobian, x, float(np.sqrt(grad @ grad))
+        grad, gap, point, jacobian = self._clip(z)
+        return 0.5 * (y @ y - gap), grad, jacobian, point, float(np.sqrt(grad @ grad))
 
 
 @dataclass(frozen=True)
@@ -141,7 +156,7 @@ class OpNormBall(ConstraintSet):
         return float(np.abs(np.linalg.eigvalsh(a)).max()) <= self.lam + tol
 
     def _clip(self, z):
-        return _eigen_clip(*np.linalg.eigh(z), -self.lam, self.lam)
+        return _eigen_clip(*_eigh(z), -self.lam, self.lam)
 
 
 @dataclass(frozen=True)
@@ -159,15 +174,17 @@ class SpectralSpread(ConstraintSet):
         return float(eigs[-1] - eigs[0]) <= self.s + tol
 
     def _clip(self, z):
-        w, V = np.linalg.eigh(z)
+        w, V = _eigh(z)
         if w[-1] - w[0] <= self.s:
-            return z, lambda: np.eye(w.size)
+            return z.diagonal().copy(), 0.0, lambda: z, lambda: np.eye(w.size)
         t = _spread_interval_start(w, self.s)
-        x, jacobian = _eigen_clip(w, V, t, t + self.s)
-        # the window start t moves with the mean of the clipped eigenvalues
-        clipped = (w < t) | (w > t + self.s)
-        u = (V[:, clipped] ** 2).sum(axis=1)
-        return x, lambda: jacobian() + np.outer(u, u) / clipped.sum()
+        diag, gap, point, jacobian = _eigen_clip(w, V, t, t + self.s)
+
+        def hessian():  # the window start t moves with the mean of the clipped eigenvalues
+            clipped = (w < t) | (w > t + self.s)
+            u = (V[:, clipped] ** 2).sum(axis=1)
+            return jacobian() + np.outer(u, u) / clipped.sum()
+        return diag, gap, point, hessian
 
 
 @dataclass(frozen=True)
@@ -201,12 +218,12 @@ class WidthBall(ConstraintSet):
         """As for the spectral families, with theta minus the Lagrange dual in the row
         multipliers and the residual max |min(lam, slack)|."""
         t = 0.5 * (lam[:, None] + lam)
-        active = np.abs(a0) > t
-        x = np.where(active, a0 - np.sign(a0) * t, 0.0)
+        cut = np.clip(a0, -t, t)
+        x = a0 - cut  # soft(a0, t); nonzero exactly where |a0| > t
         grad = self.m - np.abs(x).sum(axis=1)
-        theta = self.m * lam.sum() - 0.5 * np.sum((x - a0) ** 2 + 2.0 * t * np.abs(x))
-        hessian = lambda: 0.5 * (np.diag(active.sum(axis=1)) + active)  # noqa: E731
-        return theta, grad, hessian, x, float(np.abs(np.minimum(lam, grad)).max())
+        theta = self.m * lam.sum() - 0.5 * np.sum(cut * cut + 2.0 * cut * x)  # t|x| = cut x
+        hessian = lambda: 0.5 * (np.diag((x != 0).sum(axis=1)) + (x != 0))  # noqa: E731
+        return theta, grad, hessian, lambda: x, float(np.abs(np.minimum(lam, grad)).max())
 
 
 @dataclass(frozen=True)
@@ -236,11 +253,12 @@ class AntiferroSpike(ConstraintSet):
         # Clip the spike and eigen-clip the bulk; the cross terms, orthogonal to
         # both and zero on the set, are dropped. The eigenvectors are taken off
         # the ones direction, where the bulk's artificial zero eigenvalue lies.
-        spike, _, bulk = _spike_bulk(z)
-        w, V = np.linalg.eigh(bulk)
-        x, jacobian = _eigen_clip(w, V - V.mean(axis=0), -self.alpha / 2, self.alpha / 2)
-        x += min(max(spike, -self.c), 0.0) / w.size
-        return x, lambda: jacobian() + (-self.c < spike < 0) / w.size**2
+        spike, cross, bulk = _spike_bulk(z)
+        w, V = _eigh(bulk)
+        n, kept = w.size, min(max(spike, -self.c), 0.0)
+        diag, gap, point, jac = _eigen_clip(w, V - V.sum(0) / n, -self.alpha / 2, self.alpha / 2)
+        return (diag + kept / n, gap + (spike - kept) ** 2 + 2.0 * float(cross @ cross),
+                lambda: point() + kept / n, lambda: jac() + (-self.c < spike < 0) / n**2)
 
 
 FAMILIES = {cls.__name__: cls for cls in (OpNormBall, SpectralSpread, WidthBall, AntiferroSpike)}
@@ -265,16 +283,16 @@ def project_array(cs: ConstraintSet, a: np.ndarray, tol: float = DEFAULT_TOL):
         raise ValidationError("projection needs a non-empty, square, finite array")
     a0 = _proj_zero_diag(a)
     y = np.zeros(a0.shape[0])
-    theta, grad, hessian, x, residual = cs._dual(a0, y)
+    theta, grad, hessian, point, residual = cs._dual(a0, y)
     for _ in range(DEFAULT_MAX_ITER):
         if residual <= tol:
             break
         eps = min(1e-4, residual)
-        free = (y > cs.lower + eps) | (grad <= 0)
+        free = slice(None) if cs.lower == -np.inf else (y > cs.lower + eps) | (grad <= 0)
         d = -grad
         h = hessian()[free][:, free]
         h.flat[::h.shape[0] + 1] += eps
-        d[free] = np.linalg.solve(h, d[free])
+        d[free] = _solve(h, d[free])
         for step in _HALVINGS:
             y_new = np.maximum(y + step * d, cs.lower)
             trial = cs._dual(a0, y_new)
@@ -283,12 +301,12 @@ def project_array(cs: ConstraintSet, a: np.ndarray, tol: float = DEFAULT_TOL):
                 break
         else:
             break  # no decrease left but rounding
-        y, (theta, grad, hessian, x, residual) = y_new, trial
+        y, (theta, grad, hessian, point, residual) = y_new, trial
     if not residual <= tol:  # a NaN residual warns too
         warnings.warn(ProjectionConvergenceWarning(
             f"projection onto {cs.describe()} stopped at KKT residual {residual:.3g} "
             f"(budget {DEFAULT_MAX_ITER} Newton steps)"))
-    return _proj_zero_diag(x), y, residual
+    return _proj_zero_diag(point()), y, residual
 
 
 def project(cs: ConstraintSet, J: CouplingMatrix, tol: float = DEFAULT_TOL) -> CouplingMatrix:

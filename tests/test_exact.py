@@ -81,6 +81,15 @@ class TestDistribution:
         with pytest.raises(ValidationError):
             exact.DistributionTable(n=2, probs=np.array([0.25, bad, 0.25, 0.25]))
 
+    @pytest.mark.parametrize("n, probs", [
+        (-1, np.array([1.0])),  # 1 << -1 would raise ValueError
+        (2, [0.25] * 4),  # a list has no .shape
+        (2.0, np.full(4, 0.25)),
+    ], ids=["negative_n", "list_probs", "float_n"])
+    def test_hand_built_table_rejects_bad_n_or_probs(self, n, probs):
+        with pytest.raises(ValidationError, match="integer n >= 0 and an ndarray of 2\\^n"):
+            exact.DistributionTable(n=n, probs=probs)
+
     def test_scalar_shift_invariance(self, rng):
         # adding c*I before the zero-diagonal convention only rescales Z,
         # because x_i^2 = 1; the renormalized table must be unchanged

@@ -1,7 +1,7 @@
 import warnings
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from isingfit import ensembles, projections
@@ -158,6 +158,12 @@ class TestSpreadInterval:
         v=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=30),
         s=st.floats(0.01, 1.0),
     )
+    @example(v=[2.0, 0.0], s=1.0)  # unsorted
+    @example(v=[0.3, -1.0, 2.0, -1.5, 0.7], s=0.4)
+    @example(v=[1.0, 1.0, -1.0, -1.0], s=0.5)  # tied values
+    @example(v=[-2.0, 0.5, 0.5, 0.5, -2.0, 3.0], s=0.25)
+    @example(v=[1.0, 0.5, 0.0, 1.5], s=0.5)  # tied breakpoints v_j = v_i - s
+    @example(v=[0.0, 1.0, 0.0, 1.0, 2.0], s=1.0)
     def test_clip_sums_balance(self, v, s):
         # at t* the clip sums L(t) = sum (t - v_i)_+ and H(t) = sum (v_i - s - t)_+
         # balance, to 1e-12 relative to the size of the terms they sum
@@ -167,6 +173,83 @@ class TestSpreadInterval:
         low = np.maximum(t - v, 0.0).sum()
         high = np.maximum(v - s - t, 0.0).sum()
         assert abs(low - high) <= 1e-12 * (np.abs(v).sum() + s * v.size)
+
+
+class TestLapackHelpers:
+    """projections._eigh and _solve call numpy.linalg's gufuncs without its per-call checks."""
+
+    def test_bit_identical_to_numpy(self, rng):
+        for n in range(2, 31):
+            a = rng.normal(size=(n, n))
+            a = a + a.T
+            b = rng.normal(size=n)
+            for got, want in zip(projections._eigh(a), np.linalg.eigh(a)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            np.testing.assert_array_equal(projections._solve(a, b), np.linalg.solve(a, b))
+
+    def test_nan_raises(self, rng):
+        a = rng.normal(size=(8, 8))
+        a = a + a.T
+        a[1, 2] = a[2, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigh(a)  # the public call raises on this input too
+        with pytest.raises(np.linalg.LinAlgError):
+            projections._eigh(a)
+        with pytest.raises(np.linalg.LinAlgError):
+            projections._solve(a, np.ones(8))
+
+
+def natural_reference(cs, z):
+    """natural(z) as an n x n matrix from np.linalg.eigh of z or of its explicit bulk."""
+    n = z.shape[0]
+    if isinstance(cs, AntiferroSpike):
+        off = np.eye(n) - 1.0 / n
+        w, V = np.linalg.eigh(off @ z @ off)
+        bulk = off @ (V * np.clip(w, -cs.alpha / 2, cs.alpha / 2)) @ V.T @ off
+        return bulk + min(max(z.sum() / n, -cs.c), 0.0) / n
+    w, V = np.linalg.eigh(z)
+    if isinstance(cs, OpNormBall):
+        return (V * np.clip(w, -cs.lam, cs.lam)) @ V.T
+    if w[-1] - w[0] <= cs.s:
+        return z
+    t = projections._spread_interval_start(w, cs.s)
+    return (V * np.clip(w, t, t + cs.s)) @ V.T
+
+
+class TestDualFromEigenvalues:
+    """A dual evaluation takes theta and its gradient from the eigenvalues alone; they
+    must match |Z - natural(Z)|^2 and diag natural(Z) of the n x n point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cs=st.sampled_from([OpNormBall(0.8), SpectralSpread(0.7), AntiferroSpike(0.4, 1.0)]),
+        n=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.05, 20.0),
+        spike=st.floats(-3.0, 2.0),
+    )
+    @example(cs=AntiferroSpike(0.4, 1.0), n=6, seed=1, scale=2.0, spike=1.5)  # spike clipped to 0
+    @example(cs=AntiferroSpike(0.4, 1.0), n=7, seed=2, scale=2.0, spike=-2.5)  # clipped to -c
+    @example(cs=AntiferroSpike(0.4, 1.0), n=5, seed=3, scale=0.3, spike=-0.5)  # spike kept
+    @example(cs=AntiferroSpike(0.4, 1.0), n=2, seed=5, scale=1.0, spike=0.7)
+    @example(cs=SpectralSpread(0.7), n=4, seed=4, scale=0.05, spike=0.0)  # already inside
+    def test_theta_and_gradient(self, cs, n, seed, scale, spike):
+        rng = np.random.default_rng(seed)
+        a0 = random_coupling(n, rng).entries * scale
+        y = rng.normal(size=n) * scale
+        # shift the off-diagonal entries so that Z's spike 1^T Z 1 / n is `spike`
+        a0 += (spike - (a0.sum() + y.sum()) / n) / (n - 1)
+        np.fill_diagonal(a0, 0.0)
+        theta, grad, _, point, _ = cs._dual(a0, y)
+        z = a0 + np.diag(y)
+        x = natural_reference(cs, z)
+        if isinstance(cs, AntiferroSpike):
+            assert abs(z.sum() / n - spike) <= 1e-9 * (1.0 + abs(spike))
+            assert np.ptp(z.sum(axis=1)) > 1e-8  # the cross terms are not zero
+        size = float(y @ y + np.sum(z * z))
+        assert abs(theta - 0.5 * (y @ y - np.sum((z - x) ** 2))) <= 1e-12 * max(size, 1.0)
+        np.testing.assert_allclose(grad, np.diag(x), rtol=0, atol=1e-12 * max(np.sqrt(size), 1.0))
+        np.testing.assert_allclose(point(), x, rtol=0, atol=1e-12 * max(np.sqrt(size), 1.0))
 
 
 @pytest.mark.parametrize("cs", ALL_SETS, ids=lambda c: c.kind)
@@ -351,15 +434,17 @@ class TestNewtonWork:
     def test_counts_do_not_rise(self, cs, spec, monkeypatch):
         inputs = list(self.fit_like_inputs(cs, spec))
         counts = dict.fromkeys(("eigh", "solve"), 0)
-        for name in counts:  # one np.linalg.solve per Newton step
-            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+        for name in counts:  # through projections._eigh and _solve; one _solve per Newton step
+            def counted(*args, _real=getattr(projections, "_" + name), _name=name):
                 counts[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+                return _real(*args)
+            monkeypatch.setattr(projections, "_" + name, counted)
         for a in inputs:
             project_array(cs, a, tol=1e-13)
         eighs, steps = self.BOUNDS[cs.kind]
         assert counts["eigh"] <= eighs and counts["solve"] <= steps, counts
+        # a count that reads 0 would pass without checking anything
+        assert counts["solve"] > 0 and (counts["eigh"] > 0 or cs.kind == "WidthBall"), counts
 
     @pytest.mark.parametrize("cs, spec", FIT_CASES, ids=[cs.kind for cs, _ in FIT_CASES])
     def test_default_tolerance_is_the_fits(self, cs, spec):
