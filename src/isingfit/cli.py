@@ -56,8 +56,6 @@ SWEEP_COLUMNS = (
     "op_norm_err",
 )
 
-SWEEP_METRICS = ("frobenius", "tv_exact", "kl_exact", "op_norm_err")
-
 
 class ConfigError(ParameterError):
     pass
@@ -69,8 +67,8 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config: file not found: {path}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config: cannot read {path}: {getattr(e, 'strerror', None) or e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: invalid JSON at line {e.lineno}: {e.msg}")
     if not isinstance(doc, dict):
@@ -249,24 +247,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _pair_metrics(truth: IsingModel, est: IsingModel, metrics: list[str],
-                  p_true: exact.DistributionTable | None = None) -> dict[str, float]:
-    out: dict[str, float] = {}
-    delta = est.coupling.entries - truth.coupling.entries
-    if "frobenius" in metrics:
-        out["frobenius"] = float(np.linalg.norm(delta))
-    if "op_norm_err" in metrics:
-        out["op_norm_err"] = float(np.abs(np.linalg.eigvalsh(delta)).max())
-    if "tv_exact" in metrics or "kl_exact" in metrics:
-        p_est = exact.distribution(est)
-        p_true = p_true or exact.distribution(truth)  # a caller may hold the truth's table
-        if "tv_exact" in metrics:
-            out["tv_exact"] = exact.tv_distance(p_est, p_true)
-        if "kl_exact" in metrics:
-            out["kl_exact"] = exact.kl_divergence(p_est, p_true)
-    return out
-
-
 def _model_b(args, n: int) -> IsingModel:
     """The ``--model-b`` file, which must have the first model's dimension ``n``."""
     other = load_model(args.model_b)
@@ -282,9 +262,9 @@ def _cmd_evaluate(args) -> int:
     if not metrics:
         raise ConfigError("metrics: no metric given")
     for m in metrics:
-        if m not in SWEEP_METRICS:
+        if m not in diagnostics.PAIR_METRICS:
             raise ConfigError(f"metrics: unknown metric {m!r}")
-    values = _pair_metrics(truth, est, metrics)
+    values = diagnostics.pair_metrics(truth, est, metrics)
     _write_csv(args.out, [{"metric": m, "value": values[m]} for m in metrics])
     return 0
 
@@ -305,7 +285,7 @@ def _run_sweep_cell(spec, constraint, fit_cfg, glauber, metrics, key) -> dict:
 
     report = optimizer.fit_mple(batch, np.zeros(spec.n), constraint, fit_cfg)
     est = IsingModel.zero_field(report.estimate)
-    values = _pair_metrics(model, est, metrics, p_true)
+    values = diagnostics.pair_metrics(model, est, metrics, p_true)
 
     # Keys in SWEEP_COLUMNS order; beta and wall_time keep their own precision.
     return {"ensemble": spec.kind, "n": spec.n, "beta": format(spec.beta, ".6g"), "d": spec.d,
@@ -333,7 +313,7 @@ class SweepGrid:
         if not isinstance(self.metrics, list) or not self.metrics:
             raise ConfigError("sweep.metrics: must be a non-empty list of metric names")
         for m in self.metrics:
-            if m not in SWEEP_METRICS:
+            if m not in diagnostics.PAIR_METRICS:
                 raise ConfigError(f"sweep.metrics: unknown metric {m!r}")
 
 

@@ -254,13 +254,21 @@ def save_model(m: IsingModel, path) -> None:
         fh.write(text)
 
 
+def _read_text(path) -> str:
+    """The text of an input file; one that cannot be opened or decoded is a ParseError naming it."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"{path}: cannot read: {getattr(e, 'strerror', None) or e}") from e
+
+
 def load_model(path) -> IsingModel:
     """Read a model file in either J encoding (:func:`save_model` writes dense)."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
+    try:
+        doc = json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from e
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     for key in ("n", "h", "J"):
@@ -323,8 +331,8 @@ def save_samples(batch: SampleBatch, path) -> None:
 
 def load_samples(path) -> SampleBatch:
     """Read a sample file; blank lines are skipped, and errors name the line."""
-    with open(path) as fh:
-        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    lines = [(lineno, line) for lineno, line in enumerate(_read_text(path).split("\n"), start=1)
+             if line.strip()]
     if not lines:
         raise ParseError(f"{path}: no samples")
     try:

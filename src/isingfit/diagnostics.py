@@ -1,5 +1,7 @@
 """Structural probes: subset conditioning, regularity, metric comparison,
-TV-versus-Frobenius bounds, and empirical gradient concentration.
+TV-versus-Frobenius bounds, and empirical gradient concentration; and
+:func:`pair_metrics`, the one comparison of two models, which ``evaluate``,
+``sweep`` and the TV-versus-Frobenius check share.
 
 These operate at enumeration scale (except the subset decomposition, which is
 purely combinatorial) and are the numerical counterparts of the structural
@@ -22,6 +24,13 @@ from .core import (
     ValidationError,
     stream,
 )
+
+__all__ = [
+    "SubsetDecomposition", "subset_decomposition", "check_subset_decomposition",
+    "RegularityReport", "regularity_probe", "MetricComparison", "metric_comparison",
+    "PAIR_METRICS", "pair_metrics", "TvFrobeniusReport", "tv_frobenius_check",
+    "GradientConcentrationSummary", "gradient_concentration_probe",
+]
 
 
 def _probe_rng(seed: int, name: str) -> np.random.Generator:
@@ -54,8 +63,7 @@ class SubsetDecomposition:
 def _submatrix_width(absJ: np.ndarray, idx: np.ndarray) -> float:
     if idx.size == 0:
         return 0.0
-    sub = absJ[np.ix_(idx, idx)]
-    return float(sub.sum(axis=1).max())
+    return float(absJ[idx][:, idx].sum(axis=1).max())
 
 
 def check_subset_decomposition(J: CouplingMatrix, dec: SubsetDecomposition) -> list[str]:
@@ -112,10 +120,10 @@ def subset_decomposition(
     p_include = eta / (8.0 * M)
     target = math.ceil(eta * r / (8.0 * M))
 
-    members = rng.random((r, n)) < p_include
+    members = rng.random((r, n)) < p_include  # row j is subset j, column i node i's holders
     for j in range(r):
         for attempt in range(_MAX_RETRIES + 1):
-            idx = np.nonzero(members[j])[0]
+            idx = np.flatnonzero(members[j])
             if _submatrix_width(absJ, idx) <= eta:
                 break
             if attempt == _MAX_RETRIES:
@@ -125,40 +133,34 @@ def subset_decomposition(
                 )
             members[j] = rng.random(n) < p_include
 
-    counts = members.sum(axis=0).astype(np.int64)
-    subset_of = [set(np.nonzero(members[j])[0].tolist()) for j in range(r)]
-
     # Drop surplus memberships first; removals can only shrink widths.
     for i in range(n):
-        while counts[i] > target:
-            holders = [j for j in range(r) if i in subset_of[j]]
-            j = holders[int(rng.integers(len(holders)))]
-            subset_of[j].discard(i)
-            counts[i] -= 1
+        for _ in range(int(members[:, i].sum()) - target):
+            holders = np.flatnonzero(members[:, i])
+            members[holders[rng.integers(holders.size)], i] = False
 
     # Insert deficits where the width constraint allows.
     insert_budget = 1000 * _MAX_RETRIES
     for i in range(n):
+        deficit = target - int(members[:, i].sum())
         attempts = 0
-        while counts[i] < target:
+        while deficit > 0:
             attempts += 1
             if attempts > insert_budget:
                 raise GenerationError(
                     f"could not rebalance node {i}: no width-compatible subset found"
                 )
             j = int(rng.integers(r))
-            if i in subset_of[j]:
+            if members[j, i]:
                 continue
-            idx = np.fromiter(subset_of[j] | {i}, dtype=np.int64)
-            if _submatrix_width(absJ, idx) <= eta:
-                subset_of[j].add(i)
-                counts[i] += 1
+            members[j, i] = True
+            if _submatrix_width(absJ, np.flatnonzero(members[j])) <= eta:
+                deficit -= 1
+            else:
+                members[j, i] = False
 
-    dec = SubsetDecomposition(
-        subsets=[np.array(sorted(s), dtype=np.int64) for s in subset_of],
-        eta=eta,
-        membership_count=target,
-    )
+    dec = SubsetDecomposition(subsets=list(map(np.flatnonzero, members)), eta=eta,
+                              membership_count=target)
     problems = check_subset_decomposition(J, dec)
     if problems:
         raise GenerationError("construction failed certification: " + "; ".join(problems))
@@ -221,26 +223,54 @@ class MetricComparison:
 
 def metric_comparison(model: IsingModel, J2: CouplingMatrix) -> MetricComparison:
     """Compare the prediction-weighted second moment with plain Frobenius error."""
-    delta = CouplingMatrix(J2.entries - model.coupling.entries)
-    frob_sq = float((delta.entries**2).sum())
+    if J2.n != model.n:
+        raise ValidationError(f"dimension mismatch: {J2.n} vs {model.n}")
+    delta = J2.entries - model.coupling.entries
+    frob_sq = float((delta**2).sum())
     if frob_sq == 0.0:
         return MetricComparison(e_jstar=0.0, frob_sq=0.0, ratio=float("nan"), degenerate=True)
-    e_jstar = exact.moments(model, delta).second
+    second = exact.second_moments(exact.distribution(model))[1]
+    e_jstar = float(np.vdot(delta @ delta, second))  # E||D x||^2 = <D^2, E[x x^T]>
     return MetricComparison(
         e_jstar=e_jstar, frob_sq=frob_sq, ratio=e_jstar / frob_sq, degenerate=False
     )
 
 
 # ---------------------------------------------------------------------------
-# TV against Frobenius.
+# Metrics between two models, and TV against Frobenius.
 # ---------------------------------------------------------------------------
+
+PAIR_METRICS = ("frobenius", "tv_exact", "kl_exact", "op_norm_err")
+
+
+def pair_metrics(truth: IsingModel, est: IsingModel, metrics,
+                 p_true: exact.DistributionTable | None = None) -> dict[str, float]:
+    """The named :data:`PAIR_METRICS` of ``est`` against ``truth``; KL is KL(est || truth).
+
+    Only the exact metrics build tables; a caller may pass the truth's as ``p_true``.
+    """
+    out: dict[str, float] = {}
+    delta = est.coupling.entries - truth.coupling.entries
+    if "frobenius" in metrics:
+        out["frobenius"] = float(np.linalg.norm(delta))
+    if "op_norm_err" in metrics:
+        out["op_norm_err"] = float(np.abs(np.linalg.eigvalsh(delta)).max())
+    if "tv_exact" in metrics or "kl_exact" in metrics:
+        p_est = exact.distribution(est)
+        p_true = p_true or exact.distribution(truth)
+        if "tv_exact" in metrics:
+            out["tv_exact"] = exact.tv_distance(p_est, p_true)
+        if "kl_exact" in metrics:
+            out["kl_exact"] = exact.kl_divergence(p_est, p_true)
+    return out
+
 
 @dataclass(frozen=True)
 class TvFrobeniusReport:
     tv: float
     frob: float
     bound_ok: bool  # tv <= n * frob
-    kl: float
+    kl: float  # KL(m1 || m2)
     pinsker_ok: bool  # tv <= sqrt(kl / 2)
 
 
@@ -250,18 +280,10 @@ def tv_frobenius_check(m1: IsingModel, m2: IsingModel) -> TvFrobeniusReport:
         raise ValidationError("dimension mismatch")
     if np.any(m1.field != 0) or np.any(m2.field != 0):
         raise ParameterError("the TV-Frobenius bound applies to zero external fields")
-    p = exact.distribution(m1)
-    q = exact.distribution(m2)
-    tv = exact.tv_distance(p, q)
-    kl = exact.kl_divergence(p, q)
-    frob = float(np.linalg.norm(m1.coupling.entries - m2.coupling.entries))
-    return TvFrobeniusReport(
-        tv=tv,
-        frob=frob,
-        bound_ok=tv <= m1.n * frob + 1e-12,
-        kl=kl,
-        pinsker_ok=tv <= math.sqrt(kl / 2.0) + 1e-12,
-    )
+    values = pair_metrics(m2, m1, ("frobenius", "tv_exact", "kl_exact"))  # m1 as the estimate
+    tv, frob, kl = values["tv_exact"], values["frobenius"], values["kl_exact"]
+    return TvFrobeniusReport(tv=tv, frob=frob, bound_ok=tv <= m1.n * frob + 1e-12, kl=kl,
+                             pinsker_ok=tv <= math.sqrt(kl / 2.0) + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 State index convention: state ``s`` encodes the configuration whose site ``i``
 carries spin ``+1`` iff bit ``i`` of ``s`` is set (bit 0 = site 0). Log weights
-and moment tables come from one kernel, :func:`quadratic_table`, which splits
-the sites into a low half (the low bits of ``s``) and a high half, so a table is
-a (2^high, 2^low) array whose row-major layout is the state order.
+come from one kernel, :func:`quadratic_table`, which splits the sites into a low
+half (the low bits of ``s``) and a high half, so a table is a (2^high, 2^low)
+array whose row-major layout is the state order; :func:`second_moments` reads
+E[x] and E[x x^T] off the same split. A quadratic statistic's mean comes from
+those: E[x^T A x] = <A, E[x x^T]> and E||A x||^2 = <A^2, E[x x^T]>.
 """
 
 from __future__ import annotations
@@ -162,32 +164,6 @@ def kl_divergence(p: DistributionTable, q: DistributionTable) -> float:
     d_theta = (0.5 * float(np.vdot(p.model.coupling.entries - q.model.coupling.entries, second))
                + float((p.model.field - q.model.field) @ mean))
     return max(d_theta - p.log_z + q.log_z, 0.0)
-
-
-@dataclass(frozen=True)
-class MomentSummary:
-    mean_vec: np.ndarray  # E[A X]
-    second: float  # E[||A X||^2]
-    quad_mean: float  # E[x^T A x]
-    quad_var: float  # Var(x^T A x)
-
-
-def moments(m: IsingModel, A: CouplingMatrix) -> MomentSummary:
-    """Exact expectations of AX statistics under the model distribution."""
-    if A.n != m.n:
-        raise ValidationError(f"dimension mismatch: {A.n} vs {m.n}")
-    a = A.entries
-    table = distribution(m)
-    mean_x, second = second_moments(table)
-    quad = quadratic_table(2.0 * a, np.zeros(m.n))  # x^T A x
-    quad_mean = float(table.probs @ quad)
-    quad_sq = float(table.probs @ np.square(quad, out=quad))
-    return MomentSummary(
-        mean_vec=a @ mean_x,
-        second=float(np.vdot(a @ a, second)),  # E||A x||^2 = <A^2, E[x x^T]>
-        quad_mean=quad_mean,
-        quad_var=max(quad_sq - quad_mean**2, 0.0),
-    )
 
 
 # ---------------------------------------------------------------------------

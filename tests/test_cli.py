@@ -14,6 +14,7 @@ from conftest import dobrushin_model
 
 MODEL_N2 = str(Path(__file__).parent / "data" / "model_n2.json")
 MODEL_SK8 = str(Path(__file__).parent / "data" / "model_sk8.json")  # SK n=8 beta=0.5 seed 3
+MODEL_SK8_B = str(Path(__file__).parent / "data" / "model_sk8_b.json")  # SK n=8 beta=0.7 seed 11
 
 
 def write_config(path, doc):
@@ -394,6 +395,18 @@ class TestDiagnose:
         assert out.read_bytes() == (b"probe,n,l,batches,mean,std,exceed1,exceed2,exceed4\n"
                                     b"gradconc,8,200,20,-32.5225626426,67.3860531298,1,1,0.75\n")
 
+    @pytest.mark.parametrize("probe, expected", [
+        ("metric", b"probe,n,e_jstar,frob_sq,ratio,degenerate\n"
+                   b"metric,8,4.87985524737,5.31552287507,0.918038612957,false\n"),
+        ("tvfrob", b"probe,n,tv,frob,bound_ok,kl,pinsker_ok\n"
+                   b"tvfrob,8,0.573380376053,2.30554177474,true,1.17081466127,true\n"),
+    ])
+    def test_model_pair_bytes_pinned(self, tmp_path, probe, expected):
+        out = tmp_path / "probe.csv"
+        assert cli.main(["diagnose", "--probe", probe, "--model", MODEL_SK8,
+                         "--model-b", MODEL_SK8_B, "--out", str(out)]) == 0
+        assert out.read_bytes() == expected
+
     @pytest.mark.parametrize("probe, flags, header, cells", [
         ("subset", ["--m", "2.0", "--eta", "0.5"],
          "probe,n,r,membership_count,eta,certified", "subset,6,1,1,0.5,true"),
@@ -460,6 +473,21 @@ class TestBadInput:
         bad.write_text(json.dumps(doc))
         assert cli.main(["evaluate", "--model-a", str(bad), "--model-b", str(bad)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--model", "{missing}", "--l", "5"],
+        ["fit", "--samples", "{missing}", "--constraint", '{{"kind": "OpNormBall", "lam": 1}}'],
+        ["evaluate", "--model-a", MODEL_SK8, "--model-b", "{missing}"],
+        ["diagnose", "--probe", "tvfrob", "--model", "{missing}", "--model-b", MODEL_SK8],
+        ["generate", "--config", "{directory}"],
+    ])
+    def test_unreadable_input_file_exit_2(self, tmp_path, capsys, argv):
+        # a missing file, or a directory where a file should be
+        paths = {"missing": str(tmp_path / "absent"), "directory": str(tmp_path)}
+        argv = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "cannot read" in err and str(tmp_path) in err
 
     @pytest.mark.parametrize("field, value", [
         ("l_values", ["x"]), ("l_values", 5), ("seeds", ["x"]), ("seeds", 5),

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from isingfit import diagnostics, exact, mple, sampler
-from isingfit.core import CouplingMatrix, IsingModel, ParameterError
+from isingfit.core import CouplingMatrix, IsingModel, ParameterError, ValidationError
 from isingfit.ensembles import EnsembleSpec, generate
 
 from conftest import dobrushin_model, random_coupling
@@ -40,6 +42,16 @@ class TestSubsetDecomposition:
             if idx.size:
                 assert absJ[np.ix_(idx, idx)].sum(axis=1).max() <= 1.0 / 3.0 + 1e-12
         assert np.all(counts == dec.membership_count)
+
+    def test_subsets_pinned(self):
+        # A10's seed 0 (r = 10,611): every draw, redraw, drop and insert feeds
+        # the subsets, so a change to the construction or its RNG order moves the hash
+        model = generate(EnsembleSpec(kind="BoundedWidthRandom", n=100, width=2.0, seed=0))
+        dec = diagnostics.subset_decomposition(model.coupling, M=2.0, eta=1.0 / 3.0, seed=0)
+        text = "\n".join(",".join(map(str, idx.tolist())) for idx in dec.subsets)
+        assert (dec.r, dec.membership_count) == (10611, 222)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e05c3f1c1a8993b9ec2861615218478a96e870f9a3f7b2e88ee0be1347457e4f")
 
     def test_checker_catches_bad_decomposition(self):
         J = CouplingMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
@@ -136,6 +148,35 @@ class TestMetricComparison:
             assert cmp.ratio > 1.0
             ratios.append(cmp.ratio)
         assert ratios[0] < ratios[1] < ratios[2]
+
+
+    def test_rejects_other_dimension(self, rng):
+        model = IsingModel.zero_field(random_coupling(3, rng))
+        with pytest.raises(ValidationError, match="dimension mismatch"):
+            diagnostics.metric_comparison(model, CouplingMatrix.zeros(1))
+
+
+class TestPairMetrics:
+    def test_tables_only_for_exact_metrics(self, rng, distribution_calls):
+        truth, est = (IsingModel.zero_field(random_coupling(4, rng)) for _ in range(2))
+        values = diagnostics.pair_metrics(truth, est, ["op_norm_err", "frobenius"])
+        assert list(values) == ["frobenius", "op_norm_err"] and distribution_calls == []
+        delta = est.coupling.entries - truth.coupling.entries
+        assert values["frobenius"] == np.linalg.norm(delta)
+        assert values["op_norm_err"] == np.abs(np.linalg.eigvalsh(delta)).max()
+        p_true = exact.distribution(truth)
+        values = diagnostics.pair_metrics(truth, est, diagnostics.PAIR_METRICS, p_true)
+        assert distribution_calls == [4, 4]  # p_true above, then the estimate's table
+        p_est = exact.distribution(est)
+        assert values["tv_exact"] == exact.tv_distance(p_est, p_true)
+        assert values["kl_exact"] == exact.kl_divergence(p_est, p_true)
+
+    def test_tv_frobenius_check_reads_them(self, rng):
+        m1, m2 = (IsingModel.zero_field(random_coupling(5, rng)) for _ in range(2))
+        rep = diagnostics.tv_frobenius_check(m1, m2)
+        values = diagnostics.pair_metrics(m2, m1, diagnostics.PAIR_METRICS)  # KL(m1 || m2)
+        assert (rep.tv, rep.frob, rep.kl) == (
+            values["tv_exact"], values["frobenius"], values["kl_exact"])
 
 
 class TestTvFrobenius:

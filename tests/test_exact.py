@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isingfit import exact
+from isingfit import diagnostics, exact
 from isingfit.core import (
     CapabilityError,
     CouplingMatrix,
@@ -257,8 +257,11 @@ class TestKlDivergence:
         J1, J2 = random_coupling(6, rng), random_coupling(6, rng)
         m1, m2 = zero_field(J1.entries), zero_field(J2.entries)
         p1 = exact.distribution(m1)
-        delta = CouplingMatrix(J2.entries - J1.entries)
-        quad = exact.moments(m1, delta).quad_mean
+        delta = J2.entries - J1.entries
+        # E_1[x^T D x] as a sum over the states, and as <D, E_1[x x^T]>
+        quad = float(p1.probs @ exact.quadratic_table(2.0 * delta, np.zeros(6)))
+        assert quad == pytest.approx(float(np.vdot(delta, exact.second_moments(p1)[1])),
+                                     rel=1e-12, abs=1e-14)
         identity = (
             exact.distribution(m2).log_z - p1.log_z - 0.5 * quad
         )
@@ -306,41 +309,48 @@ class TestSecondMoments:
 
 
 class TestMoments:
+    """Moments of A x read off :func:`exact.second_moments` (E[A x] = A E[x],
+    E[x^T A x] = <A, E[x x^T]>) and E||A x||^2 from ``metric_comparison``."""
+
     @pytest.mark.parametrize("n", [5, 7])
     def test_direct_sums_under_field(self, rng, n):
         m = IsingModel(random_coupling(n, rng, scale=0.5), rng.normal(size=n))
-        A = random_coupling(n, rng)
+        J2 = random_coupling(n, rng)
+        A = J2.entries - m.coupling.entries
         S = exact.all_states(n)
-        p = exact.distribution(m).probs
-        AX = S @ A.entries
-        quad = np.einsum("si,si->s", AX, S)
-        res = exact.moments(m, A)
-        np.testing.assert_allclose(res.mean_vec, p @ AX, rtol=1e-12, atol=1e-14)
-        assert res.second == pytest.approx(float(p @ (AX**2).sum(axis=1)), rel=1e-12)
-        assert res.quad_mean == pytest.approx(float(p @ quad), rel=1e-12)
-        assert res.quad_var == pytest.approx(float(p @ (quad - p @ quad) ** 2), rel=1e-12)
+        table = exact.distribution(m)
+        p = table.probs
+        AX = S @ A
+        mean, second = exact.second_moments(table)
+        np.testing.assert_allclose(A @ mean, p @ AX, rtol=1e-12, atol=1e-14)
+        assert float(np.vdot(A, second)) == pytest.approx(
+            float(p @ np.einsum("si,si->s", AX, S)), rel=1e-12)
+        e_jstar = diagnostics.metric_comparison(m, J2).e_jstar
+        assert e_jstar == pytest.approx(float(p @ (AX**2).sum(axis=1)), rel=1e-12)
 
     def test_uniform_second_moment_is_frobenius(self, rng):
         A = random_coupling(6, rng)
-        res = exact.moments(zero_field(np.zeros((6, 6))), A)
-        assert res.second == pytest.approx(float((A.entries**2).sum()), rel=1e-12)
-        np.testing.assert_allclose(res.mean_vec, 0.0, atol=1e-14)
+        uniform = zero_field(np.zeros((6, 6)))
+        cmp = diagnostics.metric_comparison(uniform, A)
+        assert cmp.e_jstar == pytest.approx(float((A.entries**2).sum()), rel=1e-12)
+        mean = exact.second_moments(exact.distribution(uniform))[0]
+        np.testing.assert_allclose(A.entries @ mean, 0.0, atol=1e-14)
 
     def test_zero_direction(self, rng):
         m = IsingModel(random_coupling(5, rng), rng.normal(size=5))
-        res = exact.moments(m, CouplingMatrix.zeros(5))
-        assert res.second == res.quad_mean == res.quad_var == 0.0
-        np.testing.assert_allclose(res.mean_vec, 0.0)
+        cmp = diagnostics.metric_comparison(m, m.coupling)
+        assert cmp.degenerate and cmp.e_jstar == cmp.frob_sq == 0.0
 
     def test_variance_bound_via_poincare(self, rng):
         # E||AX||^2 <= ||E[AX]||^2 + rho ||A||_F^2 with the exact constant
         m = dobrushin_model(6, 0.4, seed=4)
         rho = exact.poincare_constant(m)
+        mean = exact.second_moments(exact.distribution(m))[0]
         for _ in range(10):
-            A = random_coupling(6, rng)
-            res = exact.moments(m, A)
-            bound = float(res.mean_vec @ res.mean_vec) + rho * float((A.entries**2).sum())
-            assert res.second <= bound + 1e-10
+            J2 = random_coupling(6, rng)
+            cmp = diagnostics.metric_comparison(m, J2)
+            mean_vec = (J2.entries - m.coupling.entries) @ mean
+            assert cmp.e_jstar <= float(mean_vec @ mean_vec) + rho * cmp.frob_sq + 1e-10
 
 
 class TestPoincare:
