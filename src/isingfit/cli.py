@@ -137,6 +137,8 @@ def _cmd_generate(args) -> int:
 
 
 def _write_report(path: str, doc: dict) -> None:
+    """``doc`` as a JSON file; a non-finite real, which JSON cannot hold, is written null."""
+    doc = {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in doc.items()}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
@@ -188,10 +190,13 @@ def _cmd_sample(args) -> int:
     sample_time = time.perf_counter() - start
     save_samples(batch, args.out)
     if args.report:
-        doc = {"method": args.method, "l": args.l, "chains": None, "burn_in_sweeps": None,
-               "thinning_sweeps": None, "site_updates": None, "sample_time": sample_time}
+        doc = {"method": args.method, "l": args.l, "chains": None, "processes": None,
+               "burn_in_sweeps": None, "thinning_sweeps": None, "site_updates": None,
+               "sample_time": sample_time}
         if args.method == "glauber":
-            doc.update(chains=min(cfg.chains, args.l), burn_in_sweeps=cfg.burn_in_sweeps,
+            doc.update(chains=min(cfg.chains, args.l),
+                       processes=sampler.chain_processes(model.n, args.l, cfg),
+                       burn_in_sweeps=cfg.burn_in_sweeps,
                        thinning_sweeps=cfg.thinning_sweeps,
                        site_updates=sampler.site_updates(model.n, args.l, cfg),
                        **sampler.mixing(model, batch, cfg))
@@ -363,10 +368,10 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _subset_row(args, model) -> dict:
+    # subset_decomposition certifies what it returns and raises otherwise
     dec = diagnostics.subset_decomposition(model.coupling, args.m, args.eta, seed=args.seed)
-    problems = diagnostics.check_subset_decomposition(model.coupling, dec)
     return {"r": dec.r, "membership_count": dec.membership_count, "eta": dec.eta,
-            "certified": not problems}
+            "certified": True}
 
 
 def _regularity_row(args, model) -> dict:

@@ -61,10 +61,13 @@ class FitReport:
     grad_map_trace: list[float] = field(default_factory=list)
     converged: bool = False
     wall_time: float = 0.0
-    stop_reason: str = "max_iters"  # or "grad_map", "step_underflow"
+    stop_reason: str = "max_iters"  # or "grad_map", "step_underflow", "non_finite"
     projections: int = 0  # project_array calls, the initial one included
 
 
+# An overflow is no error here: a non-finite value fails the Armijo test, or
+# at the start point ends the fit with stop reason "non_finite".
+@np.errstate(over="ignore", invalid="ignore")
 def fit_mple(
     samples: SampleBatch,
     h,
@@ -93,7 +96,8 @@ def fit_mple(
 
     for it in range(cfg.max_iters):
         if not np.isfinite(f_unnorm):
-            raise ArithmeticError(f"objective became non-finite at iteration {it}")
+            report.stop_reason = "non_finite"
+            break
         f = f_unnorm / scale
         g = g_raw / (2.0 * scale)  # Frobenius-metric gradient of the normalized objective
 

@@ -6,23 +6,38 @@ such steps. The chain is only approximate for finite burn-in, so tests that
 need genuine i.i.d. samples should use :func:`exact_sample` (available up to
 the enumeration cap).
 
-Chains own disjoint RNG streams keyed by (seed, chain index), and samples are
-merged round-robin across chains, so the output is a pure function of the
-model, count, and config no matter how the chains are scheduled. A chain keeps
-its local fields in one numpy vector and updates them with one vector add per
-flip; samples are byte-identical to those of earlier releases, whose loop added
-one scalar per site. :func:`mixing` gives split-R-hat across a batch's chains.
+Chains own disjoint RNG streams keyed by (seed, chain index), and chain c's
+samples are the rows ``c::chains`` of the batch (a round-robin merge), so the
+output is a pure function of the model, count, and config no matter how the
+chains are scheduled. That lets :func:`glauber_sample` run its chains on
+:func:`chain_processes` processes, the caller and workers forked from it, with
+the same bytes as one process running them in turn; it stays in one process
+where a worker would not pay for itself or is unsafe to fork. A chain keeps its
+local fields in one numpy vector and updates them with one vector add per flip;
+samples are byte-identical to those of earlier releases, whose loop added one
+scalar per site. :func:`mixing` gives split-R-hat across a batch's chains.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exact
 from .core import IsingModel, ParameterError, SampleBatch, ValidationError, is_int, is_real, stream
+
+
+# Fewer site updates than this run in the calling process alone. Forking and
+# joining one worker takes about 2.5 ms, the time of 4*10^3 updates, but two
+# chains at once each ran 1.5-2.5x slower than alone (2 shared vCPUs): at
+# 4-5*10^4 updates two processes lost some repeats, at 10^5 they won every
+# repeat (median 1.8x). 2*10^5 keeps a margin where the host is busier.
+_MIN_PARALLEL_UPDATES = 200_000
 
 
 @dataclass(frozen=True)
@@ -101,13 +116,105 @@ def glauber_sample(m: IsingModel, l: int, cfg: GlauberConfig | None = None) -> S
     if cfg is None:
         cfg = default_config()
     chains = min(cfg.chains, l)
+    procs = chain_processes(m.n, l, cfg)
     per_chain = [(l - c + chains - 1) // chains for c in range(chains)]
     spins = np.empty((l, m.n), dtype=np.int8)
     J, h = m.coupling.entries, m.field
-    for c in range(chains):
-        chain_out = _run_chain(J, h, per_chain[c], cfg, c)
-        spins[c::chains] = chain_out
+
+    def run(k: int) -> list[np.ndarray]:  # the chains c = k mod procs, in order
+        return [_run_chain(J, h, per_chain[c], cfg, c) for c in range(k, chains, procs)]
+
+    # Process k runs run(k), the caller k = 0; each chain fills its own rows,
+    # so the bytes do not depend on who ran it.
+    for k, rows in enumerate(_run_forked([functools.partial(run, k) for k in range(procs)])):
+        for c, chain_rows in zip(range(k, chains, procs), rows):
+            spins[c::chains] = chain_rows
     return SampleBatch(spins)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def chain_processes(n: int, l: int, cfg: GlauberConfig) -> int:
+    """Processes that ``glauber_sample`` runs its chains on for l samples at size n.
+
+    That is min(chains, usable CPUs), except that the caller runs every chain
+    alone (1) in these cases:
+    - one chain or one CPU, where there is nothing to split;
+    - fewer than ``_MIN_PARALLEL_UPDATES`` site updates, where starting a
+      worker costs more than it saves;
+    - the caller is itself a multiprocessing child, so the workers of a
+      parallel sweep never start workers of their own;
+    - another thread is running: fork copies only the calling thread, and a
+      lock that another thread holds would stay held in the worker;
+    - the platform has no ``fork`` start method.
+    """
+    procs = min(cfg.chains, l, _usable_cpus())
+    if procs == 1 or site_updates(n, l, cfg) < _MIN_PARALLEL_UPDATES:
+        return 1
+    import multiprocessing  # here, so that serial runs do not load it
+
+    if (multiprocessing.parent_process() is not None or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return procs
+
+
+def _run_forked(tasks: list) -> list:
+    """The results of the zero-argument callables ``tasks``, in order.
+
+    The first runs in this process while each other runs in a worker forked
+    from it, which sends back its result, or the exception that ended it for
+    the caller to raise. Workers are plain ``Process`` objects with one pipe
+    each, as a ``ProcessPoolExecutor`` raised peak memory by about 1 MB more
+    (its modules and its manager and feeder threads). A worker whose result
+    was not read when the call failed is stopped; none outlives the call.
+    """
+    if len(tasks) == 1:
+        return [tasks[0]()]
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    workers, results = [], []
+    try:
+        for task in tasks[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            worker = ctx.Process(target=_send_result, args=(send, task))
+            worker.start()
+            send.close()  # the worker holds its own copy
+            workers.append((worker, recv))
+        results.append(tasks[0]())
+        for worker, recv in workers:
+            try:
+                result = recv.recv()
+            except EOFError:  # the worker died before it could send
+                worker.join()
+                raise RuntimeError(f"a chain worker exited with code {worker.exitcode}") from None
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
+        return results
+    finally:
+        for i, (worker, recv) in enumerate(workers, 1):
+            if len(results) <= i:
+                worker.terminate()
+            worker.join()
+            recv.close()
+
+
+def _send_result(conn, task) -> None:
+    """A forked worker's body: send ``task()``, or the exception it raised."""
+    try:
+        result = task()
+    except Exception as e:  # noqa: BLE001 - the caller raises it
+        result = e
+    conn.send(result)
+    conn.close()
 
 
 def site_updates(n: int, l: int, cfg: GlauberConfig) -> int:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isingfit import cli
+from isingfit import cli, diagnostics, sampler
 from isingfit.core import load_model, load_samples, save_model
 
 from conftest import dobrushin_model
@@ -133,6 +133,28 @@ class TestPipeline:
         est = load_model(est_path)
         np.testing.assert_allclose(est.field, [0.1, -0.2, 0.0, 0.3, 0.0])
 
+    def test_fit_non_finite_objective_stops(self, tmp_path, capsys):
+        # a field of 1e308 overflows the objective at the start point: the fit
+        # ends with stop reason non_finite and exit 0, and stderr stays empty
+        cfg = write_config(tmp_path / "c.json",
+                           {"ensemble": {"kind": "SK", "n": 5, "beta": 0.5, "seed": 0}})
+        model_path, samples_path = tmp_path / "m.json", tmp_path / "s.csv"
+        assert cli.main(["generate", "--config", cfg, "--out", str(model_path)]) == 0
+        assert cli.main(["sample", "--model", str(model_path), "--method", "exact",
+                         "--l", "200", "--seed", "1", "--out", str(samples_path)]) == 0
+        h_path = tmp_path / "h.json"
+        h_path.write_text("[1e308, 1e308, 1e308, 1e308, 1e308]")
+        report_path = tmp_path / "report.json"
+        assert cli.main(["fit", "--samples", str(samples_path), "--h", str(h_path),
+                         "--constraint", '{"kind":"OpNormBall","lam":1}',
+                         "--out", str(tmp_path / "e.json"), "--report", str(report_path)]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(report_path.read_text())  # strict JSON: no Infinity
+        assert (report["stop_reason"], report["converged"], report["iterations"]) == (
+            "non_finite", False, 0)
+        assert report["objective_first"] is report["objective_last"] is None
+        np.testing.assert_array_equal(load_model(tmp_path / "e.json").coupling.entries, 0.0)
+
     def test_fit_rejects_wrong_length_field(self, tmp_path, capsys):
         doc = base_config(n=5)
         cfg = write_config(tmp_path / "c.json", doc)
@@ -195,7 +217,7 @@ class TestPipeline:
         ]) == 0
         assert load_samples(out).l == 50
 
-    def test_glauber_sample_report(self, tmp_path):
+    def test_glauber_sample_report(self, tmp_path, monkeypatch):
         model_path = tmp_path / "m.json"
         save_model(dobrushin_model(6, 0.3, seed=5), model_path)
         report_path = tmp_path / "report.json"
@@ -204,12 +226,12 @@ class TestPipeline:
                                 "--report", str(report_path)]) == 0
         report = json.loads(report_path.read_text())
         assert list(report) == [
-            "method", "l", "chains", "burn_in_sweeps", "thinning_sweeps", "site_updates",
-            "sample_time", "rhat_energy", "rhat_magnetization",
+            "method", "l", "chains", "processes", "burn_in_sweeps", "thinning_sweeps",
+            "site_updates", "sample_time", "rhat_energy", "rhat_magnetization",
         ]
         assert report["method"] == "glauber"
-        assert (report["l"], report["chains"], report["burn_in_sweeps"],
-                report["thinning_sweeps"]) == (4000, 4, 200, 5)
+        assert (report["l"], report["chains"], report["processes"], report["burn_in_sweeps"],
+                report["thinning_sweeps"]) == (4000, 4, 1, 200, 5)  # too few updates to split
         assert report["site_updates"] == 6 * (4 * 200 + 4000 * 5)
         assert report["sample_time"] > 0.0
         assert report["rhat_energy"] <= 1.05
@@ -217,6 +239,13 @@ class TestPipeline:
         # the report leaves the samples as they are
         assert cli.main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        # and so does splitting the chains across three processes
+        monkeypatch.setattr(sampler, "_MIN_PARALLEL_UPDATES", 0)
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 3)
+        assert cli.main(argv + ["--out", str(tmp_path / "c.csv"),
+                                "--report", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["processes"] == 3
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
 
     def test_exact_sample_report_has_no_rhat(self, tmp_path):
         model_path = tmp_path / "m.json"
@@ -229,7 +258,7 @@ class TestPipeline:
         report = json.loads(report_path.read_text())
         assert report["method"] == "exact"
         assert not any(key.startswith("rhat") for key in report)
-        assert report["chains"] is report["site_updates"] is None
+        assert report["chains"] is report["processes"] is report["site_updates"] is None
 
 
 class TestCapabilityGate:
@@ -291,6 +320,20 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--out", str(parallel), "--jobs", "2"]) == 0
         assert strip_wall_time(serial.read_text()) == strip_wall_time(parallel.read_text())
 
+    def test_glauber_serial_matches_parallel(self, tmp_path, monkeypatch):
+        # at --jobs 1 each cell splits its chains across two processes; the
+        # --jobs 2 workers, being multiprocessing children, run them in turn
+        monkeypatch.setattr(sampler, "_MIN_PARALLEL_UPDATES", 0)
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        doc = base_config()
+        doc["sampler"] = {"method": "glauber", "burn_in_sweeps": 20, "thinning_sweeps": 2}
+        cfg = write_config(tmp_path / "c.json", doc)
+        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        assert sampler.chain_processes(6, 100, sampler.GlauberConfig()) == 2
+        assert cli.main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
+        assert cli.main(["sweep", "--config", cfg, "--out", str(parallel), "--jobs", "2"]) == 0
+        assert strip_wall_time(serial.read_text()) == strip_wall_time(parallel.read_text())
+
     def test_repeated_grid_values_run_one_cell(self, tmp_path, distribution_calls):
         doc = base_config(l_values=(50, 50), seeds=(3, 3), metrics=("frobenius",))
         out = tmp_path / "r.csv"
@@ -339,7 +382,11 @@ class TestDiagnose:
         cli.main(["generate", "--config", cfg, "--out", str(path)])
         return str(path)
 
-    def test_subset_probe(self, tmp_path):
+    def test_subset_probe(self, tmp_path, monkeypatch):
+        checks = []
+        check = diagnostics.check_subset_decomposition
+        monkeypatch.setattr(diagnostics, "check_subset_decomposition",
+                            lambda J, dec: checks.append(dec) or check(J, dec))
         doc = {"ensemble": {"kind": "BoundedWidthRandom", "n": 40, "width": 2.0, "seed": 1}}
         cfg = write_config(tmp_path / "c.json", doc)
         model = tmp_path / "m.json"
@@ -353,6 +400,7 @@ class TestDiagnose:
         assert lines[0].startswith("probe,")
         assert lines[1].startswith("subset,40,")
         assert lines[1].endswith("true")
+        assert len(checks) == 1  # the construction's own certification, not a second
 
     def test_regularity_probe(self, model_path, tmp_path):
         out = tmp_path / "probe.csv"

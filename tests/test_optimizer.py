@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -208,6 +210,18 @@ class TestStopReason:
         # the initial projection, then steps 1, 1/2, ... down to the floor
         assert report.projections == len(projection_calls) == 61
         assert len(evaluated) == 61
+
+    def test_non_finite(self):
+        # a field of 1e308 overflows the objective at the start point; the fit
+        # stops there, quietly, and returns that point
+        batch = uniform_batch(5, 200, seed=14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = fit_mple(batch, np.full(5, 1e308), OpNormBall(1.0))
+        assert not report.converged and report.stop_reason == "non_finite"
+        assert report.iterations == 0 and report.projections == 1
+        assert not np.isfinite(report.objective_trace[0])
+        np.testing.assert_array_equal(report.estimate.entries, np.zeros((5, 5)))
 
 
 def test_each_trial_point_is_evaluated_once(monkeypatch, projection_calls):

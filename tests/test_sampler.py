@@ -1,5 +1,9 @@
 import math
+import multiprocessing
+import os
 import statistics
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -193,6 +197,89 @@ class TestGlauber:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * (5000 * 30) * 16
+
+
+fork_only = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                               reason="chains run in one process without fork")
+
+
+class TestChainProcesses:
+    @fork_only
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), l=st.integers(1, 60), chains=st.integers(1, 6),
+           seed=st.integers(-2**63, 2**63 - 1), coupling_seed=st.integers(0, 2**32 - 1))
+    def test_parallel_matches_serial_byte_for_byte(self, n, l, chains, seed, coupling_seed):
+        m = zero_field(random_coupling(n, np.random.default_rng(coupling_seed)).entries)
+        cfg = sampler.GlauberConfig(burn_in_sweeps=3, thinning_sweeps=2, seed=seed, chains=chains)
+        assert sampler.chain_processes(n, l, cfg) == 1  # below the threshold
+        serial = sampler.glauber_sample(m, l, cfg).spins.tobytes()
+        for cpus in (2, 3):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sampler, "_MIN_PARALLEL_UPDATES", 0)
+                patch.setattr(sampler, "_usable_cpus", lambda: cpus)
+                assert sampler.chain_processes(n, l, cfg) == min(chains, l, cpus)
+                assert sampler.glauber_sample(m, l, cfg).spins.tobytes() == serial
+
+    @fork_only
+    @pytest.mark.parametrize("failing_chain", [0, 1])
+    def test_chain_error_reaches_caller(self, monkeypatch, failing_chain):
+        # the caller runs chains 0 and 2 and the worker 1 and 3; the worker
+        # forks with the patched stream in place. When the caller's chain
+        # fails, the worker (stuck in chain 1) is stopped, not waited for.
+        monkeypatch.setattr(sampler, "_MIN_PARALLEL_UPDATES", 0)
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        keyed = sampler.stream
+
+        def patched(seed, chain):
+            if chain == failing_chain:
+                raise ValueError(os.getpid())
+            if chain == 1:
+                time.sleep(60)
+            return keyed(seed, chain)
+
+        monkeypatch.setattr(sampler, "stream", patched)
+        cfg = sampler.GlauberConfig(burn_in_sweeps=2, chains=4)
+        start = time.monotonic()
+        with pytest.raises(ValueError) as info:
+            sampler.glauber_sample(dobrushin_model(5, 0.4, seed=1), 40, cfg)
+        assert time.monotonic() - start < 30
+        assert (info.value.args[0] == os.getpid()) == (failing_chain == 0)
+        assert multiprocessing.active_children() == []
+
+    @fork_only
+    def test_dead_worker_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_MIN_PARALLEL_UPDATES", 0)
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        keyed = sampler.stream
+        monkeypatch.setattr(sampler, "stream",
+                            lambda seed, chain: os._exit(3) if chain == 1 else keyed(seed, chain))
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            sampler.glauber_sample(dobrushin_model(5, 0.4, seed=1), 40,
+                                   sampler.GlauberConfig(burn_in_sweeps=2, chains=4))
+        assert multiprocessing.active_children() == []
+
+    def test_serial_cases(self, monkeypatch):
+        cfg = sampler.GlauberConfig(chains=4)
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        assert sampler.site_updates(30, 2000, cfg) >= sampler._MIN_PARALLEL_UPDATES
+        assert sampler.chain_processes(30, 1, cfg) == 1  # one chain ran
+        assert sampler.chain_processes(30, 200, cfg) == 1  # below the threshold
+        assert sampler.chain_processes(30, 2000, cfg) == (
+            2 if "fork" in multiprocessing.get_all_start_methods() else 1)
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 1)
+        assert sampler.chain_processes(30, 2000, cfg) == 1
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert sampler.chain_processes(30, 2000, cfg) == 1  # another thread runs
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        assert sampler.chain_processes(30, 2000, cfg) == 1
 
 
 class TestInputChecks:
