@@ -24,7 +24,6 @@ from .core import (  # noqa: F401
     SampleBatch,
     load_model,
     load_samples,
-    matrix_norms,
     save_model,
     save_samples,
 )

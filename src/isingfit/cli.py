@@ -3,7 +3,7 @@
 Configuration lives in a single JSON document with blocks {ensemble,
 constraint, optimizer, sampler, sweep}; command-line flags override file
 values. Exit codes: 0 success, 1 runtime failure, 2 configuration error
-(message names the offending field), 3 capability error (enumeration cap).
+(message names the offending field or output path), 3 capability error (enumeration cap).
 
 Sweep results are one CSV row per distinct (l, seed) cell. Cells are pure
 functions of the configuration and the cell seed, so a row can be reproduced
@@ -76,6 +76,18 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _check_writable(*paths) -> None:
+    """Raise ConfigError ``<path>: cannot write: <reason>`` where open(path, "w") would fail."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        reason = ("Is a directory" if os.path.isdir(path)
+                  else "No such file or directory" if not os.path.isdir(parent)
+                  else None if os.access(path if os.path.exists(path) else parent, os.W_OK)
+                  else "Permission denied")
+        if reason:
+            raise ConfigError(f"{path}: cannot write: {reason}")
+
+
 def _from_block(cls, block, ctx: str, **fixed):
     """Build dataclass ``cls`` from config block ``block``; errors name ``ctx``.
 
@@ -109,11 +121,14 @@ def _constraint(block) -> projections.ConstraintSet:
     return _from_block(projections.FAMILIES[kind], params, "constraint")
 
 
-def _glauber_config(block, seed: int) -> sampler.GlauberConfig:
-    """The sampler block (or command-line flags) as a Glauber config; a
-    ``None`` value means the default, and ``method`` is read by the caller."""
+def _glauber_config(block, seed: int, method: str = "glauber") -> sampler.GlauberConfig:
+    """The sampler block (or command-line flags) as a Glauber config; a ``None`` value
+    means the default, and under ``method`` exact a Glauber field that is set is an error."""
     if isinstance(block, dict):
         block = {k: v for k, v in block.items() if v is not None and k != "method"}
+        for key in block if method == "exact" else ():
+            if key in ("burn_in_sweeps", "thinning_sweeps", "chains", "alpha_hint"):
+                raise ConfigError(f"sampler.{key}: applies to method glauber only")
         try:
             base = sampler.default_config(seed, block.pop("alpha_hint", None))
         except ParameterError as e:
@@ -266,9 +281,6 @@ def _cmd_evaluate(args) -> int:
     metrics = list(dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip()))
     if not metrics:
         raise ConfigError("metrics: no metric given")
-    for m in metrics:
-        if m not in diagnostics.PAIR_METRICS:
-            raise ConfigError(f"metrics: unknown metric {m!r}")
     values = diagnostics.pair_metrics(truth, est, metrics)
     _write_csv(args.out, [{"metric": m, "value": values[m]} for m in metrics])
     return 0
@@ -317,9 +329,10 @@ class SweepGrid:
             raise ConfigError("sweep.l_values: every sample count must be >= 1")
         if not isinstance(self.metrics, list) or not self.metrics:
             raise ConfigError("sweep.metrics: must be a non-empty list of metric names")
-        for m in self.metrics:
-            if m not in diagnostics.PAIR_METRICS:
-                raise ConfigError(f"sweep.metrics: unknown metric {m!r}")
+        try:
+            diagnostics.check_metrics(self.metrics)
+        except ParameterError as e:
+            raise ConfigError(f"sweep.{e}") from None
 
 
 def _cmd_sweep(args) -> int:
@@ -338,10 +351,10 @@ def _cmd_sweep(args) -> int:
     # Every block is checked once here, before any cell starts.
     constraint = _constraint(cfg["constraint"])
     fit_cfg = _from_block(optimizer.FitConfig, cfg.get("optimizer"), "optimizer")
-    glauber = _glauber_config(cfg.get("sampler"), 0)
-    method = (cfg.get("sampler") or {}).get(
-        "method", "exact" if spec.n <= exact.DEFAULT_ENUM_CAP else "glauber"
-    )
+    block = cfg.get("sampler")
+    method = "exact" if spec.n <= exact.DEFAULT_ENUM_CAP else "glauber"
+    method = block.get("method", method) if isinstance(block, dict) else method
+    glauber = _glauber_config(block, 0, method)  # a block that is not an object fails here
     if method not in ("exact", "glauber"):
         raise ConfigError(f"sampler.method: unknown method {method!r}")
     if os.path.isfile(args.out) and os.path.getsize(args.out):
@@ -490,6 +503,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_writable(args.out, getattr(args, "report", None))
         return args.func(args)
     except (ParameterError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,7 +12,6 @@ marked read-only), so instances can be shared freely across workers.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +19,6 @@ __all__ = [
     "CouplingMatrix",
     "IsingModel",
     "SampleBatch",
-    "MatrixNorms",
     "ValidationError",
     "ParseError",
     "CapabilityError",
@@ -28,7 +26,6 @@ __all__ = [
     "GenerationError",
     "is_int",
     "is_real",
-    "matrix_norms",
     "save_model",
     "load_model",
     "save_samples",
@@ -178,24 +175,6 @@ class SampleBatch:
 
     def __repr__(self) -> str:
         return f"SampleBatch(l={self.l}, n={self.n})"
-
-
-class MatrixNorms(NamedTuple):
-    infinity: float
-    operator: float
-    frobenius: float
-
-
-def matrix_norms(J: CouplingMatrix) -> MatrixNorms:
-    """Max-row-l1, operator (largest |eigenvalue|), and Frobenius norms of J."""
-    a = J.entries
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix has non-finite entries")
-    infinity = float(np.abs(a).sum(axis=1).max()) if a.size else 0.0
-    eigs = np.linalg.eigvalsh(a)
-    operator = float(np.abs(eigs).max()) if eigs.size else 0.0
-    frobenius = float(np.sqrt((a * a).sum()))
-    return MatrixNorms(infinity=infinity, operator=operator, frobenius=frobenius)
 
 
 def _coupling_errors(arr: np.ndarray) -> list[str]:

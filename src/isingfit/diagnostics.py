@@ -28,7 +28,7 @@ from .core import (
 __all__ = [
     "SubsetDecomposition", "subset_decomposition", "check_subset_decomposition",
     "RegularityReport", "regularity_probe", "MetricComparison", "metric_comparison",
-    "PAIR_METRICS", "pair_metrics", "TvFrobeniusReport", "tv_frobenius_check",
+    "PAIR_METRICS", "check_metrics", "pair_metrics", "TvFrobeniusReport", "tv_frobenius_check",
     "GradientConcentrationSummary", "gradient_concentration_probe",
 ]
 
@@ -243,12 +243,23 @@ def metric_comparison(model: IsingModel, J2: CouplingMatrix) -> MetricComparison
 PAIR_METRICS = ("frobenius", "tv_exact", "kl_exact", "op_norm_err")
 
 
+def check_metrics(metrics) -> None:
+    """Raise ParameterError unless every name in ``metrics`` is one of :data:`PAIR_METRICS`."""
+    for m in metrics:
+        if m not in PAIR_METRICS:
+            raise ParameterError(f"metrics: unknown metric {m!r}")
+
+
 def pair_metrics(truth: IsingModel, est: IsingModel, metrics,
                  p_true: exact.DistributionTable | None = None) -> dict[str, float]:
     """The named :data:`PAIR_METRICS` of ``est`` against ``truth``; KL is KL(est || truth).
 
+    Unknown names and an n other than the truth's are rejected before any work.
     Only the exact metrics build tables; a caller may pass the truth's as ``p_true``.
     """
+    check_metrics(metrics)
+    if est.n != truth.n:
+        raise ValidationError(f"dimension mismatch: {est.n} vs {truth.n}")
     out: dict[str, float] = {}
     delta = est.coupling.entries - truth.coupling.entries
     if "frobenius" in metrics:
@@ -276,8 +287,6 @@ class TvFrobeniusReport:
 
 def tv_frobenius_check(m1: IsingModel, m2: IsingModel) -> TvFrobeniusReport:
     """Exact TV between zero-field models against the n ||dJ||_F bound."""
-    if m1.n != m2.n:
-        raise ValidationError("dimension mismatch")
     if np.any(m1.field != 0) or np.any(m2.field != 0):
         raise ParameterError("the TV-Frobenius bound applies to zero external fields")
     values = pair_metrics(m2, m1, ("frobenius", "tv_exact", "kl_exact"))  # m1 as the estimate

@@ -62,7 +62,7 @@ class FitReport:
     converged: bool = False
     wall_time: float = 0.0
     stop_reason: str = "max_iters"  # or "grad_map", "step_underflow", "non_finite"
-    projections: int = 0  # project_array calls, the initial one included
+    projections: int = 0  # project_array calls, one per trial point
 
 
 # An overflow is no error here: a non-finite value fails the Armijo test, or
@@ -83,12 +83,8 @@ def fit_mple(
     scale = float(n * l)
     grad_map_tol = cfg.grad_map_tol if cfg.grad_map_tol is not None else 1e-6 * scale
 
-    def proj(arr: np.ndarray) -> CouplingMatrix:
-        report.projections += 1
-        return CouplingMatrix(projections.project_array(constraint, arr)[0])
-
     report = FitReport(estimate=None, iterations=0)
-    J = proj(np.zeros((n, n)))
+    J = CouplingMatrix.zeros(n)  # every family holds 0 and projects it to exactly 0
 
     f_unnorm, g_raw = mple.objective_and_gradient(J, ctx)
     report.objective_trace.append(f_unnorm)
@@ -103,7 +99,8 @@ def fit_mple(
 
         step = start_step
         while step >= _STEP_FLOOR:
-            cand = proj(J.entries - step * g)
+            cand = CouplingMatrix(projections.project_array(constraint, J.entries - step * g)[0])
+            report.projections += 1
             cand_val, cand_g = mple.objective_and_gradient(cand, ctx)
             s = cand.entries - J.entries
             if cand_val / scale <= f + _ARMIJO * float(np.sum(g * s)):

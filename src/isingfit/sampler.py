@@ -267,8 +267,9 @@ def exact_sample(m: IsingModel | exact.DistributionTable | np.ndarray, l: int,
         raise ParameterError("seed must be an integer")
     if isinstance(m, np.ndarray):
         cdf = m
-        if cdf.ndim != 1 or cdf.size < 2 or cdf.size & (cdf.size - 1):
-            raise ValidationError("a CDF must be a 1-d array of length 2^n, n >= 1")
+        if (cdf.ndim != 1 or cdf.size < 2 or cdf.size & (cdf.size - 1)
+                or not abs(cdf[-1] - 1.0) <= 1e-9):  # O(1): probes pass one CDF per batch
+            raise ValidationError("a CDF must be a 1-d array of length 2^n, n >= 1, ending at 1")
     else:
         table = m if isinstance(m, exact.DistributionTable) else exact.distribution(m)
         cdf = np.cumsum(table.probs)

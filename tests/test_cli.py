@@ -111,7 +111,7 @@ class TestPipeline:
             "grad_map_last", "wall_time", "stop_reason", "projections",
         ]
         assert report["stop_reason"] == "grad_map"
-        assert report["projections"] >= report["iterations"] + 1
+        assert report["projections"] >= report["iterations"]
 
     def test_fit_with_field_file_and_config_optimizer(self, tmp_path):
         doc = base_config(n=5)
@@ -642,8 +642,10 @@ class TestBadInput:
         ({"method": "glauber", "chains": True}, "chains must be an integer"),
         ({"method": "glauber", "seed": 3}, "sampler.seed: unknown field"),
         ({"method": "glauber", "alpha_hint": "x"}, "sampler:"),
-        ({"method": "exact", "chains": 2.5}, "chains must be an integer"),
+        ({"method": "exact", "chains": 2.5}, "sampler.chains: applies to method glauber only"),
         ({"method": "glauber", "alpha_hint": True}, "alpha_hint"),
+        ({"burn_in_sweeps": 7, "alpha_hint": 0.5},  # n <= 20 samples exactly by default
+         "sampler.burn_in_sweeps: applies to method glauber only"),
     ])
     def test_bad_sampler_block_exit_2(self, tmp_path, capsys, block, message):
         doc = base_config()
@@ -653,6 +655,38 @@ class TestBadInput:
         assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, path, reason", [
+        (["generate", "--config", "{cfg}", "--out", "{absent}"], "{absent}", "No such file"),
+        (["sample", "--model", MODEL_SK8, "--l", "5", "--out", "{absent}"], "{absent}",
+         "No such file"),
+        (["sample", "--model", MODEL_SK8, "--l", "5", "--out", "{written}", "--report", "{dir}"],
+         "{dir}", "Is a directory"),
+        (["fit", "--samples", "{samples}", "--constraint", '{{"kind": "OpNormBall", "lam": 1}}',
+          "--out", "{written}", "--report", "{absent}"], "{absent}", "No such file"),
+        (["evaluate", "--model-a", MODEL_SK8, "--model-b", MODEL_SK8, "--out", "{absent}"],
+         "{absent}", "No such file"),
+        (["sweep", "--config", "{cfg}", "--out", "{dir}"], "{dir}", "Is a directory"),
+        (["diagnose", "--probe", "tvfrob", "--model", MODEL_SK8, "--model-b", MODEL_SK8,
+          "--out", "{absent}"], "{absent}", "No such file"),
+    ])
+    def test_unwritable_output_exit_2(self, tmp_path, capsys, monkeypatch, argv, path, reason):
+        # each output path is checked before the command generates, samples, fits or compares
+        paths = {"cfg": write_config(tmp_path / "c.json", base_config(n=4)),
+                 "samples": str(tmp_path / "s.csv"), "written": str(tmp_path / "written"),
+                 "absent": str(tmp_path / "absent" / "x.csv"), "dir": str(tmp_path)}
+        (tmp_path / "s.csv").write_text("1,-1,1\n-1,1,1\n1,1,-1\n")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the command did work before checking its outputs")
+
+        for module, name in [(cli.ensembles, "generate"), (cli.sampler, "exact_sample"),
+                             (cli.sampler, "glauber_sample"), (cli.optimizer, "fit_mple"),
+                             (cli.diagnostics, "pair_metrics")]:
+            monkeypatch.setattr(module, name, forbidden)
+        assert cli.main([a.format(**paths) for a in argv]) == 2
+        assert f"{path.format(**paths)}: cannot write: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "written").exists() and not (tmp_path / "absent").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["diagnose", "--probe", "metric", "--model", "{model}"], "metric probe needs --model-b"),
@@ -729,6 +763,19 @@ def test_parser_built_once_per_process(tmp_path, capsys):
     assert cli.main(["generate", "--config", cfg, "--out", str(tmp_path / "m2.json")]) == 0
     assert (tmp_path / "m1.json").read_bytes() == (tmp_path / "m2.json").read_bytes()
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_import_loads_no_process_machinery():
+    # multiprocessing and the process pool load only when a run forks or a
+    # sweep runs jobs, so no other command pays for them in start-up or memory
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, isingfit, isingfit.cli; print(sorted({'multiprocessing', "
+            "'concurrent.futures.process'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_as_module_without_warning():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isingfit import core
+from isingfit import core, diagnostics
 from isingfit.core import (
     CouplingMatrix,
     IsingModel,
@@ -16,7 +16,6 @@ from isingfit.core import (
     ValidationError,
     load_model,
     load_samples,
-    matrix_norms,
     save_model,
     save_samples,
 )
@@ -35,32 +34,36 @@ def power_iteration_norm(a, iters=5000):
     return float(np.sqrt(v @ m @ v))
 
 
+def coupling_norms(J):
+    """Frobenius and operator norms of J, as the error of J against a zero-coupling truth."""
+    zero = IsingModel.zero_field(CouplingMatrix.zeros(J.n))
+    return diagnostics.pair_metrics(zero, IsingModel.zero_field(J), ["frobenius", "op_norm_err"])
+
+
 class TestMatrixNorms:
     def test_zero_matrix(self):
-        norms = matrix_norms(CouplingMatrix.zeros(5))
-        assert norms == (0.0, 0.0, 0.0)
+        norms = coupling_norms(CouplingMatrix.zeros(5))
+        assert norms == {"frobenius": 0.0, "op_norm_err": 0.0}
 
     def test_two_by_two_closed_form(self):
-        norms = matrix_norms(CouplingMatrix([[0.0, 2.0], [2.0, 0.0]]))
-        assert norms.infinity == pytest.approx(2.0, abs=0)
-        assert norms.operator == pytest.approx(2.0, rel=1e-12)
-        assert norms.frobenius == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
+        norms = coupling_norms(CouplingMatrix([[0.0, 2.0], [2.0, 0.0]]))
+        assert norms["op_norm_err"] == pytest.approx(2.0, rel=1e-12)
+        assert norms["frobenius"] == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
 
     def test_against_power_iteration_and_entry_sums(self, rng):
         J = random_coupling(6, rng)
-        norms = matrix_norms(J)
+        norms = coupling_norms(J)
         a = J.entries
-        assert norms.operator == pytest.approx(power_iteration_norm(a), rel=1e-9)
-        assert norms.frobenius == pytest.approx(np.sqrt(np.sum(a * a)), rel=1e-12)
-        assert norms.infinity == pytest.approx(max(sum(abs(v) for v in row) for row in a))
-        assert norms.operator <= norms.frobenius <= np.sqrt(6) * norms.operator + 1e-12
+        assert norms["op_norm_err"] == pytest.approx(power_iteration_norm(a), rel=1e-9)
+        assert norms["frobenius"] == pytest.approx(np.sqrt(np.sum(a * a)), rel=1e-12)
+        op, frob = norms["op_norm_err"], norms["frobenius"]
+        assert op <= frob <= np.sqrt(6) * op + 1e-12
 
     def test_norm_inequalities_random_sweep(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 9))
-            norms = matrix_norms(random_coupling(n, rng))
-            assert norms.operator <= norms.frobenius + 1e-12
-            assert norms.operator <= norms.infinity + 1e-12
+            norms = coupling_norms(random_coupling(n, rng))
+            assert norms["op_norm_err"] <= norms["frobenius"] + 1e-12
 
 
 class TestValidation:
@@ -246,4 +249,3 @@ def test_validate_model_roundtrip_on_all_good_models(rng):
         again = IsingModel(m.coupling.entries, m.field)
         np.testing.assert_array_equal(again.field, m.field)
         assert again.coupling == m.coupling
-        assert core.matrix_norms(m.coupling).frobenius >= 0

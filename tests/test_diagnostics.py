@@ -171,6 +171,18 @@ class TestPairMetrics:
         assert values["tv_exact"] == exact.tv_distance(p_est, p_true)
         assert values["kl_exact"] == exact.kl_divergence(p_est, p_true)
 
+    def test_unknown_name_rejected_before_any_table(self, rng, distribution_calls):
+        truth = IsingModel.zero_field(random_coupling(3, rng))
+        with pytest.raises(ParameterError, match="metrics: unknown metric 'bogus'"):
+            diagnostics.pair_metrics(truth, truth, ["tv_exact", "frobenius", "bogus"])
+        assert distribution_calls == []
+
+    def test_other_dimension_rejected(self, rng):
+        truth = IsingModel.zero_field(random_coupling(3, rng))
+        est = IsingModel.zero_field(CouplingMatrix.zeros(1))  # would broadcast against n = 3
+        with pytest.raises(ValidationError, match="dimension mismatch: 1 vs 3"):
+            diagnostics.pair_metrics(truth, est, ["frobenius"])
+
     def test_tv_frobenius_check_reads_them(self, rng):
         m1, m2 = (IsingModel.zero_field(random_coupling(5, rng)) for _ in range(2))
         rep = diagnostics.tv_frobenius_check(m1, m2)

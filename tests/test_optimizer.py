@@ -190,7 +190,7 @@ class TestStopReason:
         report = fit_mple(batch, np.zeros(5), OpNormBall(1.0), cfg)
         assert not report.converged and report.stop_reason == "max_iters"
         assert report.iterations == 3
-        assert report.projections == len(projection_calls) >= 4
+        assert report.projections == len(projection_calls) >= 3
 
     def test_step_underflow(self, monkeypatch, projection_calls):
         # an objective that never decreases defeats every Armijo test
@@ -207,8 +207,8 @@ class TestStopReason:
         report = fit_mple(batch, np.zeros(4), OpNormBall(1.0))
         assert not report.converged and report.stop_reason == "step_underflow"
         assert report.iterations == 0 and report.grad_map_trace == []
-        # the initial projection, then steps 1, 1/2, ... down to the floor
-        assert report.projections == len(projection_calls) == 61
+        # the start point, then the projected steps 1, 1/2, ... down to the floor
+        assert report.projections == len(projection_calls) == 60
         assert len(evaluated) == 61
 
     def test_non_finite(self):
@@ -219,14 +219,30 @@ class TestStopReason:
             warnings.simplefilter("error")
             report = fit_mple(batch, np.full(5, 1e308), OpNormBall(1.0))
         assert not report.converged and report.stop_reason == "non_finite"
-        assert report.iterations == 0 and report.projections == 1
+        assert report.iterations == 0 and report.projections == 0
         assert not np.isfinite(report.objective_trace[0])
         np.testing.assert_array_equal(report.estimate.entries, np.zeros((5, 5)))
 
 
+# A small radius per family; a family added to FAMILIES without one fails below.
+ZERO_START_FAMILIES = {"OpNormBall": {"lam": 0.1}, "SpectralSpread": {"s": 0.1},
+                       "WidthBall": {"m": 0.1}, "AntiferroSpike": {"alpha": 0.1, "c": 0.1}}
+
+
+@pytest.mark.parametrize("kind", list(projections.FAMILIES))
+@pytest.mark.parametrize("n", [1, 2, 8, 20, 30])
+def test_zero_start_is_a_fixed_point(kind, n):
+    # fit_mple starts at 0 without projecting it, which is right only while
+    # every family projects 0 to exactly 0 (no -0.0 either) with residual 0
+    cs = projections.FAMILIES[kind](**ZERO_START_FAMILIES[kind])
+    x, _, residual = projections.project_array(cs, np.zeros((n, n)))
+    assert residual == 0.0
+    assert x.tobytes() == np.zeros((n, n)).tobytes()
+
+
 def test_each_trial_point_is_evaluated_once(monkeypatch, projection_calls):
-    # one objective_and_gradient call per projected point, rejected Armijo
-    # trials and the initial projection included, and no value-only call
+    # one objective_and_gradient call at the unprojected start and one per
+    # projected trial point, rejected ones included, and no value-only call
     model = ensembles.generate(ensembles.EnsembleSpec(kind="SK", n=30, beta=0.5, seed=0))
     batch = sampler.glauber_sample(model, 2000, sampler.GlauberConfig(seed=1))
     kernel_calls = []
@@ -243,8 +259,8 @@ def test_each_trial_point_is_evaluated_once(monkeypatch, projection_calls):
     monkeypatch.setattr(mple, "objective", forbidden)
     report = fit_mple(batch, np.zeros(30), OpNormBall(2.0))
     assert report.converged
-    assert report.projections > report.iterations + 1  # some trials were rejected
-    assert len(kernel_calls) == report.projections == len(projection_calls)
+    assert report.projections > report.iterations  # some trials were rejected
+    assert len(kernel_calls) - 1 == report.projections == len(projection_calls)
 
 
 def feasible(cs, a):

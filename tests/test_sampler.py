@@ -389,7 +389,7 @@ class TestExactSampler:
 
     @pytest.mark.parametrize("cdf", [np.linspace(0.25, 1.0, 4).reshape(2, 2),
                                      np.array([1 / 3, 2 / 3, 1.0]), np.array([1.0]),
-                                     np.array([])])
+                                     np.array([]), np.array([0.5, np.nan])])
     def test_cdf_of_no_table_rejected(self, cdf):
         with pytest.raises(ValidationError, match="CDF"):
             sampler.exact_sample(cdf, 5)
