@@ -352,8 +352,9 @@ def _cmd_sweep(args) -> int:
     constraint = _constraint(cfg["constraint"])
     fit_cfg = _from_block(optimizer.FitConfig, cfg.get("optimizer"), "optimizer")
     block = cfg.get("sampler")
-    method = "exact" if spec.n <= exact.DEFAULT_ENUM_CAP else "glauber"
-    method = block.get("method", method) if isinstance(block, dict) else method
+    method = block.get("method") if isinstance(block, dict) else None
+    if method is None:  # absent or null: exact up to the enumeration cap
+        method = "exact" if spec.n <= exact.DEFAULT_ENUM_CAP else "glauber"
     glauber = _glauber_config(block, 0, method)  # a block that is not an object fails here
     if method not in ("exact", "glauber"):
         raise ConfigError(f"sampler.method: unknown method {method!r}")

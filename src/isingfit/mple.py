@@ -22,10 +22,13 @@ The samples enter only through the distinct rows and their counts, so when
 2^n <= l the context folds the batch into distinct rows x with counts w, and
 every sum over k is a w-weighted sum over x. The kernel keeps no cache: each
 call builds M = x J + h once from its J, and objective_and_gradient returns
-the value and the gradient from that one M.
+the value and the gradient from that one M. Their (rows, n) temporaries go to
+one scratch block per context, made at the first value or gradient call.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -41,10 +44,11 @@ __all__ = [
 ]
 
 
-def _logcosh(u: np.ndarray) -> np.ndarray:
-    # logcosh(u) = |u| + log1p(exp(-2|u|)) - log 2, stable for large |u|
-    a = np.abs(u)
-    return a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
+def _logcosh(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    # logcosh(u) = |u| + log1p(exp(-2|u|)) - log 2, stable for large |u|, into out
+    a = np.abs(u, out=out)
+    t = np.log1p(np.exp(np.multiply(-2.0, a, out=tmp), out=tmp), out=tmp)
+    return np.subtract(np.add(a, t, out=out), np.log(2.0), out=out)
 
 
 def upper_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -89,22 +93,29 @@ class PseudolikelihoodContext:
     def n(self) -> int:
         return self.samples.n
 
-    def fields_matrix(self, J: CouplingMatrix) -> np.ndarray:
-        """M with M[k, i] = J_i x^(k) + h_i, one row per row of x."""
+    def fields_matrix(self, J: CouplingMatrix, out: np.ndarray | None = None) -> np.ndarray:
+        """M with M[k, i] = J_i x^(k) + h_i, one row per row of x: a new array the
+        caller owns, or ``out`` (shape x.shape) overwritten and returned."""
         if J.n != self.n:
             raise ValidationError(f"dimension mismatch: J is {J.n}, samples are {self.n}")
-        return self.x @ J.entries + self.field
+        return np.add(np.matmul(self.x, J.entries, out=out), self.field, out=out)
+
+    @functools.cached_property
+    def _work(self) -> np.ndarray:
+        """(3, rows, n) scratch, made at first use, holding no result: one kernel call at a time."""
+        return np.empty((3,) + self.x.shape)
 
 
-def _value(m: np.ndarray, ctx: PseudolikelihoodContext) -> float:
-    return float((ctx.w @ (_logcosh(m) - ctx.x * m)).sum()) + ctx.l * ctx.n * np.log(2.0)
+def _value(m: np.ndarray, ctx: PseudolikelihoodContext, a: np.ndarray, b: np.ndarray) -> float:
+    d = np.subtract(_logcosh(m, a, b), np.multiply(ctx.x, m, out=b), out=a)
+    return float((ctx.w @ d).sum()) + ctx.l * ctx.n * np.log(2.0)
 
 
-def _raw_gradient(m: np.ndarray, ctx: PseudolikelihoodContext) -> np.ndarray:
+def _raw_gradient(m: np.ndarray, ctx: PseudolikelihoodContext, r: np.ndarray) -> np.ndarray:
     """Gradient entry (i, j):
     sum_k (tanh(J_i X + h_i) - X_i) X_j + (tanh(J_j X + h_j) - X_j) X_i.
     """
-    r = np.tanh(m) - ctx.x
+    r = np.subtract(np.tanh(m, out=r), ctx.x, out=r)
     g = r.T @ ctx.wx
     g = g + g.T
     np.fill_diagonal(g, 0.0)
@@ -112,20 +123,23 @@ def _raw_gradient(m: np.ndarray, ctx: PseudolikelihoodContext) -> np.ndarray:
 
 
 def objective(J: CouplingMatrix, ctx: PseudolikelihoodContext) -> float:
-    return _value(ctx.fields_matrix(J), ctx)
+    m, a, b = ctx._work
+    return _value(ctx.fields_matrix(J, m), ctx, a, b)
 
 
 def gradient(J: CouplingMatrix, ctx: PseudolikelihoodContext) -> CouplingMatrix:
     """Symmetric zero-diagonal matrix of d phi / d J_ij over the upper triangle."""
-    return CouplingMatrix(_raw_gradient(ctx.fields_matrix(J), ctx))
+    m, r, _ = ctx._work
+    return CouplingMatrix(_raw_gradient(ctx.fields_matrix(J, m), ctx, r))
 
 
 def objective_and_gradient(
     J: CouplingMatrix, ctx: PseudolikelihoodContext
 ) -> tuple[float, np.ndarray]:
     """Objective and raw gradient array from one M (the optimizer hot path)."""
-    m = ctx.fields_matrix(J)
-    return _value(m, ctx), _raw_gradient(m, ctx)
+    m, a, b = ctx._work
+    m = ctx.fields_matrix(J, m)
+    return _value(m, ctx, a, b), _raw_gradient(m, ctx, a)
 
 
 def directional_derivatives(

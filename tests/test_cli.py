@@ -334,6 +334,21 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--out", str(parallel), "--jobs", "2"]) == 0
         assert strip_wall_time(serial.read_text()) == strip_wall_time(parallel.read_text())
 
+    @pytest.mark.parametrize("n, default", [(6, "exact"), (21, "glauber")])
+    def test_null_method_is_the_default(self, tmp_path, n, default):
+        # "method": null samples as an absent method does: exact for n <= 20, else Glauber
+        rows = {}
+        for method in (None, default):
+            doc = base_config(n=n, l_values=(60,), seeds=(2,), metrics=("frobenius",))
+            doc["sampler"] = {"method": method}
+            if default == "glauber":
+                doc["sampler"].update(burn_in_sweeps=3, thinning_sweeps=1)
+            out = tmp_path / f"{method}.csv"
+            assert cli.main(["sweep", "--config", write_config(tmp_path / "c.json", doc),
+                             "--out", str(out)]) == 0
+            rows[method] = strip_wall_time(out.read_text())
+        assert rows[None] == rows[default]
+
     def test_repeated_grid_values_run_one_cell(self, tmp_path, distribution_calls):
         doc = base_config(l_values=(50, 50), seeds=(3, 3), metrics=("frobenius",))
         out = tmp_path / "r.csv"
@@ -646,6 +661,7 @@ class TestBadInput:
         ({"method": "glauber", "alpha_hint": True}, "alpha_hint"),
         ({"burn_in_sweeps": 7, "alpha_hint": 0.5},  # n <= 20 samples exactly by default
          "sampler.burn_in_sweeps: applies to method glauber only"),
+        ({"method": None, "chains": 2}, "sampler.chains: applies to method glauber only"),
     ])
     def test_bad_sampler_block_exit_2(self, tmp_path, capsys, block, message):
         doc = base_config()

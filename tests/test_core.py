@@ -199,6 +199,19 @@ class TestSampleFiles:
         first_line = path.read_text().splitlines()[0]
         assert set(first_line.split(",")) <= {"-1", "1"}
 
+    @settings(max_examples=40, deadline=None)
+    @given(l=st.sampled_from([1, 7, core._CSV_BLOCK_ROWS + 1]), n=st.sampled_from([1, 2, 30]),
+           fill=st.sampled_from([-1, 0, 1]), seed=st.integers(0, 2**32 - 1))
+    def test_bytes_of_savetxt(self, l, n, fill, seed):
+        # the block writer gives np.savetxt's bytes; fill 0 draws entries, +-1 repeats one
+        rng = np.random.default_rng(seed)
+        spins = rng.choice([-1, 1], size=(l, n)) if fill == 0 else np.full((l, n), fill)
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, numpy_text = Path(tmp) / "ours.csv", Path(tmp) / "savetxt.csv"
+            save_samples(SampleBatch(spins), ours)
+            np.savetxt(numpy_text, SampleBatch(spins).spins, fmt="%d", delimiter=",")
+            assert ours.read_bytes() == numpy_text.read_bytes()
+
     def test_rejects_bad_entries(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("1,-1\n1,0\n")

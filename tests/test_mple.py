@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -164,9 +167,9 @@ class TestValueCache:
         calls = []
         original = mple._logcosh
 
-        def counted(u):
+        def counted(u, *out):
             calls.append(u.shape)
-            return original(u)
+            return original(u, *out)
 
         monkeypatch.setattr(mple, "_logcosh", counted)
         return calls
@@ -190,13 +193,90 @@ class TestValueCache:
         J = random_coupling(n, rng)
         builds = []
         original = ctx.fields_matrix
-        monkeypatch.setattr(ctx, "fields_matrix", lambda K: builds.append(K) or original(K))
+        monkeypatch.setattr(ctx, "fields_matrix",
+                            lambda K, out=None: builds.append(K) or original(K, out))
         calls = self.count_logcosh(monkeypatch)
         value, grad = mple.objective_and_gradient(J, ctx)
         assert len(builds) == len(calls) == 1
         assert value == mple.objective(J, ctx)
         np.testing.assert_array_equal(grad, mple.gradient(J, ctx).entries)
         assert len(builds) == 3 and len(calls) == 2
+
+
+def fresh_array_kernel(J, ctx):
+    """Value and raw gradient written as plain expressions, each step a fresh array."""
+    m = ctx.x @ J.entries + ctx.field
+    a = np.abs(m)
+    logcosh = a + np.log1p(np.exp(-2.0 * a)) - np.log(2.0)
+    value = float((ctx.w @ (logcosh - ctx.x * m)).sum()) + ctx.l * ctx.n * np.log(2.0)
+    g = (np.tanh(m) - ctx.x).T @ ctx.wx
+    g = g + g.T
+    np.fill_diagonal(g, 0.0)
+    return value, g
+
+
+class TestWorkspace:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 9), l=st.integers(1, 600), with_field=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=3, l=200, with_field=True, seed=0)  # folded: 8 distinct rows
+    @example(n=9, l=5, with_field=False, seed=1)  # unfolded
+    def test_bit_identical_to_fresh_arrays(self, n, l, with_field, seed):
+        # one context, J changing between calls, the three kernels in every order
+        rng = np.random.default_rng(seed)
+        field = rng.normal(size=n) if with_field else None
+        ctx = make_ctx(rng, n, l, field)
+        J1, J2 = random_coupling(n, rng, 0.3), random_coupling(n, rng, 2.0)
+        orders = itertools.permutations(("both", "objective", "gradient"))
+        for J, order in zip([J1, J2, J1, J2, J2, J1], orders):
+            value, grad = fresh_array_kernel(J, ctx)
+            for call in order:
+                if call == "both":
+                    got_value, got_grad = mple.objective_and_gradient(J, ctx)
+                    assert got_value == value
+                    assert (got_grad == grad).all()
+                elif call == "objective":
+                    assert mple.objective(J, ctx) == value
+                else:
+                    assert (mple.gradient(J, ctx).entries == grad).all()
+        assert ctx._work.shape == (3,) + ctx.x.shape
+
+    @pytest.mark.parametrize("n, l", [(30, 2000), (8, 4000)])
+    def test_bit_identical_at_benchmark_shapes(self, n, l):
+        rng = np.random.default_rng(n)
+        ctx = make_ctx(rng, n, l, field=rng.normal(size=n))
+        for scale in (0.1, 1.0):
+            J = random_coupling(n, rng, scale)
+            value, grad = fresh_array_kernel(J, ctx)
+            got_value, got_grad = mple.objective_and_gradient(J, ctx)
+            assert got_value == value and (got_grad == grad).all()
+            assert mple.objective(J, ctx) == value
+            assert (mple.gradient(J, ctx).entries == grad).all()
+
+    def test_second_call_allocates_less_than_one_array(self):
+        # at n = 30, l = 2000 each (l, n) float64 temporary is 480,000 bytes
+        n, l = 30, 2000
+        rng = np.random.default_rng(3)
+        ctx = make_ctx(rng, n, l, field=rng.normal(size=n))
+        J = random_coupling(n, rng, 0.2)
+        mple.objective_and_gradient(J, ctx)
+        tracemalloc.start()
+        try:
+            mple.objective_and_gradient(J, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < l * n * 8
+
+    def test_directional_only_context_makes_no_workspace(self, rng):
+        n, l = 16, 1000
+        ctx = make_ctx(rng, n, l)
+        J, A = random_coupling(n, rng, 0.2), random_coupling(n, rng)
+        mple.directional_derivatives(J, A, ctx)
+        mple.directional_derivatives(A, J, ctx)
+        assert "_work" not in vars(ctx)
+        mple.objective(J, ctx)
+        assert vars(ctx)["_work"].shape == (3, l, n)
 
 
 def few_state_batch(n, k, l, seed):
