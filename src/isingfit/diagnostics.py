@@ -204,9 +204,7 @@ def regularity_probe(
             report.excluded += 1
             continue
         A *= np.sqrt(gamma / e_star)
-        log_weights = exact.quadratic_table(model.coupling.entries + A, model.field)
-        exact.normalize(log_weights)
-        second = exact.second_moments(exact.DistributionTable(n=n, probs=log_weights))[1]
+        second = exact.second_moments(exact._table(model.coupling.entries + A, model.field))[1]
         # the rescaled direction's ||A x||^2 is (gamma / e_star) * x^T A_sq x
         report.ratios.append((pid, float(np.vdot(A_sq, second)) / e_star))
     report.max_ratio = max((r for _, r in report.ratios), default=0.0)

@@ -2,11 +2,12 @@
 
 State index convention: state ``s`` encodes the configuration whose site ``i``
 carries spin ``+1`` iff bit ``i`` of ``s`` is set (bit 0 = site 0). Log weights
-come from one kernel, :func:`quadratic_table`, which splits the sites into a low
-half (the low bits of ``s``) and a high half, so a table is a (2^high, 2^low)
-array whose row-major layout is the state order; :func:`second_moments` reads
-E[x] and E[x x^T] off the same split. A quadratic statistic's mean comes from
-those: E[x^T A x] = <A, E[x x^T]> and E||A x||^2 = <A^2, E[x x^T]>.
+come from one kernel, :func:`quadratic_table`: it splits the sites into a low half
+(the low bits of ``s``) and a high half and builds the table in one GEMM, whose
+(2^high, 2^low) row-major output is the state order. :func:`normalize` checks it
+in O(1), so a table from :func:`distribution` is never scanned again.
+:func:`second_moments` reads E[x] and E[x x^T] off the same split, and
+E[x^T A x] = <A, E[x x^T]>, E||A x||^2 = <A^2, E[x x^T]> come from those.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .core import (
 
 DEFAULT_ENUM_CAP = 20
 DEFAULT_CHAIN_CAP = 8  # dense 2^n x 2^n eigenproblem
+_TV_BLOCK = 1 << 15  # entries per block of tv_distance
 
 
 def _check_cap(n: int, what: str, cap: int = DEFAULT_ENUM_CAP) -> None:
@@ -58,24 +60,30 @@ def encode_spins(spins) -> np.ndarray:
     return bits @ (1 << np.arange(s.shape[1], dtype=np.int64))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # normalize reports an overflowed table
 def quadratic_table(Q: np.ndarray, h: np.ndarray) -> np.ndarray:
     """x^T Q x / 2 + h . x for every state x, in state-index order (Q symmetric).
 
-    With a the low half of the sites and b the high half, the table is the cross
-    term x_b^T Q_ba x_a, one (2^|b|, |a|) x (|a|, 2^|a|) product, plus each
-    half's own table broadcast along its axis.
-    """
+    With a the low half of the sites, b the high half and t_a, t_b their own tables,
+    it is one product [S_b Q_ba, t_b, 1] [S_a, 1, t_a]^T: cross term, then t_b, then t_a."""
     k = h.size // 2
     Sa, Sb = all_states(k), all_states(h.size - k)
-    table = (Sb @ Q[k:, :k]) @ Sa.T
-    table += (0.5 * ((Sb @ Q[k:, k:]) * Sb).sum(axis=1) + Sb @ h[k:])[:, None]
-    table += (0.5 * ((Sa @ Q[:k, :k]) * Sa).sum(axis=1) + Sa @ h[:k])[None, :]
-    return table.reshape(-1)
+    t_a = 0.5 * ((Sa @ Q[:k, :k]) * Sa).sum(axis=1) + Sa @ h[:k]
+    t_b = 0.5 * ((Sb @ Q[k:, k:]) * Sb).sum(axis=1) + Sb @ h[k:]
+    left = np.column_stack([Sb @ Q[k:, :k], t_b, np.ones_like(t_b)])
+    right = np.column_stack([Sa, np.ones_like(t_a), t_a])
+    del Sa, Sb  # the 2^n product is the peak
+    return (left @ right.T).reshape(-1)
 
 
+@np.errstate(over="ignore")
 def normalize(log_weights: np.ndarray) -> float:
-    """Turn a table of log weights into probabilities in place; returns log Z."""
+    """Turn a table of log weights into probabilities in place; returns log Z. A finite
+    max (NaN and +-inf are not) leaves entries in [0, 1] with a sum in [1, 2^n] to divide by."""
     top = float(log_weights.max())
+    if not np.isfinite(top):
+        raise CapabilityError(f"exact table at n = {log_weights.size.bit_length() - 1}: "
+                              "log weights overflow float64")
     np.exp(np.subtract(log_weights, top, out=log_weights), out=log_weights)
     total = float(log_weights.sum())
     log_weights /= total
@@ -119,18 +127,31 @@ def draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cdf.size - 1, out=idx)  # cumsum rounding can end below 1
 
 
+def _table(Q: np.ndarray, h: np.ndarray, model: IsingModel | None = None) -> DistributionTable:
+    """Table of exp(x^T Q x / 2 + h . x), checked by normalize, not by __post_init__'s scans."""
+    probs = quadratic_table(Q, h)
+    table = object.__new__(DistributionTable)
+    table.__dict__.update(n=h.size, probs=probs, log_z=normalize(probs), model=model)
+    return table
+
+
 def distribution(m: IsingModel) -> DistributionTable:
     _check_cap(m.n, "distribution table")
-    table = quadratic_table(m.coupling.entries, m.field)
-    log_z = normalize(table)
-    return DistributionTable(n=m.n, probs=table, log_z=log_z, model=m)
+    return _table(m.coupling.entries, m.field, m)
 
 
 def tv_distance(p: DistributionTable, q: DistributionTable) -> float:
+    """``0.5 * np.abs(p.probs - q.probs).sum()`` bit for bit, through one block
+    buffer: numpy's pairwise sum halves a power-of-two length at every level,
+    so a pairwise tree of the block sums is the whole array's sum."""
     if p.n != q.n:
         raise ValidationError(f"dimension mismatch: {p.n} vs {q.n}")
-    diff = np.subtract(p.probs, q.probs)
-    return 0.5 * float(np.abs(diff, out=diff).sum())
+    buf = np.empty(min(p.probs.size, _TV_BLOCK))
+    sums = np.array([np.abs(np.subtract(a, b, out=buf), out=buf).sum()
+                     for a, b in zip(p.probs.reshape(-1, buf.size), q.probs.reshape(-1, buf.size))])
+    while sums.size > 1:
+        sums = sums[0::2] + sums[1::2]
+    return 0.5 * float(sums[0])
 
 
 def second_moments(table: DistributionTable) -> tuple[np.ndarray, np.ndarray]:

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isingfit import cli, diagnostics, sampler
-from isingfit.core import load_model, load_samples, save_model
+from isingfit.core import CouplingMatrix, IsingModel, load_model, load_samples, save_model
 
 from conftest import dobrushin_model
 
@@ -280,6 +281,22 @@ class TestCapabilityGate:
         code = cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "r.csv")])
         assert code == 3
         assert "enumeration cap" in capsys.readouterr().err
+
+    def test_overflowing_table_exit_3(self, tmp_path, capsys):
+        # the aligned states' log weights, 0.5 * 1e307 * (8^2 - 8), overflow float64
+        J = np.full((8, 8), 1e307)
+        np.fill_diagonal(J, 0.0)
+        model_path = tmp_path / "m.json"
+        save_model(IsingModel.zero_field(CouplingMatrix(J)), model_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([
+                "evaluate", "--model-a", str(model_path), "--model-b", str(model_path),
+                "--metrics", "tv_exact",
+            ])
+        assert code == 3
+        assert "exact table at n = 8: log weights overflow float64" in capsys.readouterr().err
+        assert not caught
 
 
 class TestSweep:

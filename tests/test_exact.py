@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingfit import diagnostics, exact
@@ -90,6 +91,32 @@ class TestDistribution:
         with pytest.raises(ValidationError, match="integer n >= 0 and an ndarray of 2\\^n"):
             exact.DistributionTable(n=n, probs=probs)
 
+    @pytest.mark.parametrize("log_weights", [[0.0, np.nan], [0.0, np.inf], [-np.inf, -np.inf]],
+                             ids=["nan", "inf", "all_minus_inf"])
+    def test_normalize_rejects_non_finite_max(self, log_weights):
+        with pytest.raises(CapabilityError, match="n = 1: log weights overflow float64"):
+            exact.normalize(np.array(log_weights))
+
+    def test_overflowing_model_raises_without_warnings(self):
+        J = np.full((8, 8), 1e307)
+        np.fill_diagonal(J, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CapabilityError, match="n = 8: log weights overflow float64"):
+                exact.distribution(zero_field(J))
+
+    def test_one_table_of_memory(self, rng):
+        n = 16
+        m = IsingModel(random_coupling(n, rng, scale=0.1), rng.normal(size=n))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = exact.distribution(m)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * table.probs.nbytes
+
     def test_scalar_shift_invariance(self, rng):
         # adding c*I before the zero-diagonal convention only rescales Z,
         # because x_i^2 = 1; the renormalized table must be unchanged
@@ -157,7 +184,7 @@ class TestTvDistance:
         finally:
             tracemalloc.stop()
         assert tv == expected
-        assert peak <= 1.1 * p.probs.nbytes
+        assert peak <= exact._TV_BLOCK * 8 + 8192  # one block buffer plus the block sums
 
 
 class TestDraw:
@@ -295,6 +322,64 @@ class TestQuadraticTable:
         scale = 0.5 * np.abs(Q).sum() + np.abs(h).sum()  # bound on any entry
         np.testing.assert_allclose(exact.quadratic_table(Q, h), direct,
                                    rtol=0.0, atol=1e-12 * scale)
+
+
+def earlier_table(Q, h):
+    """quadratic_table as one cross-term GEMM, then t_b and t_a added by broadcast."""
+    k = h.size // 2
+    Sa, Sb = exact.all_states(k), exact.all_states(h.size - k)
+    table = (Sb @ Q[k:, :k]) @ Sa.T
+    table += (0.5 * ((Sb @ Q[k:, k:]) * Sb).sum(axis=1) + Sb @ h[k:])[:, None]
+    table += (0.5 * ((Sa @ Q[:k, :k]) * Sa).sum(axis=1) + Sa @ h[:k])[None, :]
+    return table.reshape(-1)
+
+
+def random_form(n, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    Q = 10.0**log_scale * rng.normal(size=(n, n))
+    return Q + Q.T, 10.0**log_scale * rng.normal(size=n)
+
+
+class TestBitIdentity:
+    """The one-GEMM table, the distribution checked by normalize alone and the
+    block-wise TV, compared with == to the expressions they replaced.
+
+    The GEMM equality holds on the OpenBLAS 0.3.31 build that numpy 2.4.6
+    ships: its kernel sums the inner dimension in order, so the two appended
+    columns add t_b, then t_a, after the cross term. A BLAS that splits or
+    reorders a short inner sum could fail it by the last bit.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 14), st.floats(-3.0, 2.0), st.integers(0, 2**32 - 1))
+    def test_quadratic_table(self, n, log_scale, seed):
+        Q, h = random_form(n, log_scale, seed)
+        np.testing.assert_array_equal(exact.quadratic_table(Q, h), earlier_table(Q, h))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.floats(-3.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_distribution(self, n, log_scale, seed):
+        Q, h = random_form(n, log_scale, seed)
+        np.fill_diagonal(Q, 0.0)
+        table = exact.distribution(IsingModel(CouplingMatrix(Q), h))
+        weights = earlier_table(Q, h)
+        top = float(weights.max())
+        weights = np.exp(weights - top)
+        total = float(weights.sum())
+        np.testing.assert_array_equal(table.probs, weights / total)
+        assert table.log_z == top + float(np.log(total))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 17), st.integers(0, 2**32 - 1))
+    @example(0, 0)
+    @example(17, 0)  # four blocks
+    def test_tv_distance(self, n, seed):
+        rng = np.random.default_rng(seed)
+        p, q = rng.random((2, 1 << n)) ** 4
+        p[1:][rng.random(p.size - 1) < 0.1] = 0.0  # exact zeros; p[0] stays positive
+        p, q = p / p.sum(), q / q.sum()
+        tables = [exact.DistributionTable(n=n, probs=t) for t in (p, q)]
+        assert exact.tv_distance(*tables) == 0.5 * float(np.abs(p - q).sum())
 
 
 class TestSecondMoments:

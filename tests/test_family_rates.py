@@ -1,0 +1,53 @@
+"""The consistency rate in l for every constraint family, not only A4's one.
+
+A4 and A5 check the rate for SpectralSpread(0.9) alone. A change that biased
+another family's estimates would pass them as long as its estimates stay in
+the set, so each of the four (ensemble, family) pairs of the ``constrained_n8``
+benchmark gets A4's protocol: l in {250, 1000, 4000, 16000}, 5 seeds, exact
+samples from the ensemble's coupling projected onto the set. The truth and
+every estimate must be members of the set (every truth lies outside it before
+the projection, so the set binds). The median Frobenius error must fall at a
+log-log slope in A4's band [-0.75, -0.3], and TV to the truth must improve
+from l = 250 to 16000 on every seed.
+"""
+
+import numpy as np
+import pytest
+
+from isingfit import exact, projections, sampler
+from isingfit.core import IsingModel
+from isingfit.ensembles import EnsembleSpec, generate
+from isingfit.optimizer import fit_mple
+
+L_GRID = (250, 1000, 4000, 16000)
+N_SEEDS = 5
+
+PAIRS = {
+    "OpNormBall": (EnsembleSpec("SK", 8, beta=0.5), projections.OpNormBall(0.5)),
+    "SpectralSpread": (EnsembleSpec("SK", 8, beta=0.5), projections.SpectralSpread(0.9)),
+    "WidthBall": (EnsembleSpec("BoundedWidthRandom", 8, width=1.0), projections.WidthBall(0.8)),
+    "AntiferroSpike": (EnsembleSpec("AntiferroExpander", 8, beta=0.1, d=3),
+                       projections.AntiferroSpike(0.4, 1.0)),
+}
+
+
+@pytest.mark.parametrize("family", PAIRS)
+def test_rate_in_l(family):
+    spec, cs = PAIRS[family]
+    truth = IsingModel.zero_field(projections.project(cs, generate(spec).coupling))
+    assert cs.member(truth.coupling.entries, 1e-8), f"{family}: projected truth not in the set"
+    p_true = exact.distribution(truth)
+    frob = {l: [] for l in L_GRID}
+    tv = {l: [] for l in L_GRID}
+    for l in L_GRID:
+        for seed in range(N_SEEDS):
+            batch = sampler.exact_sample(p_true, l, seed=15_000 + 97 * seed)
+            est = fit_mple(batch, np.zeros(spec.n), cs).estimate
+            assert cs.member(est.entries, 1e-8), f"{family}: estimate at l={l} not in the set"
+            frob[l].append(float(np.linalg.norm(est.entries - truth.coupling.entries)))
+            tv[l].append(exact.tv_distance(exact.distribution(IsingModel.zero_field(est)), p_true))
+    medians = [float(np.median(frob[l])) for l in L_GRID]
+    slope = float(np.polyfit(np.log(L_GRID), np.log(medians), 1)[0])
+    assert -0.75 <= slope <= -0.3, f"{family}: median Frobenius {medians}, slope {slope:.3f}"
+    assert all(hi < lo for hi, lo in zip(tv[16000], tv[250])), (
+        f"{family}: TV at l=250 {tv[250]}, at l=16000 {tv[16000]}")
