@@ -60,19 +60,29 @@ def encode_spins(spins) -> np.ndarray:
     return bits @ (1 << np.arange(s.shape[1], dtype=np.int64))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # normalize reports an overflowed table
+def _halves(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """S_a and S_b: the states of the low n // 2 sites and of the other sites."""
+    return all_states(n // 2), all_states(n - n // 2)
+
+
 def quadratic_table(Q: np.ndarray, h: np.ndarray) -> np.ndarray:
     """x^T Q x / 2 + h . x for every state x, in state-index order (Q symmetric).
 
     With a the low half of the sites, b the high half and t_a, t_b their own tables,
     it is one product [S_b Q_ba, t_b, 1] [S_a, 1, t_a]^T: cross term, then t_b, then t_a."""
-    k = h.size // 2
-    Sa, Sb = all_states(k), all_states(h.size - k)
+    return _quadratic_table(Q, h, None)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # normalize reports an overflowed table
+def _quadratic_table(Q: np.ndarray, h: np.ndarray, halves) -> np.ndarray:
+    """:func:`quadratic_table` on the caller's :func:`_halves`, or on its own when None."""
+    Sa, Sb = halves or _halves(h.size)
+    k = Sa.shape[1]
     t_a = 0.5 * ((Sa @ Q[:k, :k]) * Sa).sum(axis=1) + Sa @ h[:k]
     t_b = 0.5 * ((Sb @ Q[k:, k:]) * Sb).sum(axis=1) + Sb @ h[k:]
     left = np.column_stack([Sb @ Q[k:, :k], t_b, np.ones_like(t_b)])
     right = np.column_stack([Sa, np.ones_like(t_a), t_a])
-    del Sa, Sb  # the 2^n product is the peak
+    del Sa, Sb, halves  # halves made here go, so the 2^n product is the peak
     return (left @ right.T).reshape(-1)
 
 
@@ -127,9 +137,11 @@ def draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cdf.size - 1, out=idx)  # cumsum rounding can end below 1
 
 
-def _table(Q: np.ndarray, h: np.ndarray, model: IsingModel | None = None) -> DistributionTable:
-    """Table of exp(x^T Q x / 2 + h . x), checked by normalize, not by __post_init__'s scans."""
-    probs = quadratic_table(Q, h)
+def _table(Q: np.ndarray, h: np.ndarray, model: IsingModel | None = None,
+           halves=None) -> DistributionTable:
+    """Table of exp(x^T Q x / 2 + h . x), checked by normalize, not by __post_init__'s scans;
+    ``halves`` as in :func:`_quadratic_table`."""
+    probs = _quadratic_table(Q, h, halves)
     table = object.__new__(DistributionTable)
     table.__dict__.update(n=h.size, probs=probs, log_z=normalize(probs), model=model)
     return table
@@ -161,8 +173,13 @@ def second_moments(table: DistributionTable) -> tuple[np.ndarray, np.ndarray]:
     blocks and E[x] come from the marginals of the two halves and the cross
     block is S_b^T (P S_a).
     """
-    k = table.n // 2
-    Sa, Sb = all_states(k), all_states(table.n - k)
+    return _second_moments(table, *_halves(table.n))
+
+
+def _second_moments(table: DistributionTable, Sa: np.ndarray,
+                    Sb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`second_moments` on the caller's :func:`_halves`."""
+    k = Sa.shape[1]
     p2 = table.probs.reshape(Sb.shape[0], Sa.shape[0])
     pa, pb = p2.sum(axis=0), p2.sum(axis=1)
     second = np.empty((table.n, table.n))

@@ -20,10 +20,13 @@ by tests.
 
 The samples enter only through the distinct rows and their counts, so when
 2^n <= l the context folds the batch into distinct rows x with counts w, and
-every sum over k is a w-weighted sum over x. The kernel keeps no cache: each
-call builds M = x J + h once from its J, and objective_and_gradient returns
-the value and the gradient from that one M. Their (rows, n) temporaries go to
-one scratch block per context, made at the first value or gradient call.
+every sum over k is a w-weighted sum over x. The fold rule (_fold) and the
+first derivative (_first) are helpers that a caller holding state indices, the
+gradconc probe, uses without building a context. The kernel keeps no cache:
+each call builds M = x J + h once from its J, and objective_and_gradient
+returns the value and the gradient from that one M. Their (rows, n)
+temporaries go to one scratch block per context, made at the first value or
+gradient call.
 """
 
 from __future__ import annotations
@@ -57,28 +60,36 @@ def upper_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(a[iu] @ b[iu])
 
 
-class PseudolikelihoodContext:
-    """Distinct rows x of the samples, their float counts w, wx = x * w, and h.
+def _fold(n: int, l: int, indices, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The rows x and float weights w that stand for a batch of l samples on n sites.
 
-    The batch is folded when 1 << n <= l, by one bincount of the state indices:
-    at n = 8, l = 4000 (249 distinct rows) that takes 95 us once and cuts
-    objective_and_gradient from 644 to 46 us (2 vCPUs, one BLAS thread). At
-    2^n > l the rows stay as given, w = 1 and wx = x: the table would outgrow
-    the sample, and np.unique (50-140 us per context at n = 16 to 30) would
-    cost more than it saves where rows hardly repeat. l and n are the sample's.
+    When 1 << n <= l the batch folds, by one bincount of its state indices
+    ``indices()``, into its distinct states with their counts: at n = 8, l = 4000
+    (249 distinct rows) that takes 95 us once and cuts objective_and_gradient
+    from 644 to 46 us (2 vCPUs, one BLAS thread). At 2^n > l x is ``rows()``, the
+    float rows in draw order, and w = 1: the table would outgrow the sample, and
+    np.unique (50-140 us per context at n = 16 to 30) would cost more than it
+    saves where rows hardly repeat. Both arguments are callables, so only the
+    form the rule picks is built.
     """
+    if 1 << n <= l:
+        counts = np.bincount(indices(), minlength=1 << n)
+        kept = np.flatnonzero(counts)
+        return exact.states(kept, n), counts[kept].astype(np.float64)
+    return rows(), np.ones(l)
+
+
+class PseudolikelihoodContext:
+    """Rows x and float weights w standing for the samples (see :func:`_fold`),
+    wx = x * w, and h. l and n are the sample's."""
 
     def __init__(self, samples: SampleBatch, field=None) -> None:
         self.samples = samples
         n, l = samples.n, samples.l
-        if 1 << n <= l:
-            counts = np.bincount(exact.encode_spins(samples.spins), minlength=1 << n)
-            rows = np.flatnonzero(counts)
-            self.x, self.w = exact.states(rows, n), counts[rows].astype(np.float64)
-            self.wx = self.x * self.w[:, None]
-        else:
-            self.x, self.w = samples.as_float(), np.ones(l)
-            self.wx = self.x
+        self.x, self.w = _fold(n, l, lambda: exact.encode_spins(samples.spins),
+                               samples.as_float)
+        # l rows have unit weights, folded or not, so x serves as wx without a copy
+        self.wx = self.x if self.w.size == l else self.x * self.w[:, None]
         if field is None:
             field = np.zeros(n)
         self.field = np.asarray(field, dtype=np.float64)
@@ -142,15 +153,22 @@ def objective_and_gradient(
     return _value(m, ctx, a, b), _raw_gradient(m, ctx, a)
 
 
+def _first(J: np.ndarray, A: np.ndarray, x: np.ndarray, w: np.ndarray,
+           field: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """first(J; A) over rows x with weights w, and the b = x A and t = tanh(x J + h)
+    it was taken from."""
+    b = x @ A
+    t = np.matmul(x, J)
+    np.tanh(np.add(t, field, out=t), out=t)
+    return 0.5 * float((w @ (np.subtract(t, x) * b)).sum()), b, t
+
+
 def directional_derivatives(
     J: CouplingMatrix, A: CouplingMatrix, ctx: PseudolikelihoodContext
 ) -> tuple[float, float]:
     """(first, second) derivatives at J in direction A, with the 1/2 prefactor."""
-    m = ctx.fields_matrix(J)
-    if A.n != ctx.n:
-        raise ValidationError(f"dimension mismatch: A is {A.n}, samples are {ctx.n}")
-    b = ctx.x @ A.entries
-    t = np.tanh(m)
-    first = 0.5 * float((ctx.w @ (b * (t - ctx.x))).sum())
-    second = 0.5 * float((ctx.w @ (b * b * (1.0 - t * t))).sum())
-    return first, second
+    for name, mat in (("J", J), ("A", A)):
+        if mat.n != ctx.n:
+            raise ValidationError(f"dimension mismatch: {name} is {mat.n}, samples are {ctx.n}")
+    first, b, t = _first(J.entries, A.entries, ctx.x, ctx.w, ctx.field)
+    return first, 0.5 * float((ctx.w @ (b * b * (1.0 - t * t))).sum())

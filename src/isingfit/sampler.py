@@ -56,6 +56,12 @@ class GlauberConfig:
             raise ParameterError("seed must be an integer")
 
 
+def _check_count(l) -> None:
+    """Raise ParameterError unless the sample count l is an integer >= 1."""
+    if not is_int(l) or l < 1:
+        raise ParameterError("sample count must be an integer >= 1")
+
+
 def default_config(seed: int = 0, alpha: float | None = None) -> GlauberConfig:
     """Defaults: 50*ceil(1/alpha) burn-in sweeps given a spectral-gap hint, else 200."""
     if alpha is None:
@@ -111,8 +117,7 @@ def glauber_sample(m: IsingModel, l: int, cfg: GlauberConfig | None = None) -> S
     the burn-in, then records one configuration every ``thinning_sweeps``
     sweeps, interleaving chains round-robin until l samples are collected.
     """
-    if not is_int(l) or l < 1:
-        raise ParameterError("sample count must be an integer >= 1")
+    _check_count(l)
     if cfg is None:
         cfg = default_config()
     chains = min(cfg.chains, l)
@@ -261,17 +266,26 @@ def exact_sample(m: IsingModel | exact.DistributionTable | np.ndarray, l: int,
     table's CDF ``np.cumsum(table.probs)``; all three give the same bytes. Many
     batches from one model should share one CDF.
     """
-    if not is_int(l) or l < 1:
-        raise ParameterError("sample count must be an integer >= 1")
-    if not is_int(seed):
+    idx, n = _exact_indices(m, l, [seed])
+    return SampleBatch(exact.states(idx[0], n))
+
+
+def _exact_indices(m: IsingModel | exact.DistributionTable | np.ndarray, l: int,
+                   seeds) -> tuple[np.ndarray, int]:
+    """The state indices of :func:`exact_sample` for each of ``seeds``, one row of l
+    per seed, and n. Row b draws from ``stream(seeds[b], 0xE)``, and one search over
+    every row's keys gives the indices of one search per row (see :func:`exact.draw`).
+    """
+    _check_count(l)
+    if not all(map(is_int, seeds)):
         raise ParameterError("seed must be an integer")
     if isinstance(m, np.ndarray):
         cdf = m
         if (cdf.ndim != 1 or cdf.size < 2 or cdf.size & (cdf.size - 1)
-                or not abs(cdf[-1] - 1.0) <= 1e-9):  # O(1): probes pass one CDF per batch
+                or not abs(cdf[-1] - 1.0) <= 1e-9):  # O(1): probes pass one CDF per probe
             raise ValidationError("a CDF must be a 1-d array of length 2^n, n >= 1, ending at 1")
     else:
         table = m if isinstance(m, exact.DistributionTable) else exact.distribution(m)
         cdf = np.cumsum(table.probs)
-    n = cdf.size.bit_length() - 1
-    return SampleBatch(exact.states(exact.draw(cdf, stream(seed, 0xE).random(l)), n))
+    u = np.concatenate([stream(seed, 0xE).random(l) for seed in seeds])
+    return exact.draw(cdf, u).reshape(len(seeds), l), cdf.size.bit_length() - 1

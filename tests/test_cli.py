@@ -758,6 +758,10 @@ class TestBadInput:
          "model-b: dimension 2 does not match"),
         (["evaluate", "--model-a", "{model}", "--model-b", MODEL_N2],
          "model-b: dimension 2 does not match"),
+        (["diagnose", "--probe", "gradconc", "--model", "{model}", "--l", "0"],
+         "sample count must be an integer >= 1"),
+        (["diagnose", "--probe", "gradconc", "--model", "{model}", "--l", "5", "--batches", "1"],
+         "need at least 2 batches"),
     ])
     def test_bad_command_line_exit_2(self, tmp_path, capsys, argv, message):
         names = ("model", "samples", "nan_h", "inf_h", "bool_h", "dict_h", "est")

@@ -1,7 +1,10 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isingfit import diagnostics, exact, mple, sampler
 from isingfit.core import CouplingMatrix, IsingModel, ParameterError, ValidationError
@@ -117,6 +120,36 @@ class TestRegularityProbe:
             probs = exact.distribution(perturbed).probs
             expected = float(probs @ ((S @ A) ** 2).sum(axis=1)) / gamma
             assert ratio == pytest.approx(expected, rel=1e-12)
+
+    def test_ratios_equal_per_direction_tables(self, rng):
+        # bit for bit: the probe's shared half-state arrays change no table entry
+        n, gamma = 7, 0.05
+        model = IsingModel(random_coupling(n, rng, scale=0.3), 0.5 * rng.normal(size=n))
+        report = diagnostics.regularity_probe(model, gamma, num_perturbations=6, seed=21)
+        directions = diagnostics._probe_rng(21, "regular")
+        base = exact.second_moments(exact.distribution(model))[1]
+        expected = []
+        for pid in range(6):
+            raw = np.triu(directions.normal(size=(n, n)), k=1)
+            A = raw + raw.T
+            A_sq = A @ A
+            e_star = float(np.vdot(A_sq, base))
+            A *= np.sqrt(gamma / e_star)
+            perturbed = IsingModel(CouplingMatrix(model.coupling.entries + A), model.field)
+            second = exact.second_moments(exact.distribution(perturbed))[1]
+            expected.append((pid, float(np.vdot(A_sq, second)) / e_star))
+        assert report.ratios == expected
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"num_perturbations": 2.5}, "num_perturbations must be an integer"),
+        ({"num_perturbations": True}, "num_perturbations must be an integer"),
+        ({"gamma": True}, "gamma must be positive and finite"),
+    ])
+    def test_non_integer_count_or_bool_gamma_raise(self, kwargs, message):
+        model = curie_weiss(4, 0.5)
+        with pytest.raises(ParameterError, match=message):
+            diagnostics.regularity_probe(model, **{"gamma": 0.1, "num_perturbations": 3,
+                                                   **kwargs})
 
     def test_degenerate_directions_excluded(self):
         # n=1 leaves only the zero direction, which must be excluded, not used
@@ -260,6 +293,39 @@ class TestGradientConcentration:
         reference = []
         for _ in range(batches):
             batch = sampler.exact_sample(model, 150, int(seeds.integers(0, 2**62)))
+            ctx = mple.PseudolikelihoodContext(batch, model.field)
+            reference.append(mple.directional_derivatives(model.coupling, A, ctx)[0])
+        np.testing.assert_array_equal(rep.values, reference)
+
+    @pytest.mark.parametrize("batches", [2.5, True])
+    def test_non_integer_batches_raise(self, batches):
+        model = curie_weiss(4, 0.5)
+        with pytest.raises(ParameterError, match="batches must be an integer"):
+            diagnostics.gradient_concentration_probe(model, model.coupling, l=10,
+                                                     batches=batches)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 9), l=st.integers(1, 700), batches=st.integers(2, 5),
+           seed=st.integers(-2**63, 2**63 - 1), keys=st.sampled_from([1, 300, 1 << 16]),
+           scale=st.floats(0.0, 1.0))
+    @example(n=1, l=1, batches=2, seed=0, keys=1 << 16, scale=0.5)  # n = 1, 2^n > l
+    @example(n=1, l=5, batches=3, seed=1, keys=1 << 16, scale=0.5)  # n = 1, folded
+    @example(n=6, l=64, batches=4, seed=2, keys=100, scale=1.0)  # folded, 2^n = l
+    @example(n=9, l=300, batches=5, seed=3, keys=1 << 16, scale=1.0)  # unfolded
+    def test_values_equal_per_batch_reference(self, n, l, batches, seed, keys, scale):
+        # bit for bit against one exact_sample, context and directional_derivatives per
+        # batch, in both regimes of the context's fold rule, with batches sharing one
+        # CDF search (keys >= 2 l) or searched one at a time (keys < 2 l)
+        rng = np.random.default_rng(abs(seed) % 2**32 + n)
+        model = IsingModel(random_coupling(n, rng, scale), scale * rng.normal(size=n))
+        A = random_coupling(n, rng)
+        with mock.patch.object(diagnostics, "_DRAW_KEYS", keys):
+            rep = diagnostics.gradient_concentration_probe(model, A, l=l, batches=batches,
+                                                           seed=seed)
+        seeds = diagnostics._probe_rng(seed, "gradcon")
+        reference = []
+        for _ in range(batches):
+            batch = sampler.exact_sample(model, l, int(seeds.integers(0, 2**62)))
             ctx = mple.PseudolikelihoodContext(batch, model.field)
             reference.append(mple.directional_derivatives(model.coupling, A, ctx)[0])
         np.testing.assert_array_equal(rep.values, reference)
