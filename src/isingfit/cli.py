@@ -262,6 +262,7 @@ def _cmd_fit(args) -> int:
             "wall_time": report.wall_time,
             "stop_reason": report.stop_reason,
             "projections": report.projections,
+            "projection_residual_max": report.projection_residual_max,
         }
         _write_report(args.report, doc)
     return 0

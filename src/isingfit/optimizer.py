@@ -13,14 +13,26 @@ Raydan 2000), clamped to [1e-10, 1e10]; it starts at 1 on the first iteration
 and whenever <s, y> <= 0. The search halves the step until the Armijo test
 holds. Each projected trial point is evaluated once, value and gradient
 together, so an accepted trial carries its gradient into the next iteration.
+A trial whose value ties f within 8 ulp is accepted too: at the rounding floor
+the Armijo test cannot hold, and halving on would only end in step underflow.
+
+Projection starts: the fit keeps the multipliers y of its last accepted
+projection, made at step t, and starts the projection of J - t' grad from
+y * (t' / t). At a fixed point J* = project(J* - t grad) for every t > 0, and
+-t grad + Diag y lies in the normal cone there; a cone is closed under
+positive scaling, so the multipliers scale with the step exactly, and near
+the end of a fit the scaled start is nearly the answer. The first
+projection starts from y = 0. A start changes the projection's work, and its
+point only within the projection's tolerance. The largest KKT residual of the
+accepted projections is reported as projection_residual_max.
 
 Stopping: the gradient mapping G_t(J) = (J - project(J - t grad)) / t. At an
 interior point G_1 is the raw upper-triangle gradient. ||G_t|| is
 nonincreasing in t and t ||G_t|| nondecreasing, so the accepted step t gives
-||G_1|| <= ||J_next - J||_F / min(t, 1). That bound, reported on the
-unnormalized scale (multiplied back by 2*n*l), is what grad_map_trace records
-and what is compared with grad_map_tol; the stop certifies the unit-step
-gradient mapping whatever the step size.
+||G_1|| <= ||J_next - J||_F / min(t, 1), whichever test accepted t. That
+bound, reported on the unnormalized scale (multiplied back by 2*n*l), is what
+grad_map_trace records and what is compared with grad_map_tol; the stop
+certifies the unit-step gradient mapping whatever the step size.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ __all__ = ["FitConfig", "FitReport", "fit_mple"]
 _ARMIJO = 1e-4  # sufficient-decrease constant; each search halves from its start step
 _STEP_MIN, _STEP_MAX = 1e-10, 1e10  # clamp of the Barzilai-Borwein start step
 _STEP_FLOOR = 1e-18
+_FLAT = 8 * np.finfo(float).eps  # a trial this close to f in value is accepted as a rounding tie
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,7 @@ class FitReport:
     wall_time: float = 0.0
     stop_reason: str = "max_iters"  # or "grad_map", "step_underflow", "non_finite"
     projections: int = 0  # project_array calls, one per trial point
+    projection_residual_max: float = 0.0  # largest KKT residual of an accepted projection
 
 
 # An overflow is no error here: a non-finite value fails the Armijo test, or
@@ -89,6 +103,7 @@ def fit_mple(
     f_unnorm, g_raw = mple.objective_and_gradient(J, ctx)
     report.objective_trace.append(f_unnorm)
     start_step = 1.0
+    y, y_step = None, 1.0  # multipliers of the last accepted projection and its step
 
     for it in range(cfg.max_iters):
         if not np.isfinite(f_unnorm):
@@ -99,11 +114,14 @@ def fit_mple(
 
         step = start_step
         while step >= _STEP_FLOOR:
-            cand = CouplingMatrix(projections.project_array(constraint, J.entries - step * g)[0])
+            point, cand_y, residual = projections.project_array(
+                constraint, J.entries - step * g, y0=None if y is None else y * (step / y_step))
+            cand = CouplingMatrix(point)
             report.projections += 1
             cand_val, cand_g = mple.objective_and_gradient(cand, ctx)
             s = cand.entries - J.entries
-            if cand_val / scale <= f + _ARMIJO * float(np.sum(g * s)):
+            cand_f = cand_val / scale
+            if cand_f <= f + _ARMIJO * float(np.sum(g * s)) or abs(cand_f - f) <= _FLAT * abs(f):
                 break
             step *= 0.5
         else:
@@ -114,6 +132,8 @@ def fit_mple(
         grad_map = float(np.linalg.norm(s)) / min(step, 1.0)
         report.grad_map_trace.append(grad_map * 2.0 * scale)
         J, f_unnorm, g_raw = cand, cand_val, cand_g
+        y, y_step = cand_y, step
+        report.projection_residual_max = max(report.projection_residual_max, residual)
         report.objective_trace.append(f_unnorm)
         report.iterations = it + 1
         if report.grad_map_trace[-1] <= grad_map_tol:

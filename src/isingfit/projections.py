@@ -269,20 +269,9 @@ def membership(cs: ConstraintSet, J: CouplingMatrix, tol: float = 1e-8) -> bool:
     return cs.member(J.entries, tol)
 
 
-def project_array(cs: ConstraintSet, a: np.ndarray, tol: float = DEFAULT_TOL):
-    """Nearest symmetric zero-diagonal point of cs to a raw array, its multipliers
-    and its KKT residual, found by Newton on the dual from y = 0.
-
-    eps = min(1e-4, residual) regularizes the Hessian; a multiplier within eps of
-    its bound whose gradient pushes it out takes a gradient step (Bertsekas'
-    projected Newton). Steps backtrack by Armijo on theta; a step that changes
-    theta only by rounding is also taken when it lowers the residual.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0 or not np.isfinite(a).all():
-        raise ValidationError("projection needs a non-empty, square, finite array")
-    a0 = _proj_zero_diag(a)
-    y = np.zeros(a0.shape[0])
+def _newton(cs: ConstraintSet, a0: np.ndarray, y: np.ndarray, tol: float):
+    """Projected Newton on theta from y: a function giving the point, the
+    multipliers and the residual where it stopped (at tol or the step budget)."""
     theta, grad, hessian, point, residual = cs._dual(a0, y)
     for _ in range(DEFAULT_MAX_ITER):
         if residual <= tol:
@@ -302,6 +291,38 @@ def project_array(cs: ConstraintSet, a: np.ndarray, tol: float = DEFAULT_TOL):
         else:
             break  # no decrease left but rounding
         y, (theta, grad, hessian, point, residual) = y_new, trial
+    return point, y, residual
+
+
+def project_array(cs: ConstraintSet, a: np.ndarray, tol: float = DEFAULT_TOL, y0=None):
+    """Nearest symmetric zero-diagonal point of cs to a raw array, its multipliers
+    and its KKT residual, found by Newton on the dual from y = y0 (default 0).
+
+    y0 changes the work, and the point only within tol: a start near the
+    answer's multipliers (the fit passes its last ones, rescaled) needs fewer
+    steps. It must have one finite entry per row, none below ``cs.lower``. A
+    start from which Newton misses tol within the budget is dropped for y = 0.
+
+    eps = min(1e-4, residual) regularizes the Hessian; a multiplier within eps of
+    its bound whose gradient pushes it out takes a gradient step (Bertsekas'
+    projected Newton). Steps backtrack by Armijo on theta; a step that changes
+    theta only by rounding is also taken when it lowers the residual.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0 or not np.isfinite(a).all():
+        raise ValidationError("projection needs a non-empty, square, finite array")
+    a0 = _proj_zero_diag(a)
+    zero = np.zeros(a0.shape[0])
+    if y0 is None:
+        point, y, residual = _newton(cs, a0, zero, tol)
+    else:
+        y = np.array(y0, dtype=np.float64)
+        if y.shape != zero.shape or not np.isfinite(y).all() or (y < cs.lower).any():
+            raise ValidationError(f"start multipliers need {zero.size} finite entries "
+                                  f">= {cs.lower:g}")
+        point, y, residual = _newton(cs, a0, y, tol)
+        if not residual <= tol:  # Newton's globalization can stall from a far start
+            point, y, residual = _newton(cs, a0, zero, tol)
     if not residual <= tol:  # a NaN residual warns too
         warnings.warn(ProjectionConvergenceWarning(
             f"projection onto {cs.describe()} stopped at KKT residual {residual:.3g} "

@@ -110,9 +110,11 @@ class TestPipeline:
         assert list(report) == [
             "iterations", "converged", "objective_first", "objective_last",
             "grad_map_last", "wall_time", "stop_reason", "projections",
+            "projection_residual_max",
         ]
         assert report["stop_reason"] == "grad_map"
         assert report["projections"] >= report["iterations"]
+        assert 0.0 <= report["projection_residual_max"] <= 1e-13  # the default tolerance
 
     def test_fit_with_field_file_and_config_optimizer(self, tmp_path):
         doc = base_config(n=5)

@@ -179,6 +179,68 @@ class TestSpectralStep:
             assert unit <= bound * (1 + 1e-6) + 1e-9
 
 
+class TestFitWork:
+    """Eigendecompositions, Newton steps and iterations over fixed binding n = 8 fits,
+    three sample seeds per family: counts that do not depend on timing. BOUNDS holds
+    the totals with each projection started from the last accepted multipliers,
+    scaled by the step ratio; started from y = 0 the same fits take 182/143,
+    253/205, 0/149 and 120/94. A change may lower them, never raise them. As with
+    projections' TestNewtonWork, another BLAS/LAPACK build may move a stop by a step."""
+
+    BOUNDS = {  # family -> (eigh calls, Newton steps, iterations)
+        "SpectralSpread": (123, 84, 39),
+        "OpNormBall": (142, 97, 45),
+        "WidthBall": (0, 88, 40),
+        "AntiferroSpike": (83, 57, 26),
+    }
+
+    @pytest.mark.parametrize("family", list(BINDING_CELLS))
+    def test_counts_do_not_rise(self, family, monkeypatch):
+        kind, constraint, params = BINDING_CELLS[family]
+        batches = [binding_cell(kind, constraint, seed=seed, **params)[0] for seed in range(3)]
+        counts = dict.fromkeys(("eigh", "solve"), 0)
+        for name in counts:  # one _solve per Newton step
+            def counted(*args, _real=getattr(projections, "_" + name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(projections, "_" + name, counted)
+        reports = [fit_mple(batch, np.zeros(8), constraint) for batch in batches]
+        assert all(r.converged for r in reports)
+        eighs, steps, iterations = self.BOUNDS[family]
+        total = sum(r.iterations for r in reports)
+        assert counts["eigh"] <= eighs and counts["solve"] <= steps and total <= iterations, (
+            counts, total)
+        # a count that reads 0 would pass without checking anything
+        assert counts["solve"] > 0 and (counts["eigh"] > 0 or family == "WidthBall"), counts
+
+    def test_projection_residual_max(self, monkeypatch):
+        # the largest KKT residual over the projections whose points the fit accepted,
+        # on a cell with a rejected trial
+        kind, constraint, params = BINDING_CELLS["WidthBall"]
+        batch, _ = binding_cell(kind, constraint, seed=2, **params)
+        residuals, values = [], []
+        project_array, objective_and_gradient = projections.project_array, mple.objective_and_gradient
+
+        def recorded_projection(cs, a, **kwargs):
+            out = project_array(cs, a, **kwargs)
+            residuals.append(out[2])
+            return out
+
+        def recorded_value(J, ctx):
+            out = objective_and_gradient(J, ctx)
+            values.append(out[0])
+            return out
+
+        monkeypatch.setattr(projections, "project_array", recorded_projection)
+        monkeypatch.setattr(mple, "objective_and_gradient", recorded_value)
+        report = fit_mple(batch, np.zeros(8), constraint)
+        # values[0] is the unprojected start; each later value is one trial's
+        accepted = [r for r, v in zip(residuals, values[1:]) if v in report.objective_trace[1:]]
+        assert report.projections > len(accepted) == report.iterations
+        assert report.projection_residual_max == max(accepted)
+        assert 0.0 < report.projection_residual_max <= projections.DEFAULT_TOL
+
+
 class TestStopReason:
     def test_grad_map(self):
         report = fit_mple(uniform_batch(5, 300, seed=16), np.zeros(5), OpNormBall(1.0))
@@ -210,6 +272,17 @@ class TestStopReason:
         # the start point, then the projected steps 1, 1/2, ... down to the floor
         assert report.projections == len(projection_calls) == 60
         assert len(evaluated) == 61
+
+    def test_rounding_tie_is_no_step_underflow(self):
+        # near the optimum this fit's trials change the objective by -8e-16 and
+        # then 0.0 relative to f; the Armijo test alone halves those down to step
+        # underflow (13 iterations, 162 projections), a tie within 8 ulp ends it
+        model = ensembles.generate(ensembles.EnsembleSpec(kind="SK", n=16, beta=0.7, seed=0))
+        batch = sampler.exact_sample(model, 1000, seed=39)
+        report = fit_mple(batch, np.zeros(16), SpectralSpread(0.6))
+        assert report.converged and report.stop_reason == "grad_map"
+        assert report.projections <= 2 * report.iterations
+        assert unit_step_grad_map(report.estimate, batch, SpectralSpread(0.6)) <= 2e-6 * 16 * 1000
 
     def test_non_finite(self):
         # a field of 1e308 overflows the objective at the start point; the fit

@@ -1,4 +1,6 @@
 import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -8,6 +10,7 @@ from isingfit import ensembles, projections
 from isingfit.core import CouplingMatrix, ParameterError, ValidationError
 from isingfit.ensembles import EnsembleSpec
 from isingfit.projections import (
+    DEFAULT_TOL,
     FAMILIES,
     AntiferroSpike,
     OpNormBall,
@@ -392,6 +395,84 @@ class TestMultiplierLoop:
         np.testing.assert_allclose(again, x, rtol=0, atol=1e-10 * size)
 
 
+class TestStartMultipliers:
+    """A start y0 changes the Newton work of project_array, not its point."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cs=st.sampled_from(ALL_SETS),
+        n=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.1, 3.0),
+        log_start=st.floats(-6.0, 0.0),
+    )
+    def test_point_does_not_depend_on_start(self, cs, n, seed, scale, log_start):
+        # starts up to the input's own norm. At tol = 1e-13 the points agreed to
+        # 2e-13 * size on all but 2 of 40,000 draws, the worst 1.3e-12 (OpNormBall,
+        # an input eigenvalue near 0), so the bound is 1e-11 * size.
+        rng = np.random.default_rng(seed)
+        a = random_coupling(n, rng, scale).entries
+        size = max(1.0, float(np.linalg.norm(a)))
+        y0 = rng.normal(size=n) * 10.0**log_start * size
+        if cs.lower == 0.0:
+            y0 = np.abs(y0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ProjectionConvergenceWarning)
+            cold = project_array(cs, a)[0]
+            x, y, residual = project_array(cs, a, y0=y0)
+        assert residual <= DEFAULT_TOL
+        assert kkt_residual(cs, a, y)[0] <= DEFAULT_TOL
+        np.testing.assert_allclose(x, cold, rtol=0, atol=1e-11 * size)
+
+    def test_stalled_start_falls_back_to_zero(self):
+        # Newton from this start stalls at KKT residual 0.22 with its budget spent;
+        # the projection then starts again from y = 0 and returns that point
+        rng = np.random.default_rng(1551450834)
+        a = random_coupling(3, rng, 1.6828317530604735).entries
+        y0 = rng.normal(size=3) * 0.1 * float(np.linalg.norm(a))
+        cs = AntiferroSpike(0.4, 1.0)
+        stops = []
+
+        def recorded(*args, _real=projections._newton):
+            out = _real(*args)
+            stops.append(out[2])
+            return out
+
+        with mock.patch.object(projections, "_newton", recorded):
+            got = project_array(cs, a, y0=y0)
+        assert len(stops) == 2 and stops[0] > 0.1 and stops[1] <= DEFAULT_TOL
+        for g, w in zip(got, project_array(cs, a)):
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cs=st.sampled_from(ALL_SETS),
+        n=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(0.1, 3.0),
+        log_s=st.floats(-2.0, 2.0),
+    )
+    def test_multipliers_scale_along_the_normal_ray(self, cs, n, seed, scale, log_s):
+        # a - x lies in the normal cone at x = project(a), and so does s (a - x):
+        # x + s (a - x) projects to x with multipliers s y. The fit starts each
+        # projection from its last multipliers scaled by the step ratio for this reason.
+        # b reaches 1e2 times a; from y = 0 such far inputs can use up the Newton
+        # budget (see test_far_inputs_certified), so only the start s y is run.
+        a = random_coupling(n, np.random.default_rng(seed), scale).entries
+        x, y, _ = project_array(cs, a)
+        s = 10.0**log_s
+        b = x + s * (a - x)
+        size = max(1.0, float(np.linalg.norm(b)))
+        tol = max(1.0, s) * DEFAULT_TOL  # the residual of y at a, scaled by s
+        residual_sy, point_sy = kkt_residual(cs, b, s * y)
+        assert residual_sy <= 2.0 * tol
+        np.testing.assert_allclose(point_sy, x, rtol=0, atol=1e-12 * size)
+        with mock.patch.object(projections, "_solve", wraps=projections._solve) as solve:
+            warm, _, residual = project_array(cs, b, tol, y0=s * y)
+        assert solve.call_count <= 1 and residual <= tol
+        np.testing.assert_allclose(warm, x, rtol=0, atol=1e-12 * size)
+
+
 # The constrained_n8 benchmark families, each with the ensemble whose truth lies outside it.
 FIT_CASES = [
     (OpNormBall(0.5), EnsembleSpec("SK", 8, beta=0.5)),
@@ -566,6 +647,14 @@ BAD_INPUTS = {
     "non_square": np.zeros((2, 3)),
 }
 
+BAD_STARTS = {
+    "short": np.zeros(2),
+    "long": np.zeros(4),
+    "matrix": np.zeros((3, 3)),
+    "nan": [0.0, np.nan, 0.0],
+    "inf": [0.0, 0.0, np.inf],
+}
+
 
 class TestInputChecks:
     @pytest.mark.parametrize("cs", ALL_SETS, ids=lambda c: c.kind)
@@ -573,6 +662,24 @@ class TestInputChecks:
     def test_bad_input_raises(self, cs, a):
         with pytest.raises(ValidationError, match="non-empty, square, finite"):
             project_array(cs, np.asarray(a))
+
+    @pytest.mark.parametrize("cs", ALL_SETS, ids=lambda c: c.kind)
+    @pytest.mark.parametrize("y0", list(BAD_STARTS.values()), ids=list(BAD_STARTS))
+    def test_bad_start_raises(self, cs, y0):
+        with pytest.raises(ValidationError, match="start multipliers need 3 finite entries"):
+            project_array(cs, np.ones((3, 3)), y0=np.asarray(y0))
+
+    def test_start_below_bound_raises(self):
+        # WidthBall's row multipliers are l1-ball multipliers, y >= 0
+        with pytest.raises(ValidationError, match=">= 0"):
+            project_array(WidthBall(1.0), np.ones((3, 3)), y0=[0.0, -1e-300, 0.0])
+        project_array(WidthBall(1.0), np.ones((3, 3)), y0=[0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("cs", ALL_SETS, ids=lambda c: c.kind)
+    def test_zero_start_is_the_default(self, cs, rng):
+        a = random_coupling(6, rng, 2.0).entries
+        for got, want in zip(project_array(cs, a, y0=np.zeros(6)), project_array(cs, a)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_nan_residual_warns(self, monkeypatch):
         real = OpNormBall._dual
