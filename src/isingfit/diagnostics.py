@@ -197,8 +197,7 @@ def regularity_probe(
     n = model.n
     rng = _probe_rng(seed, "regular")
     report = RegularityReport(gamma_probe=gamma)
-    halves = exact._halves(n)  # every direction's two tables share one pair
-    base_second = exact._second_moments(exact.distribution(model), *halves)[1]
+    base_second = exact.second_moments(exact.distribution(model))[1]
     for pid in range(num_perturbations):
         raw = np.triu(rng.normal(size=(n, n)), k=1)
         A = raw + raw.T
@@ -209,8 +208,7 @@ def regularity_probe(
             continue
         A *= np.sqrt(gamma / e_star)
         # a temporary table, so one is alive when the next is built
-        second = exact._second_moments(
-            exact._table(model.coupling.entries + A, model.field, halves=halves), *halves)[1]
+        second = exact.second_moments(exact._table(model.coupling.entries + A, model.field))[1]
         # the rescaled direction's ||A x||^2 is (gamma / e_star) * x^T A_sq x
         report.ratios.append((pid, float(np.vdot(A_sq, second)) / e_star))
     report.max_ratio = max((r for _, r in report.ratios), default=0.0)

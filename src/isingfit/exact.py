@@ -4,8 +4,10 @@ State index convention: state ``s`` encodes the configuration whose site ``i``
 carries spin ``+1`` iff bit ``i`` of ``s`` is set (bit 0 = site 0). Log weights
 come from one kernel, :func:`quadratic_table`: it splits the sites into a low half
 (the low bits of ``s``) and a high half and builds the table in one GEMM, whose
-(2^high, 2^low) row-major output is the state order. :func:`normalize` checks it
-in O(1), so a table from :func:`distribution` is never scanned again.
+(2^high, 2^low) row-major output is the state order. Only :func:`_halves` knows the
+split; the half-state arrays of every table up to the enumeration cap are built once
+per process, read-only. :func:`normalize` checks a table in O(1), so a table from
+:func:`distribution` is never scanned again.
 :func:`second_moments` reads E[x] and E[x x^T] off the same split, and
 E[x^T A x] = <A, E[x x^T]>, E||A x||^2 = <A^2, E[x x^T]> come from those.
 """
@@ -23,6 +25,7 @@ from .core import (
     ParameterError,
     ValidationError,
     is_int,
+    is_real,
     stream,
 )
 
@@ -60,29 +63,32 @@ def encode_spins(spins) -> np.ndarray:
     return bits @ (1 << np.arange(s.shape[1], dtype=np.int64))
 
 
+# all_states(k) for every half of a table up to the cap: about 150 KB, read-only
+_HALF_STATES = tuple(all_states(k) for k in range((DEFAULT_ENUM_CAP + 1) // 2 + 1))
+for _S in _HALF_STATES:
+    _S.flags.writeable = False
+del _S
+
+
 def _halves(n: int) -> tuple[np.ndarray, np.ndarray]:
     """S_a and S_b: the states of the low n // 2 sites and of the other sites."""
-    return all_states(n // 2), all_states(n - n // 2)
+    return tuple(_HALF_STATES[k] if k < len(_HALF_STATES) else all_states(k)
+                 for k in (n // 2, n - n // 2))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # normalize reports an overflowed table
 def quadratic_table(Q: np.ndarray, h: np.ndarray) -> np.ndarray:
     """x^T Q x / 2 + h . x for every state x, in state-index order (Q symmetric).
 
     With a the low half of the sites, b the high half and t_a, t_b their own tables,
     it is one product [S_b Q_ba, t_b, 1] [S_a, 1, t_a]^T: cross term, then t_b, then t_a."""
-    return _quadratic_table(Q, h, None)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # normalize reports an overflowed table
-def _quadratic_table(Q: np.ndarray, h: np.ndarray, halves) -> np.ndarray:
-    """:func:`quadratic_table` on the caller's :func:`_halves`, or on its own when None."""
-    Sa, Sb = halves or _halves(h.size)
+    Sa, Sb = _halves(h.size)
     k = Sa.shape[1]
     t_a = 0.5 * ((Sa @ Q[:k, :k]) * Sa).sum(axis=1) + Sa @ h[:k]
     t_b = 0.5 * ((Sb @ Q[k:, k:]) * Sb).sum(axis=1) + Sb @ h[k:]
     left = np.column_stack([Sb @ Q[k:, :k], t_b, np.ones_like(t_b)])
     right = np.column_stack([Sa, np.ones_like(t_a), t_a])
-    del Sa, Sb, halves  # halves made here go, so the 2^n product is the peak
+    del Sa, Sb  # halves built above the cap go, so the 2^n product is the peak
     return (left @ right.T).reshape(-1)
 
 
@@ -137,11 +143,9 @@ def draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cdf.size - 1, out=idx)  # cumsum rounding can end below 1
 
 
-def _table(Q: np.ndarray, h: np.ndarray, model: IsingModel | None = None,
-           halves=None) -> DistributionTable:
-    """Table of exp(x^T Q x / 2 + h . x), checked by normalize, not by __post_init__'s scans;
-    ``halves`` as in :func:`_quadratic_table`."""
-    probs = _quadratic_table(Q, h, halves)
+def _table(Q: np.ndarray, h: np.ndarray, model: IsingModel | None = None) -> DistributionTable:
+    """Table of exp(x^T Q x / 2 + h . x), checked by normalize, not by __post_init__'s scans."""
+    probs = quadratic_table(Q, h)
     table = object.__new__(DistributionTable)
     table.__dict__.update(n=h.size, probs=probs, log_z=normalize(probs), model=model)
     return table
@@ -173,12 +177,7 @@ def second_moments(table: DistributionTable) -> tuple[np.ndarray, np.ndarray]:
     blocks and E[x] come from the marginals of the two halves and the cross
     block is S_b^T (P S_a).
     """
-    return _second_moments(table, *_halves(table.n))
-
-
-def _second_moments(table: DistributionTable, Sa: np.ndarray,
-                    Sb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`second_moments` on the caller's :func:`_halves`."""
+    Sa, Sb = _halves(table.n)
     k = Sa.shape[1]
     p2 = table.probs.reshape(Sb.shape[0], Sa.shape[0])
     pa, pb = p2.sum(axis=0), p2.sum(axis=1)
@@ -255,9 +254,11 @@ def default_hs_shift(J: CouplingMatrix) -> float:
 
 
 def _shifted_matrix(m: IsingModel, shift: float) -> np.ndarray:
+    if not (is_real(shift) and np.isfinite(shift)):
+        raise ParameterError("shift must be a finite real number")
     W = m.coupling.entries + shift * np.eye(m.n)
     eigs = np.linalg.eigvalsh(W)
-    if eigs.min() <= 0:
+    if not eigs.min() > 0:  # NaN fails too
         raise ParameterError(
             f"J + shift*I is not positive definite (min eigenvalue {eigs.min():.3g})"
         )
@@ -277,6 +278,8 @@ def hubbard_stratonovich_check(
     seed: int = 0,
 ) -> float:
     """TV between the Monte Carlo product-measure mixture and the exact table."""
+    if not (is_int(draws) and draws >= 1):
+        raise ParameterError("draws must be an integer >= 1")
     _check_cap(m.n, "mixture check")
     if shift is None:
         shift = default_hs_shift(m.coupling)
@@ -286,8 +289,8 @@ def hubbard_stratonovich_check(
 
     table = distribution(m)
     cdf = np.cumsum(table.probs)
-    half = m.n // 2
-    Sa, Sb = all_states(half), all_states(m.n - half)
+    Sa, Sb = _halves(m.n)
+    half = Sa.shape[1]
     rng = stream(seed, 0x48)
 
     # a product measure factors over the halves of quadratic_table: mixture = Pb^T @ Pa

@@ -71,17 +71,6 @@ def default_config(seed: int = 0, alpha: float | None = None) -> GlauberConfig:
     return GlauberConfig(burn_in_sweeps=50 * math.ceil(1.0 / alpha), seed=seed)
 
 
-def conditional_plus_probability(m: IsingModel, x, i: int) -> float:
-    """P[X_i = +1 | X_{-i} = x_{-i}] for the given configuration."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (m.n,):
-        raise ParameterError(f"configuration must have length {m.n}")
-    if not 0 <= i < m.n:
-        raise IndexError(f"site {i} out of range for n={m.n}")
-    field = float(m.coupling.entries[i] @ x) + float(m.field[i])
-    return 0.5 * (1.0 + math.tanh(field))
-
-
 def _run_chain(J: np.ndarray, h: np.ndarray, n_samples: int, cfg: GlauberConfig, chain: int) -> np.ndarray:
     n = h.shape[0]
     rng = stream(cfg.seed, chain)

@@ -546,6 +546,34 @@ class TestHubbardStratonovich:
         with pytest.raises(ParameterError, match="positive definite"):
             exact.hubbard_stratonovich_check(m, shift=0.5, draws=10)
 
+    @pytest.mark.parametrize("draws", [0, -5, 2.5])
+    def test_draws_must_be_positive_integer(self, draws):
+        m = zero_field(np.zeros((3, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="draws must be an integer >= 1"):
+                exact.hubbard_stratonovich_check(m, shift=1.0, draws=draws)
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+    def test_shift_must_be_finite(self, shift):
+        m = zero_field(np.zeros((3, 3)))
+        with pytest.raises(ParameterError, match="shift must be a finite real number"):
+            exact.hubbard_stratonovich_check(m, shift=shift, draws=10)
+        with pytest.raises(ParameterError, match="shift must be a finite real number"):
+            exact.hs_conditional_error(m, shift, np.zeros(3))
+
+
+@pytest.mark.parametrize("n", range(exact.DEFAULT_ENUM_CAP + 3))
+def test_halves_built_once_and_read_only(n):
+    Sa, Sb = exact._halves(n)
+    np.testing.assert_array_equal(Sa, exact.all_states(n // 2))
+    np.testing.assert_array_equal(Sb, exact.all_states(n - n // 2))
+    if n <= exact.DEFAULT_ENUM_CAP:  # above the cap the arrays are built per call
+        assert exact._halves(n)[1] is Sb
+        for S in (Sa, Sb):
+            with pytest.raises(ValueError, match="read-only"):
+                S[0] = 0.0
+
 
 def test_encode_decode_round_trip(rng):
     n = 6

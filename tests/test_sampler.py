@@ -70,46 +70,6 @@ def empirical_table(batch):
     return counts / batch.l
 
 
-class TestConditional:
-    def test_uniform_is_half(self):
-        m = zero_field(np.zeros((4, 4)))
-        x = np.array([1, -1, 1, 1])
-        for i in range(4):
-            assert sampler.conditional_plus_probability(m, x, i) == 0.5
-
-    def test_saturating_field(self):
-        m = IsingModel(CouplingMatrix.zeros(2), np.array([10.0, 0.0]))
-        p = sampler.conditional_plus_probability(m, np.array([1, 1]), 0)
-        assert p == pytest.approx(1.0, abs=1e-8)
-
-    def test_matches_enumeration(self, rng):
-        # oracle: condition the full 2^n table on x_{-i}
-        m = IsingModel(random_coupling(4, rng), rng.normal(size=4))
-        table = exact.distribution(m).probs
-        for _ in range(20):
-            x = rng.choice([-1, 1], size=4)
-            i = int(rng.integers(4))
-            idx_plus = exact.encode_spins(np.where(np.arange(4) == i, 1, x)[None, :])[0]
-            idx_minus = exact.encode_spins(np.where(np.arange(4) == i, -1, x)[None, :])[0]
-            oracle = table[idx_plus] / (table[idx_plus] + table[idx_minus])
-            assert sampler.conditional_plus_probability(m, x, i) == pytest.approx(
-                oracle, abs=1e-12
-            )
-
-    def test_plus_and_minus_sum_to_one(self, rng):
-        m = IsingModel(random_coupling(5, rng), rng.normal(size=5))
-        x = rng.choice([-1, 1], size=5)
-        for i in range(5):
-            p = sampler.conditional_plus_probability(m, x, i)
-            q = 1.0 - p  # the minus probability by definition
-            assert p + q == 1.0
-
-    def test_index_out_of_range(self):
-        m = zero_field(np.zeros((3, 3)))
-        with pytest.raises(IndexError):
-            sampler.conditional_plus_probability(m, np.ones(3), 3)
-
-
 class TestGlauber:
     def test_uniform_target_coordinate_means(self):
         m = zero_field(np.zeros((4, 4)))
@@ -134,19 +94,19 @@ class TestGlauber:
         np.testing.assert_array_equal(a.spins, b.spins)
 
     def test_stationarity_of_update_kernel(self, rng):
-        # the sampler's conditional probabilities assemble into a kernel that
-        # must fix the exact distribution
+        # the heat-bath kernel, each site's conditional read off the exact table,
+        # is the chain's transition matrix and fixes the exact distribution
         m = IsingModel(random_coupling(6, rng), 0.2 * rng.normal(size=6))
         n = m.n
-        S = exact.all_states(n)
-        N = 1 << n
-        P = np.zeros((N, N))
-        for s in range(N):
-            for i in range(n):
-                p_plus = sampler.conditional_plus_probability(m, S[s], i)
-                P[s, s | (1 << i)] += p_plus / n
-                P[s, s & ~(1 << i)] += (1.0 - p_plus) / n
         pi = exact.distribution(m).probs
+        idx = np.arange(1 << n)
+        P = np.zeros((1 << n, 1 << n))
+        for i in range(n):
+            up, down = idx | (1 << i), idx & ~(1 << i)
+            p_plus = pi[up] / (pi[up] + pi[down])
+            P[idx, up] += p_plus / n
+            P[idx, down] += (1.0 - p_plus) / n
+        np.testing.assert_allclose(P, exact.glauber_transition_matrix(m), atol=1e-12)
         np.testing.assert_allclose(pi @ P, pi, atol=1e-10)
 
     def test_chain_streams_disjoint(self):
