@@ -129,6 +129,8 @@ def _glauber_config(block, seed: int, method: str = "glauber") -> sampler.Glaube
         for key in block if method == "exact" else ():
             if key in ("burn_in_sweeps", "thinning_sweeps", "chains", "alpha_hint"):
                 raise ConfigError(f"sampler.{key}: applies to method glauber only")
+        if "alpha_hint" in block and "burn_in_sweeps" in block:
+            raise ConfigError("sampler.alpha_hint: sets burn_in_sweeps, so not both can be set")
         try:
             base = sampler.default_config(seed, block.pop("alpha_hint", None))
         except ParameterError as e:

@@ -71,6 +71,8 @@ def stream(seed: int, *words: int) -> np.random.Generator:
 
     Distinct word tuples give disjoint streams, and negative seeds are valid.
     """
+    if not is_int(seed):
+        raise ParameterError("seed must be an integer")
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence((seed & _SEED_MASK, *words)))
     )

@@ -311,9 +311,12 @@ def hubbard_stratonovich_check(
 
 def hs_conditional_error(m: IsingModel, shift: float, y) -> float:
     """Max deviation between Bayes posterior of X given Y=y and the product law."""
+    y = np.asarray(y)
+    if y.shape != (m.n,) or y.dtype.kind not in "iuf" or not np.isfinite(y).all():
+        raise ParameterError(f"y must hold {m.n} finite reals")
     _check_cap(m.n, "posterior table")
     W = _shifted_matrix(m, shift)
-    wy = W @ np.asarray(y, dtype=np.float64)
+    wy = W @ y
     # log p(x) - (y - x)^T W (y - x) / 2, with log p the log weights; the
     # constants -log Z and -y^T W y / 2 drop out in normalize
     post = quadratic_table(-W, wy)

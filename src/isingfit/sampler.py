@@ -266,8 +266,6 @@ def _exact_indices(m: IsingModel | exact.DistributionTable | np.ndarray, l: int,
     every row's keys gives the indices of one search per row (see :func:`exact.draw`).
     """
     _check_count(l)
-    if not all(map(is_int, seeds)):
-        raise ParameterError("seed must be an integer")
     if isinstance(m, np.ndarray):
         cdf = m
         if (cdf.ndim != 1 or cdf.size < 2 or cdf.size & (cdf.size - 1)

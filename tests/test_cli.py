@@ -681,6 +681,8 @@ class TestBadInput:
         ({"burn_in_sweeps": 7, "alpha_hint": 0.5},  # n <= 20 samples exactly by default
          "sampler.burn_in_sweeps: applies to method glauber only"),
         ({"method": None, "chains": 2}, "sampler.chains: applies to method glauber only"),
+        ({"method": "glauber", "alpha_hint": 0.5, "burn_in_sweeps": 7},
+         "sampler.alpha_hint: sets burn_in_sweeps, so not both can be set"),
     ])
     def test_bad_sampler_block_exit_2(self, tmp_path, capsys, block, message):
         doc = base_config()
@@ -764,6 +766,8 @@ class TestBadInput:
          "sample count must be an integer >= 1"),
         (["diagnose", "--probe", "gradconc", "--model", "{model}", "--l", "5", "--batches", "1"],
          "need at least 2 batches"),
+        (["sample", "--model", "{model}", "--l", "10", "--alpha-hint", "0.5", "--burn-in", "7",
+          "--out", "{est}"], "sampler.alpha_hint: sets burn_in_sweeps, so not both can be set"),
     ])
     def test_bad_command_line_exit_2(self, tmp_path, capsys, argv, message):
         names = ("model", "samples", "nan_h", "inf_h", "bool_h", "dict_h", "est")

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isingfit import core, diagnostics
+from isingfit import core, diagnostics, ensembles, exact
 from isingfit.core import (
     CouplingMatrix,
     IsingModel,
+    ParameterError,
     ParseError,
     SampleBatch,
     ValidationError,
@@ -262,3 +263,20 @@ def test_validate_model_roundtrip_on_all_good_models(rng):
         again = IsingModel(m.coupling.entries, m.field)
         np.testing.assert_array_equal(again.field, m.field)
         assert again.coupling == m.coupling
+
+
+@pytest.mark.parametrize("seed", [2.5, True])
+def test_seed_must_be_an_integer(seed):
+    # core.stream is the one RNG constructor, so its check covers every seeded function
+    m = IsingModel.zero_field(CouplingMatrix(0.1 * (np.ones((4, 4)) - np.eye(4))))
+    calls = [
+        lambda: core.stream(seed),
+        lambda: diagnostics.regularity_probe(m, gamma=0.1, num_perturbations=1, seed=seed),
+        lambda: diagnostics.gradient_concentration_probe(m, m.coupling, l=5, batches=2, seed=seed),
+        lambda: diagnostics.subset_decomposition(m.coupling, M=2.0, eta=0.2, seed=seed),
+        lambda: exact.hubbard_stratonovich_check(m, draws=10, seed=seed),
+        lambda: ensembles.random_regular_graph(4, 2, seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            call()

@@ -562,6 +562,15 @@ class TestHubbardStratonovich:
         with pytest.raises(ParameterError, match="shift must be a finite real number"):
             exact.hs_conditional_error(m, shift, np.zeros(3))
 
+    @pytest.mark.parametrize("y", [[0.0, 0.0], [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0],
+                                   [True, False, True]])
+    def test_conditional_error_checks_y(self, y):
+        m = zero_field(np.zeros((3, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="y must hold 3 finite reals"):
+                exact.hs_conditional_error(m, 1.0, y)
+
 
 @pytest.mark.parametrize("n", range(exact.DEFAULT_ENUM_CAP + 3))
 def test_halves_built_once_and_read_only(n):
