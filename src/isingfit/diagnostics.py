@@ -115,10 +115,10 @@ def subset_decomposition(
         raise ParameterError(f"matrix width {width:.6g} exceeds the stated bound {M:.6g}")
     if not 0 < eta < M < np.inf:  # NaN fails too
         raise ParameterError("need 0 < eta < M < inf")
+    rng = _probe_rng(seed, "subsets")  # checks the seed, which the one-subset answer ignores
     if width <= eta:
         return SubsetDecomposition(subsets=[np.arange(n)], eta=eta, membership_count=1)
 
-    rng = _probe_rng(seed, "subsets")
     r = math.ceil(_COUNT_CONSTANT * M * M * math.log(n) / (eta * eta))
     p_include = eta / (8.0 * M)
     target = math.ceil(eta * r / (8.0 * M))
@@ -257,7 +257,9 @@ def pair_metrics(truth: IsingModel, est: IsingModel, metrics,
     """The named :data:`PAIR_METRICS` of ``est`` against ``truth``; KL is KL(est || truth).
 
     Unknown names and an n other than the truth's are rejected before any work.
-    Only the exact metrics build tables; a caller may pass the truth's as ``p_true``.
+    Only the exact metrics build a table, the truth's, which a caller may pass as
+    ``p_true``. The estimate's is read in row blocks (:class:`exact.StreamedTable`),
+    once for TV and KL together (:func:`exact.divergences`).
     """
     check_metrics(metrics)
     if est.n != truth.n:
@@ -269,12 +271,9 @@ def pair_metrics(truth: IsingModel, est: IsingModel, metrics,
     if "op_norm_err" in metrics:
         out["op_norm_err"] = float(np.abs(np.linalg.eigvalsh(delta)).max())
     if "tv_exact" in metrics or "kl_exact" in metrics:
-        p_est = exact.distribution(est)
         p_true = p_true or exact.distribution(truth)
-        if "tv_exact" in metrics:
-            out["tv_exact"] = exact.tv_distance(p_est, p_true)
-        if "kl_exact" in metrics:
-            out["kl_exact"] = exact.kl_divergence(p_est, p_true)
+        tv, kl = exact.divergences(exact.StreamedTable(est), p_true)
+        out.update((name, v) for name, v in (("tv_exact", tv), ("kl_exact", kl)) if name in metrics)
     return out
 
 
@@ -301,7 +300,9 @@ def tv_frobenius_check(m1: IsingModel, m2: IsingModel) -> TvFrobeniusReport:
 # Empirical concentration of the first directional derivative at the truth.
 # ---------------------------------------------------------------------------
 
-_DRAW_KEYS = 1 << 13  # keys per shared CDF search: 8 batches of l = 1000; 2^16 was no faster, 1 MB more
+# Keys per walk of the table: 8 batches of l = 1000. Each walk is a cumsum of the
+# table; one walk for 50 such batches was faster but held 2 MB more at n = 16.
+_DRAW_KEYS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -337,12 +338,12 @@ def gradient_concentration_probe(
     a_frob = float(np.linalg.norm(A.entries))
     rng = _probe_rng(seed, "gradcon")
     seeds = [int(rng.integers(0, 2**62)) for _ in range(batches)]
-    cdf = np.cumsum(exact.distribution(model).probs)  # one table and one CDF serve every batch
+    table = exact.distribution(model)  # one table serves every batch
     n, J, h = model.n, model.coupling.entries, model.field
     values = np.empty(batches)
     step = max(1, _DRAW_KEYS // l)
     for start in range(0, batches, step):
-        idx = sampler._exact_indices(cdf, l, seeds[start:start + step])[0]
+        idx = sampler._exact_indices(table, l, seeds[start:start + step])[0]
         for b, row in enumerate(idx, start):
             x, w = mple._fold(n, l, lambda: row, lambda: exact.states(row, n))
             SampleBatch(x)  # the batch's one +-1 check

@@ -8,8 +8,15 @@ come from one kernel, :func:`quadratic_table`: it splits the sites into a low ha
 split; the half-state arrays of every table up to the enumeration cap are built once
 per process, read-only. :func:`normalize` checks a table in O(1), so a table from
 :func:`distribution` is never scanned again.
-:func:`second_moments` reads E[x] and E[x x^T] off the same split, and
-E[x^T A x] = <A, E[x x^T]>, E||A x||^2 = <A^2, E[x x^T]> come from those.
+
+Every evaluator reads a table in row blocks of that (2^high, 2^low) split. A stored
+table (:class:`DistributionTable`) is one block, read in place. A
+:class:`StreamedTable` is a model's table that is never held whole: each block is
+computed by a row block of the GEMM into one reused buffer, bit for bit the rows of
+:func:`distribution`'s table. :func:`tv_distance`, :func:`second_moments` and
+:func:`kl_divergence` take either. :func:`second_moments` gives E[x] and E[x x^T],
+and E[x^T A x] = <A, E[x x^T]>, E||A x||^2 = <A^2, E[x x^T]> come from those.
+:func:`draw` walks a table's probabilities chunk by chunk, so no 2^n CDF is held.
 """
 
 from __future__ import annotations
@@ -31,7 +38,13 @@ from .core import (
 
 DEFAULT_ENUM_CAP = 20
 DEFAULT_CHAIN_CAP = 8  # dense 2^n x 2^n eigenproblem
-_TV_BLOCK = 1 << 15  # entries per block of tv_distance
+_CHUNK = 1 << 15  # entries per scratch buffer: tv_distance's differences, a draw's CDF chunk
+# Entries per row block of a StreamedTable: 1 MB. On the OpenBLAS 0.3.31 build that
+# numpy 2.4.6 ships, a block's product with S_a (second moments) gave those rows of
+# the whole table's product, bit for bit, at n = 18..22 only from 2^17 entries up.
+# Products of under about 10^6 multiply-adds gave other bits wherever a row had more
+# than 2^8 entries, so smaller blocks change KL's last bits.
+_BLOCK = 1 << 17
 
 
 def _check_cap(n: int, what: str, cap: int = DEFAULT_ENUM_CAP) -> None:
@@ -76,34 +89,62 @@ def _halves(n: int) -> tuple[np.ndarray, np.ndarray]:
                  for k in (n // 2, n - n // 2))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # normalize reports an overflowed table
+@np.errstate(over="ignore", invalid="ignore")  # _top reports an overflowed table
+def _factors(Q: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``left`` and ``right`` with ``quadratic_table(Q, h) == (left @ right.T).reshape(-1)``."""
+    Sa, Sb = _halves(h.size)  # halves built above the cap go on return
+    k = Sa.shape[1]
+    t_a = 0.5 * ((Sa @ Q[:k, :k]) * Sa).sum(axis=1) + Sa @ h[:k]
+    t_b = 0.5 * ((Sb @ Q[k:, k:]) * Sb).sum(axis=1) + Sb @ h[k:]
+    return (np.column_stack([Sb @ Q[k:, :k], t_b, np.ones_like(t_b)]),
+            np.column_stack([Sa, np.ones_like(t_a), t_a]))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _product(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.matmul(left, right.T, out=out)
+
+
 def quadratic_table(Q: np.ndarray, h: np.ndarray) -> np.ndarray:
     """x^T Q x / 2 + h . x for every state x, in state-index order (Q symmetric).
 
     With a the low half of the sites, b the high half and t_a, t_b their own tables,
-    it is one product [S_b Q_ba, t_b, 1] [S_a, 1, t_a]^T: cross term, then t_b, then t_a."""
-    Sa, Sb = _halves(h.size)
-    k = Sa.shape[1]
-    t_a = 0.5 * ((Sa @ Q[:k, :k]) * Sa).sum(axis=1) + Sa @ h[:k]
-    t_b = 0.5 * ((Sb @ Q[k:, k:]) * Sb).sum(axis=1) + Sb @ h[k:]
-    left = np.column_stack([Sb @ Q[k:, :k], t_b, np.ones_like(t_b)])
-    right = np.column_stack([Sa, np.ones_like(t_a), t_a])
-    del Sa, Sb  # halves built above the cap go, so the 2^n product is the peak
-    return (left @ right.T).reshape(-1)
+    it is one product [S_b Q_ba, t_b, 1] [S_a, 1, t_a]^T: cross term, then t_b, then t_a.
+    The product of a block of two or more rows of the left factor gives those rows of
+    the (2^|b|, 2^|a|) table, bit for bit, as each entry sums its few terms in order."""
+    return _product(*_factors(Q, h)).reshape(-1)
 
 
-@np.errstate(over="ignore")
+def _top(top, n: int) -> float:
+    """The max log weight of a table at size n, which must be finite (NaN and +-inf are not)."""
+    top = float(top)
+    if not np.isfinite(top):
+        raise CapabilityError(f"exact table at n = {n}: log weights overflow float64")
+    return top
+
+
+@np.errstate(over="ignore")  # a finite top can still leave w - top at -inf, so exp 0
+def _exp_shifted(w: np.ndarray, top: float) -> np.ndarray:
+    return np.exp(np.subtract(w, top, out=w), out=w)
+
+
 def normalize(log_weights: np.ndarray) -> float:
     """Turn a table of log weights into probabilities in place; returns log Z. A finite
-    max (NaN and +-inf are not) leaves entries in [0, 1] with a sum in [1, 2^n] to divide by."""
-    top = float(log_weights.max())
-    if not np.isfinite(top):
-        raise CapabilityError(f"exact table at n = {log_weights.size.bit_length() - 1}: "
-                              "log weights overflow float64")
-    np.exp(np.subtract(log_weights, top, out=log_weights), out=log_weights)
-    total = float(log_weights.sum())
+    max leaves entries in [0, 1] with a sum in [1, 2^n] to divide by."""
+    top = _top(log_weights.max(), log_weights.size.bit_length() - 1)
+    total = float(_exp_shifted(log_weights, top).sum())
     log_weights /= total
     return top + float(np.log(total))
+
+
+def _tree(sums) -> float:
+    """The sum of a power-of-two count of block sums in a pairwise tree. numpy's sum
+    halves a power-of-two length of 2^7 or more at every level, so over equal blocks
+    of that size this is the whole array's sum, bit for bit."""
+    sums = np.array(sums)
+    while sums.size > 1:
+        sums = sums[0::2] + sums[1::2]
+    return float(sums[0])
 
 
 @dataclass(frozen=True)
@@ -129,18 +170,71 @@ class DistributionTable:
         if not abs(float(self.probs.sum()) - 1.0) <= 1e-12:
             raise ValidationError("probability table does not sum to 1")
 
+    def blocks(self):
+        """The table as one (2^|b|, 2^|a|) block, a view: reading it needs no temporary."""
+        yield self.probs.reshape(-1, 1 << self.n // 2)
 
-def draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """State index for each uniform in ``u``, by inverse CDF over
-    ``cdf = np.cumsum(table.probs)``, which many draws from one table can share.
 
-    Sorted keys walk ``cdf`` once from left to right. Each key's index does not
-    depend on the order of the keys, so the result is that of an unsorted search.
+class StreamedTable:
+    """The table of :func:`distribution` read in row blocks, never held whole.
+
+    Each block is R rows of the (2^|b|, 2^|a|) split, R * 2^|a| = ``_BLOCK`` entries
+    or the whole table, computed into one reused buffer that the reader may
+    overwrite. Log Z takes two passes: the max log weight ``top``, then the block sums
+    of exp(w - top) in a pairwise tree. ``top``, the total and so log Z and every
+    probability are those of :func:`normalize`, bit for bit.
+    """
+
+    def __init__(self, m: IsingModel):
+        _check_cap(m.n, "distribution table")
+        self.n, self.model = m.n, m
+        self._left, self._right = _factors(m.coupling.entries, m.field)
+        self._top = _top(np.max([w.max() for w in self._log_weights()]), m.n)
+        self._total = _tree([_exp_shifted(w, self._top).sum() for w in self._log_weights()])
+        self.log_z = self._top + float(np.log(self._total))
+
+    def _log_weights(self):
+        rows = min(self._left.shape[0], max(1, _BLOCK >> self.n // 2))
+        buf = np.empty((rows, self._right.shape[0]))
+        for r in range(0, self._left.shape[0], rows):
+            yield _product(self._left[r:r + rows], self._right, buf)
+
+    def blocks(self):
+        """The probability blocks in row order, each in the buffer the next one overwrites."""
+        for w in self._log_weights():
+            _exp_shifted(w, self._top)
+            w /= self._total
+            yield w
+
+
+def draw(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """State index for each uniform in ``u``, by inverse CDF over ``probs``: that is
+    ``min(searchsorted(cumsum(probs), u, "right"), probs.size - 1)``, bit for bit,
+    as cumsum's rounding can end below 1.
+
+    The sorted keys walk ``probs`` once, in chunks of ``_CHUNK`` entries through one
+    buffer. Each chunk's cumsum starts from the last one's total, so its entries are
+    ``cumsum(probs)``'s, and it resolves the keys below its last entry. Each key's
+    index does not depend on the order of the keys, so the result is that of an
+    unsorted search.
     """
     order = np.argsort(u)
-    idx = np.empty(order.shape, dtype=np.intp)
-    idx[order] = np.searchsorted(cdf, u[order], side="right")
-    return np.minimum(idx, cdf.size - 1, out=idx)  # cumsum rounding can end below 1
+    keys = u[order]
+    idx = np.full(u.shape, probs.size - 1, dtype=np.intp)
+    buf = np.empty(min(probs.size, _CHUNK))
+    done = 0
+    for start in range(0, probs.size, buf.size):
+        if done == keys.size:
+            break
+        cdf = buf[:probs.size - start]
+        cdf[:] = probs[start:start + buf.size]
+        if start:
+            cdf[0] += total
+        total = np.cumsum(cdf, out=cdf)[-1]
+        stop = done + int(np.searchsorted(keys[done:], total, side="left"))
+        idx[order[done:stop]] = start + np.searchsorted(cdf, keys[done:stop], side="right")
+        done = stop
+    return idx
 
 
 def _table(Q: np.ndarray, h: np.ndarray, model: IsingModel | None = None) -> DistributionTable:
@@ -156,51 +250,93 @@ def distribution(m: IsingModel) -> DistributionTable:
     return _table(m.coupling.entries, m.field, m)
 
 
-def tv_distance(p: DistributionTable, q: DistributionTable) -> float:
-    """``0.5 * np.abs(p.probs - q.probs).sum()`` bit for bit, through one block
-    buffer: numpy's pairwise sum halves a power-of-two length at every level,
-    so a pairwise tree of the block sums is the whole array's sum."""
-    if p.n != q.n:
-        raise ValidationError(f"dimension mismatch: {p.n} vs {q.n}")
-    buf = np.empty(min(p.probs.size, _TV_BLOCK))
-    sums = np.array([np.abs(np.subtract(a, b, out=buf), out=buf).sum()
-                     for a, b in zip(p.probs.reshape(-1, buf.size), q.probs.reshape(-1, buf.size))])
-    while sums.size > 1:
-        sums = sums[0::2] + sums[1::2]
-    return 0.5 * float(sums[0])
+Table = DistributionTable | StreamedTable
 
 
-def second_moments(table: DistributionTable) -> tuple[np.ndarray, np.ndarray]:
-    """E[x] and E[x x^T] under ``table``, without a 2^n temporary.
+def _read(p: Table, q: Table | None, moments: bool):
+    """One read of p's row blocks: TV(p, q) when q is a table and p's second moments
+    E[x], E[x x^T] when ``moments``, each None when not asked.
 
-    With the (2^|b|, 2^|a|) half split of :func:`quadratic_table`, the diagonal
-    blocks and E[x] come from the marginals of the two halves and the cross
-    block is S_b^T (P S_a).
+    TV sums |p - q| over pieces of ``_CHUNK`` entries through one buffer and adds
+    the sums by :func:`_tree`: ``0.5 * np.abs(p.probs - q.probs).sum()`` bit for bit.
+    The moments come from the (2^|b|, 2^|a|) half split of :func:`quadratic_table`:
+    the diagonal blocks and E[x] from the marginals of the two halves, the cross
+    block S_b^T (P S_a). The column sums run down the rows in order, as one sum over
+    the whole table's rows does: each later block adds the sums so far to its first
+    row. Only a StreamedTable has later blocks, and its buffer is scratch.
     """
-    Sa, Sb = _halves(table.n)
+    Sa, Sb = _halves(p.n)
+    if q is not None:
+        buf = np.empty(min(1 << p.n, _CHUNK, _BLOCK))  # a power of two that divides every block
+        q_pieces = (piece for block in q.blocks() for piece in block.reshape(-1, buf.size))
+        sums = []
+    if moments:
+        pa, pb, cross = 0.0, np.empty(Sb.shape[0]), np.empty((Sb.shape[0], Sa.shape[1]))
+    r = 0
+    for block in p.blocks():
+        if q is not None:
+            sums += [np.abs(np.subtract(a, next(q_pieces), out=buf), out=buf).sum()
+                     for a in block.reshape(-1, buf.size)]
+        if moments:  # after TV, as it overwrites a row
+            rows = slice(r, r + block.shape[0])
+            block.sum(axis=1, out=pb[rows])
+            np.matmul(block, Sa, out=cross[rows])
+            if r:
+                block[0] += pa
+            pa = block.sum(axis=0)
+        r += block.shape[0]
+    tv = 0.5 * _tree(sums) if q is not None else None
+    if not moments:
+        return tv, None
     k = Sa.shape[1]
-    p2 = table.probs.reshape(Sb.shape[0], Sa.shape[0])
-    pa, pb = p2.sum(axis=0), p2.sum(axis=1)
-    second = np.empty((table.n, table.n))
+    second = np.empty((p.n, p.n))
     # S^T diag(p) S of each half; einsum's row scaling needs no broadcast buffer
     second[:k, :k] = Sa.T @ np.einsum("si,s->si", Sa, pa)
     second[k:, k:] = Sb.T @ np.einsum("si,s->si", Sb, pb)
-    second[k:, :k] = Sb.T @ (p2 @ Sa)
+    second[k:, :k] = Sb.T @ cross
     second[:k, k:] = second[k:, :k].T
-    return np.concatenate([Sa.T @ pa, Sb.T @ pb]), second
+    return tv, (np.concatenate([Sa.T @ pa, Sb.T @ pb]), second)
 
 
-def kl_divergence(p: DistributionTable, q: DistributionTable) -> float:
-    """KL(p || q) = E_p[theta_p - theta_q] - log Z_p + log Z_q, with
-    theta(x) = x^T J x / 2 + h . x, so both tables must come from :func:`distribution`."""
+def _check(p: Table, q: Table, kl: bool) -> None:
     if p.n != q.n:
         raise ValidationError(f"dimension mismatch: {p.n} vs {q.n}")
-    if any(t.model is None or t.log_z is None for t in (p, q)):
+    if kl and any(t.model is None or t.log_z is None for t in (p, q)):
         raise ValidationError("KL needs tables built from a model (with log Z)")
-    mean, second = second_moments(p)
+
+
+def tv_distance(p: Table, q: Table) -> float:
+    """``0.5 * np.abs(p.probs - q.probs).sum()`` bit for bit, where a StreamedTable's
+    probs are those of :func:`distribution`."""
+    _check(p, q, kl=False)
+    return _read(p, q, False)[0]
+
+
+def second_moments(table: Table) -> tuple[np.ndarray, np.ndarray]:
+    """E[x] and E[x x^T] under ``table``, without a 2^n temporary."""
+    return _read(table, None, True)[1]
+
+
+def _kl(p: Table, q: Table, moments) -> float:
+    """KL(p || q) = E_p[theta_p - theta_q] - log Z_p + log Z_q from p's ``moments``,
+    with theta(x) = x^T J x / 2 + h . x, so both tables must come from a model."""
+    mean, second = moments
     d_theta = (0.5 * float(np.vdot(p.model.coupling.entries - q.model.coupling.entries, second))
                + float((p.model.field - q.model.field) @ mean))
     return max(d_theta - p.log_z + q.log_z, 0.0)
+
+
+def kl_divergence(p: Table, q: Table) -> float:
+    """KL(p || q) of two tables built from a model (see :func:`_kl`)."""
+    _check(p, q, kl=True)
+    return _kl(p, q, second_moments(p))
+
+
+def divergences(p: Table, q: Table) -> tuple[float, float]:
+    """``tv_distance(p, q)`` and ``kl_divergence(p, q)``, bit for bit, from one read of p."""
+    _check(p, q, kl=True)
+    tv, moments = _read(p, q, True)
+    return tv, _kl(p, q, moments)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +424,6 @@ def hubbard_stratonovich_check(
     W_inv_sqrt = (V / np.sqrt(w)) @ V.T
 
     table = distribution(m)
-    cdf = np.cumsum(table.probs)
     Sa, Sb = _halves(m.n)
     half = Sa.shape[1]
     rng = stream(seed, 0x48)
@@ -299,7 +434,7 @@ def hubbard_stratonovich_check(
     chunk = max(1, min(draws, 1 << 14))
     while done < draws:
         k = min(chunk, draws - done)
-        X = states(draw(cdf, rng.random(k)), m.n)
+        X = states(draw(table.probs, rng.random(k)), m.n)
         G = rng.standard_normal((k, m.n))
         Y = X + G @ W_inv_sqrt
         F = Y @ W + m.field

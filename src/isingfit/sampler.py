@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact
-from .core import IsingModel, ParameterError, SampleBatch, ValidationError, is_int, is_real, stream
+from .core import IsingModel, ParameterError, SampleBatch, is_int, is_real, stream
 
 
 # Fewer site updates than this run in the calling process alone. Forking and
@@ -247,32 +247,24 @@ def mixing(m: IsingModel, batch: SampleBatch, cfg: GlauberConfig) -> dict[str, f
             for name, v in (("energy", energy), ("magnetization", x.sum(axis=1)))}
 
 
-def exact_sample(m: IsingModel | exact.DistributionTable | np.ndarray, l: int,
-                 seed: int = 0) -> SampleBatch:
+def exact_sample(m: IsingModel | exact.DistributionTable, l: int, seed: int = 0) -> SampleBatch:
     """Draw l i.i.d. samples by inverse CDF over the model's 2^n table.
 
-    ``m`` is the model, its table from :func:`exact.distribution`, or that
-    table's CDF ``np.cumsum(table.probs)``; all three give the same bytes. Many
-    batches from one model should share one CDF.
+    ``m`` is the model or its table from :func:`exact.distribution`; both give the
+    same bytes, and many batches from one model should share one table. The draw
+    walks the table's probabilities, so no 2^n CDF is made (see :func:`exact.draw`).
     """
     idx, n = _exact_indices(m, l, [seed])
     return SampleBatch(exact.states(idx[0], n))
 
 
-def _exact_indices(m: IsingModel | exact.DistributionTable | np.ndarray, l: int,
+def _exact_indices(m: IsingModel | exact.DistributionTable, l: int,
                    seeds) -> tuple[np.ndarray, int]:
     """The state indices of :func:`exact_sample` for each of ``seeds``, one row of l
-    per seed, and n. Row b draws from ``stream(seeds[b], 0xE)``, and one search over
-    every row's keys gives the indices of one search per row (see :func:`exact.draw`).
+    per seed, and n. Row b draws from ``stream(seeds[b], 0xE)``, and one walk of the
+    table for every row's keys gives the indices of one walk per row (see :func:`exact.draw`).
     """
     _check_count(l)
-    if isinstance(m, np.ndarray):
-        cdf = m
-        if (cdf.ndim != 1 or cdf.size < 2 or cdf.size & (cdf.size - 1)
-                or not abs(cdf[-1] - 1.0) <= 1e-9):  # O(1): probes pass one CDF per probe
-            raise ValidationError("a CDF must be a 1-d array of length 2^n, n >= 1, ending at 1")
-    else:
-        table = m if isinstance(m, exact.DistributionTable) else exact.distribution(m)
-        cdf = np.cumsum(table.probs)
+    table = m if isinstance(m, exact.DistributionTable) else exact.distribution(m)
     u = np.concatenate([stream(seed, 0xE).random(l) for seed in seeds])
-    return exact.draw(cdf, u).reshape(len(seeds), l), cdf.size.bit_length() - 1
+    return exact.draw(table.probs, u).reshape(len(seeds), l), table.n

@@ -7,7 +7,11 @@ failing criterion raises with the measured numbers in the message. Run as
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,3 +434,38 @@ def test_a13_cli_reproducibility(tmp_path):
         f"15 rows, serial == parallel (wall_time aside), cell re-run matches, "
         f"median frob_err {[f'{m:.3f}' for m in medians]} decreasing",
     )
+
+
+# ---------------------------------------------------------------------------
+# The scope of "same seed, same bytes": one BLAS build and thread count.
+# ---------------------------------------------------------------------------
+
+_N30_FIT = """
+import sys
+import numpy as np
+from isingfit import EnsembleSpec, OpNormBall, fit_mple, generate, sampler
+model = generate(EnsembleSpec(kind="SK", n=30, beta=0.5, seed=0))
+batch = sampler.glauber_sample(model, 2000, sampler.GlauberConfig(seed=0))
+estimate = fit_mple(batch, np.zeros(30), OpNormBall(0.5)).estimate.entries
+sys.stdout.buffer.write(batch.spins.tobytes() + estimate.tobytes())
+"""
+
+
+def test_blas_threads_keep_samples_and_move_estimates_by_rounding():
+    # The gradient's long reduction x^T R is the one product whose bits follow the
+    # BLAS thread count at n = 30, so samples hold byte for byte and estimates hold
+    # to rounding; the README states this scope.
+    src = str(Path(exact.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", _N30_FIT], env=env, capture_output=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        outputs.append(done.stdout)
+    spins = 2000 * 30  # int8 samples, then the 30 x 30 float64 estimate
+    assert [len(o) for o in outputs] == [spins + 30 * 30 * 8] * 2
+    assert outputs[0][:spins] == outputs[1][:spins]
+    one, two = (np.frombuffer(o[spins:]) for o in outputs)
+    assert np.abs(one - two).max() <= 1e-12 * np.linalg.norm(one)

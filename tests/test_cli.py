@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from isingfit import cli, diagnostics, sampler
+from isingfit import cli, diagnostics, exact, sampler
 from isingfit.core import CouplingMatrix, IsingModel, load_model, load_samples, save_model
 
 from conftest import dobrushin_model
@@ -300,6 +300,20 @@ class TestCapabilityGate:
         assert "exact table at n = 8: log weights overflow float64" in capsys.readouterr().err
         assert not caught
 
+    def test_overflowing_estimate_exit_3(self, tmp_path, capsys):
+        # the truth's table is built, then the estimate's fails in its first pass
+        J = np.full((8, 8), 1e307)
+        np.fill_diagonal(J, 0.0)
+        truth_path, est_path = tmp_path / "truth.json", tmp_path / "est.json"
+        save_model(IsingModel.zero_field(CouplingMatrix.zeros(8)), truth_path)
+        save_model(IsingModel.zero_field(CouplingMatrix(J)), est_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["evaluate", "--model-a", str(truth_path), "--model-b", str(est_path),
+                             "--metrics", "tv_exact,kl_exact"])
+        assert code == 3
+        assert "exact table at n = 8: log weights overflow float64" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_rows_and_header(self, tmp_path):
@@ -325,12 +339,23 @@ class TestSweep:
     @pytest.mark.parametrize("metrics, tables", [
         (("tv_exact", "kl_exact"), 2), (("frobenius",), 1), (("frobenius", "tv_exact"), 2),
     ])
-    def test_exact_cell_builds_truth_table_once(self, tmp_path, distribution_calls,
+    def test_exact_cell_builds_truth_table_once(self, tmp_path, distribution_calls, monkeypatch,
                                                 metrics, tables):
+        # the cell reads `tables` tables: the truth's, built once, and the estimate's
+        # for an exact metric, read in row blocks and never built
+        streamed = []
+
+        class Counted(exact.StreamedTable):
+            def __init__(self, m):
+                streamed.append(m.n)
+                super().__init__(m)
+
+        monkeypatch.setattr(exact, "StreamedTable", Counted)
         doc = base_config(l_values=(200,), seeds=(3,), metrics=metrics)
         cfg = write_config(tmp_path / "c.json", doc)
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 0
-        assert distribution_calls == [6] * tables
+        assert distribution_calls == [6]
+        assert streamed == [6] * (tables - 1)
 
     def test_serial_matches_parallel(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", base_config())

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,12 @@ class TestSubsetDecomposition:
         assert dec.membership_count == 1
         np.testing.assert_array_equal(dec.subsets[0], np.arange(8))
         assert diagnostics.check_subset_decomposition(J, dec) == []
+
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_seed_checked_for_the_one_subset_answer(self, seed):
+        J = CouplingMatrix(0.1 * (np.ones((8, 8)) - np.eye(8)))
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            diagnostics.subset_decomposition(J, M=2.0, eta=1.0, seed=seed)
 
     def test_zero_matrix_single_subset(self):
         J = CouplingMatrix.zeros(10)
@@ -199,10 +206,38 @@ class TestPairMetrics:
         assert values["op_norm_err"] == np.abs(np.linalg.eigvalsh(delta)).max()
         p_true = exact.distribution(truth)
         values = diagnostics.pair_metrics(truth, est, diagnostics.PAIR_METRICS, p_true)
-        assert distribution_calls == [4, 4]  # p_true above, then the estimate's table
+        assert distribution_calls == [4]  # p_true above; the estimate's table is streamed
         p_est = exact.distribution(est)
         assert values["tv_exact"] == exact.tv_distance(p_est, p_true)
         assert values["kl_exact"] == exact.kl_divergence(p_est, p_true)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_streamed_estimate_matches_whole_tables(self, n):
+        rng = np.random.default_rng(n)
+        truth, est = (IsingModel(random_coupling(n, rng, 0.3), rng.normal(size=n))
+                      for _ in range(2))
+        p_true = exact.distribution(truth)
+        # blocks of two rows or more, so the rows of each block's product with S_a
+        # are those of the whole table's (a one-row product is a matrix-vector one)
+        with mock.patch.object(exact, "_BLOCK", 1 << 9):
+            values = diagnostics.pair_metrics(truth, est, diagnostics.PAIR_METRICS, p_true)
+        p_est = exact.distribution(est)
+        assert values["tv_exact"] == exact.tv_distance(p_est, p_true)
+        assert values["kl_exact"] == exact.kl_divergence(p_est, p_true)
+
+    def test_no_estimate_table(self, rng):
+        n = 20
+        truth, est = (IsingModel(random_coupling(n, rng, 0.1), rng.normal(size=n))
+                      for _ in range(2))
+        p_true = exact.distribution(truth)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            diagnostics.pair_metrics(truth, est, diagnostics.PAIR_METRICS, p_true)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < p_true.probs.nbytes / 4
 
     def test_unknown_name_rejected_before_any_table(self, rng, distribution_calls):
         truth = IsingModel.zero_field(random_coupling(3, rng))
@@ -277,6 +312,7 @@ class TestGradientConcentration:
     def test_one_table_for_all_batches(self, rng, distribution_calls, monkeypatch, batches):
         model = IsingModel(random_coupling(7, rng, 0.3), rng.normal(size=7))
         A = random_coupling(7, rng)
+        l = 1500  # five batches per group of keys, so 9 batches take two walks of the table
         cumsum_sizes = []
         cumsum = np.cumsum
 
@@ -285,14 +321,15 @@ class TestGradientConcentration:
             return cumsum(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "cumsum", counted)
-        rep = diagnostics.gradient_concentration_probe(model, A, l=150, batches=batches, seed=4)
+        rep = diagnostics.gradient_concentration_probe(model, A, l=l, batches=batches, seed=4)
         assert distribution_calls == [7]
-        assert cumsum_sizes == [2**7]
+        groups = -(-batches // (diagnostics._DRAW_KEYS // l))
+        assert cumsum_sizes == [2**7] * groups  # one one-chunk walk of the table per group
         # reference: a fresh exact sample of the model for each batch seed
         seeds = diagnostics._probe_rng(4, "gradcon")
         reference = []
         for _ in range(batches):
-            batch = sampler.exact_sample(model, 150, int(seeds.integers(0, 2**62)))
+            batch = sampler.exact_sample(model, l, int(seeds.integers(0, 2**62)))
             ctx = mple.PseudolikelihoodContext(batch, model.field)
             reference.append(mple.directional_derivatives(model.coupling, A, ctx)[0])
         np.testing.assert_array_equal(rep.values, reference)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -102,8 +103,9 @@ class TestDistribution:
         np.fill_diagonal(J, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(CapabilityError, match="n = 8: log weights overflow float64"):
-                exact.distribution(zero_field(J))
+            for build in (exact.distribution, exact.StreamedTable):
+                with pytest.raises(CapabilityError, match="n = 8: log weights overflow float64"):
+                    build(zero_field(J))
 
     def test_one_table_of_memory(self, rng):
         n = 16
@@ -184,36 +186,39 @@ class TestTvDistance:
         finally:
             tracemalloc.stop()
         assert tv == expected
-        assert peak <= exact._TV_BLOCK * 8 + 8192  # one block buffer plus the block sums
+        assert peak <= exact._CHUNK * 8 + 8192  # one block buffer plus the block sums
 
 
 class TestDraw:
     def test_inverse_cdf(self):
-        table = exact.DistributionTable(n=2, probs=np.array([0.25, 0.0, 0.5, 0.25]))
+        probs = np.array([0.25, 0.0, 0.5, 0.25])
         u = np.array([0.0, 0.2, 0.25, 0.6, 0.75, 0.9])
-        np.testing.assert_array_equal(exact.draw(np.cumsum(table.probs), u), [0, 0, 2, 2, 3, 3])
+        np.testing.assert_array_equal(exact.draw(probs, u), [0, 0, 2, 2, 3, 3])
 
     def test_cumsum_below_one_maps_to_last_state(self):
-        table = exact.DistributionTable(n=1, probs=np.array([0.5, 0.5 - 1e-13]))
+        probs = np.array([0.5, 0.5 - 1e-13])
         top = np.nextafter(1.0, 0.0)
-        assert np.cumsum(table.probs)[-1] < top
-        np.testing.assert_array_equal(exact.draw(np.cumsum(table.probs), np.array([top, 0.9])),
-                                      [1, 1])
+        assert np.cumsum(probs)[-1] < top
+        np.testing.assert_array_equal(exact.draw(probs, np.array([top, 0.9])), [1, 1])
 
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), n=st.integers(0, 7), scale=st.floats(0.5, 1.0))
-    def test_sorted_search_matches_unsorted(self, data, n, scale):
-        # zero entries repeat CDF values; keys hit CDF entries exactly, sit at 0
-        # and in [cdf[-1], 1), where rounding leaves the top of the CDF
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 7), scale=st.floats(0.5, 1.0),
+           chunk=st.sampled_from([1, 2, 4, 8, 1 << 15]))
+    def test_sorted_search_matches_unsorted(self, data, n, scale, chunk):
+        # zero entries repeat CDF values; keys hit CDF entries exactly (chunk ends
+        # among them), sit at 0 and in [cdf[-1], 1), where rounding leaves the top;
+        # chunks of a few entries make the walk carry its total across many of them
         weights = data.draw(st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=1 << n,
                                      max_size=1 << n).filter(lambda w: sum(w) > 0))
-        cdf = np.cumsum(scale * np.array(weights) / sum(weights))
+        probs = scale * np.array(weights) / sum(weights)
+        cdf = np.cumsum(probs)
         keys = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from([0.0, *cdf[cdf < 1.0]])
         if cdf[-1] < 1.0:
             keys = keys | st.floats(float(cdf[-1]), 1.0, exclude_max=True)
         u = np.array(data.draw(st.lists(keys, min_size=1, max_size=300)))
         expected = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
-        np.testing.assert_array_equal(exact.draw(cdf, u), expected)
+        with mock.patch.object(exact, "_CHUNK", chunk):
+            np.testing.assert_array_equal(exact.draw(probs, u), expected)
 
 
 def log_form_kl(p, q):
@@ -368,6 +373,26 @@ class TestBitIdentity:
         total = float(weights.sum())
         np.testing.assert_array_equal(table.probs, weights / total)
         assert table.log_z == top + float(np.log(total))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 16), st.floats(-3.0, 1.0), st.integers(0, 2**32 - 1),
+           st.sampled_from([1 << 9, 1 << 12, 1 << 17]))
+    @example(16, 0.0, 0, 1 << 9)  # 128 blocks of two rows
+    def test_streamed_table(self, n, log_scale, seed, block):
+        # blocks of two rows or more: a one-row product is a matrix-vector one,
+        # which sums in another order than the whole table's product
+        Q, h = random_form(n, log_scale, seed)
+        np.fill_diagonal(Q, 0.0)
+        m = IsingModel(CouplingMatrix(Q), h)
+        table = exact.distribution(m)
+        with mock.patch.object(exact, "_BLOCK", block):
+            streamed = exact.StreamedTable(m)
+            probs = np.concatenate([b.copy() for b in streamed.blocks()]).reshape(-1)
+            moments = exact.second_moments(streamed)
+        assert streamed.log_z == table.log_z
+        np.testing.assert_array_equal(probs, table.probs)
+        for a, b in zip(moments, exact.second_moments(table)):
+            np.testing.assert_array_equal(a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 17), st.integers(0, 2**32 - 1))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from isingfit import exact, sampler
 from isingfit.core import (
-    CapabilityError, CouplingMatrix, IsingModel, ParameterError, SampleBatch, ValidationError,
+    CapabilityError, CouplingMatrix, IsingModel, ParameterError, SampleBatch,
     stream,
 )
 from isingfit.ensembles import EnsembleSpec, generate
@@ -341,15 +341,22 @@ class TestExactSampler:
         m = IsingModel(random_coupling(n, np.random.default_rng(coupling_seed), scale), np.array(h))
         table = exact.distribution(m)
         from_model = sampler.exact_sample(m, l, seed=seed)
-        for stage in (table, np.cumsum(table.probs)):
-            batch = sampler.exact_sample(stage, l, seed=seed)
-            assert batch.spins.dtype == from_model.spins.dtype
-            assert batch.spins.shape == (l, n)
-            assert batch.spins.tobytes() == from_model.spins.tobytes()
+        batch = sampler.exact_sample(table, l, seed=seed)
+        assert batch.spins.dtype == from_model.spins.dtype
+        assert batch.spins.shape == (l, n)
+        assert batch.spins.tobytes() == from_model.spins.tobytes()
 
-    @pytest.mark.parametrize("cdf", [np.linspace(0.25, 1.0, 4).reshape(2, 2),
-                                     np.array([1 / 3, 2 / 3, 1.0]), np.array([1.0]),
-                                     np.array([]), np.array([0.5, np.nan])])
-    def test_cdf_of_no_table_rejected(self, cdf):
-        with pytest.raises(ValidationError, match="CDF"):
-            sampler.exact_sample(cdf, 5)
+    def test_no_whole_cdf(self, rng):
+        n = 20
+        table = exact.distribution(IsingModel(random_coupling(n, rng, 0.1), rng.normal(size=n)))
+        expected = np.minimum(np.searchsorted(np.cumsum(table.probs), stream(3, 0xE).random(1000),
+                                              side="right"), table.probs.size - 1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            batch = sampler.exact_sample(table, 1000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(exact.encode_spins(batch.spins), expected)
+        assert peak < table.probs.nbytes / 4
