@@ -9,14 +9,16 @@ split; the half-state arrays of every table up to the enumeration cap are built 
 per process, read-only. :func:`normalize` checks a table in O(1), so a table from
 :func:`distribution` is never scanned again.
 
-Every evaluator reads a table in row blocks of that (2^high, 2^low) split. A stored
-table (:class:`DistributionTable`) is one block, read in place. A
-:class:`StreamedTable` is a model's table that is never held whole: each block is
-computed by a row block of the GEMM into one reused buffer, bit for bit the rows of
-:func:`distribution`'s table. :func:`tv_distance`, :func:`second_moments` and
-:func:`kl_divergence` take either. :func:`second_moments` gives E[x] and E[x x^T],
-and E[x^T A x] = <A, E[x x^T]>, E||A x||^2 = <A^2, E[x x^T]> come from those.
-:func:`draw` walks a table's probabilities chunk by chunk, so no 2^n CDF is held.
+Every evaluator reads a table in the same row blocks of that (2^high, 2^low) split,
+``_BLOCK`` entries each. The blocks of a stored :class:`DistributionTable` are
+views; a :class:`StreamedTable`, from ``distribution(m, streamed=True)``, is a model's
+table that is never held whole: each block is computed by a row block of the GEMM
+into one reused buffer, bit for bit the rows of :func:`distribution`'s table, and
+its second moments are taken when it is built. :func:`tv_distance`,
+:func:`second_moments` and :func:`kl_divergence` take either and read both by the
+same code, so both give the same bits. :func:`second_moments` gives
+E[x] and E[x x^T], and E[x^T A x] = <A, E[x x^T]>, E||A x||^2 = <A^2, E[x x^T]> come
+from those. :func:`draw` walks a table's probabilities chunk by chunk, so no 2^n CDF is held.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ from .core import (
 DEFAULT_ENUM_CAP = 20
 DEFAULT_CHAIN_CAP = 8  # dense 2^n x 2^n eigenproblem
 _CHUNK = 1 << 15  # entries per scratch buffer: tv_distance's differences, a draw's CDF chunk
-# Entries per row block of a StreamedTable: 1 MB. On the OpenBLAS 0.3.31 build that
-# numpy 2.4.6 ships, a block's product with S_a (second moments) gave those rows of
-# the whole table's product, bit for bit, at n = 18..22 only from 2^17 entries up.
-# Products of under about 10^6 multiply-adds gave other bits wherever a row had more
-# than 2^8 entries, so smaller blocks change KL's last bits.
+# Entries per row block of a table: 1 MB. Stored and streamed tables are read in the
+# same blocks, so they agree by construction. Against one product of the whole table
+# with S_a (second moments), on the OpenBLAS 0.3.31 build that numpy 2.4.6 ships, the
+# blocks' products gave the same rows bit for bit at n = 18..22 only from 2^17 entries
+# up: products of under about 10^6 multiply-adds gave other bits wherever a row had
+# more than 2^8 entries, so smaller blocks change KL's last bits.
 _BLOCK = 1 << 17
 
 
@@ -147,6 +150,12 @@ def _tree(sums) -> float:
     return float(sums[0])
 
 
+def _block_rows(n: int) -> int:
+    """Rows of the (2^|b|, 2^|a|) split per block: ``_BLOCK`` entries, or the whole
+    table. Under the cap a block has two rows or more (see :func:`quadratic_table`)."""
+    return min(1 << n - n // 2, max(1, _BLOCK >> n // 2))
+
+
 @dataclass(frozen=True)
 class DistributionTable:
     """Probability table over all 2^n states, indexed as in :func:`all_states`.
@@ -171,18 +180,22 @@ class DistributionTable:
             raise ValidationError("probability table does not sum to 1")
 
     def blocks(self):
-        """The table as one (2^|b|, 2^|a|) block, a view: reading it needs no temporary."""
-        yield self.probs.reshape(-1, 1 << self.n // 2)
+        """The row blocks of :func:`_block_rows`, as views: reading them needs no temporary."""
+        table = self.probs.reshape(-1, 1 << self.n // 2)
+        rows = _block_rows(self.n)
+        for r in range(0, table.shape[0], rows):
+            yield table[r:r + rows]
 
 
 class StreamedTable:
     """The table of :func:`distribution` read in row blocks, never held whole.
 
-    Each block is R rows of the (2^|b|, 2^|a|) split, R * 2^|a| = ``_BLOCK`` entries
-    or the whole table, computed into one reused buffer that the reader may
-    overwrite. Log Z takes two passes: the max log weight ``top``, then the block sums
-    of exp(w - top) in a pairwise tree. ``top``, the total and so log Z and every
-    probability are those of :func:`normalize`, bit for bit.
+    The blocks are those of :meth:`DistributionTable.blocks`, each computed into one
+    reused buffer. Building it reads the table three times: the max log weight
+    ``top``, then the block sums of exp(w - top) in a pairwise tree, then the second
+    moments, which KL needs and which would otherwise cost a read of their own.
+    ``top``, the total and so log Z and every probability are those of
+    :func:`normalize`, bit for bit, and ``moments`` are :func:`second_moments`'s.
     """
 
     def __init__(self, m: IsingModel):
@@ -192,9 +205,10 @@ class StreamedTable:
         self._top = _top(np.max([w.max() for w in self._log_weights()]), m.n)
         self._total = _tree([_exp_shifted(w, self._top).sum() for w in self._log_weights()])
         self.log_z = self._top + float(np.log(self._total))
+        self.moments = _moments(self)
 
     def _log_weights(self):
-        rows = min(self._left.shape[0], max(1, _BLOCK >> self.n // 2))
+        rows = _block_rows(self.n)
         buf = np.empty((rows, self._right.shape[0]))
         for r in range(0, self._left.shape[0], rows):
             yield _product(self._left[r:r + rows], self._right, buf)
@@ -245,98 +259,81 @@ def _table(Q: np.ndarray, h: np.ndarray, model: IsingModel | None = None) -> Dis
     return table
 
 
-def distribution(m: IsingModel) -> DistributionTable:
+def distribution(m: IsingModel, *, streamed: bool = False) -> DistributionTable | StreamedTable:
+    """The model's table, stored whole or, with ``streamed``, as a :class:`StreamedTable`
+    that holds no 2^n array and is read block by block by the evaluators."""
     _check_cap(m.n, "distribution table")
-    return _table(m.coupling.entries, m.field, m)
+    return StreamedTable(m) if streamed else _table(m.coupling.entries, m.field, m)
 
 
 Table = DistributionTable | StreamedTable
 
 
-def _read(p: Table, q: Table | None, moments: bool):
-    """One read of p's row blocks: TV(p, q) when q is a table and p's second moments
-    E[x], E[x x^T] when ``moments``, each None when not asked.
+def _moments(table: Table) -> tuple[np.ndarray, np.ndarray]:
+    """E[x] and E[x x^T] from one read of the table's row blocks.
 
-    TV sums |p - q| over pieces of ``_CHUNK`` entries through one buffer and adds
-    the sums by :func:`_tree`: ``0.5 * np.abs(p.probs - q.probs).sum()`` bit for bit.
-    The moments come from the (2^|b|, 2^|a|) half split of :func:`quadratic_table`:
-    the diagonal blocks and E[x] from the marginals of the two halves, the cross
-    block S_b^T (P S_a). The column sums run down the rows in order, as one sum over
-    the whole table's rows does: each later block adds the sums so far to its first
-    row. Only a StreamedTable has later blocks, and its buffer is scratch.
+    They come from the (2^|b|, 2^|a|) half split of :func:`quadratic_table`: the
+    diagonal blocks and E[x] from the marginals of the two halves, the cross block
+    S_b^T (P S_a). The column sums add the rows one by one in order, as one sum
+    over the whole table's rows does.
     """
-    Sa, Sb = _halves(p.n)
-    if q is not None:
-        buf = np.empty(min(1 << p.n, _CHUNK, _BLOCK))  # a power of two that divides every block
-        q_pieces = (piece for block in q.blocks() for piece in block.reshape(-1, buf.size))
-        sums = []
-    if moments:
-        pa, pb, cross = 0.0, np.empty(Sb.shape[0]), np.empty((Sb.shape[0], Sa.shape[1]))
+    Sa, Sb = _halves(table.n)
+    pb, cross = np.empty(Sb.shape[0]), np.empty((Sb.shape[0], Sa.shape[1]))
     r = 0
-    for block in p.blocks():
-        if q is not None:
-            sums += [np.abs(np.subtract(a, next(q_pieces), out=buf), out=buf).sum()
-                     for a in block.reshape(-1, buf.size)]
-        if moments:  # after TV, as it overwrites a row
-            rows = slice(r, r + block.shape[0])
-            block.sum(axis=1, out=pb[rows])
-            np.matmul(block, Sa, out=cross[rows])
-            if r:
-                block[0] += pa
+    for block in table.blocks():
+        rows = slice(r, r + block.shape[0])
+        block.sum(axis=1, out=pb[rows])
+        np.matmul(block, Sa, out=cross[rows])
+        if r:
+            for row in block:
+                pa += row
+        else:
             pa = block.sum(axis=0)
         r += block.shape[0]
-    tv = 0.5 * _tree(sums) if q is not None else None
-    if not moments:
-        return tv, None
     k = Sa.shape[1]
-    second = np.empty((p.n, p.n))
+    second = np.empty((table.n, table.n))
     # S^T diag(p) S of each half; einsum's row scaling needs no broadcast buffer
     second[:k, :k] = Sa.T @ np.einsum("si,s->si", Sa, pa)
     second[k:, k:] = Sb.T @ np.einsum("si,s->si", Sb, pb)
     second[k:, :k] = Sb.T @ cross
     second[:k, k:] = second[k:, :k].T
-    return tv, (np.concatenate([Sa.T @ pa, Sb.T @ pb]), second)
+    return np.concatenate([Sa.T @ pa, Sb.T @ pb]), second
 
 
-def _check(p: Table, q: Table, kl: bool) -> None:
+def _check(p: Table, q: Table) -> None:
     if p.n != q.n:
         raise ValidationError(f"dimension mismatch: {p.n} vs {q.n}")
-    if kl and any(t.model is None or t.log_z is None for t in (p, q)):
-        raise ValidationError("KL needs tables built from a model (with log Z)")
 
 
 def tv_distance(p: Table, q: Table) -> float:
     """``0.5 * np.abs(p.probs - q.probs).sum()`` bit for bit, where a StreamedTable's
-    probs are those of :func:`distribution`."""
-    _check(p, q, kl=False)
-    return _read(p, q, False)[0]
+    probs are those of :func:`distribution`.
+
+    The blocks are read in pieces of ``_CHUNK`` entries through one buffer, and the
+    piece sums are added by :func:`_tree`.
+    """
+    _check(p, q)
+    buf = np.empty(min(1 << p.n, _CHUNK, _BLOCK))  # a power of two that divides every block
+    q_pieces = (piece for block in q.blocks() for piece in block.reshape(-1, buf.size))
+    return 0.5 * _tree([np.abs(np.subtract(a, next(q_pieces), out=buf), out=buf).sum()
+                        for block in p.blocks() for a in block.reshape(-1, buf.size)])
 
 
 def second_moments(table: Table) -> tuple[np.ndarray, np.ndarray]:
     """E[x] and E[x x^T] under ``table``, without a 2^n temporary."""
-    return _read(table, None, True)[1]
-
-
-def _kl(p: Table, q: Table, moments) -> float:
-    """KL(p || q) = E_p[theta_p - theta_q] - log Z_p + log Z_q from p's ``moments``,
-    with theta(x) = x^T J x / 2 + h . x, so both tables must come from a model."""
-    mean, second = moments
-    d_theta = (0.5 * float(np.vdot(p.model.coupling.entries - q.model.coupling.entries, second))
-               + float((p.model.field - q.model.field) @ mean))
-    return max(d_theta - p.log_z + q.log_z, 0.0)
+    return table.moments if isinstance(table, StreamedTable) else _moments(table)
 
 
 def kl_divergence(p: Table, q: Table) -> float:
-    """KL(p || q) of two tables built from a model (see :func:`_kl`)."""
-    _check(p, q, kl=True)
-    return _kl(p, q, second_moments(p))
-
-
-def divergences(p: Table, q: Table) -> tuple[float, float]:
-    """``tv_distance(p, q)`` and ``kl_divergence(p, q)``, bit for bit, from one read of p."""
-    _check(p, q, kl=True)
-    tv, moments = _read(p, q, True)
-    return tv, _kl(p, q, moments)
+    """KL(p || q) = E_p[theta_p - theta_q] - log Z_p + log Z_q, with
+    theta(x) = x^T J x / 2 + h . x, so both tables must come from a model."""
+    _check(p, q)
+    if any(t.model is None or t.log_z is None for t in (p, q)):
+        raise ValidationError("KL needs tables built from a model (with log Z)")
+    mean, second = second_moments(p)
+    d_theta = (0.5 * float(np.vdot(p.model.coupling.entries - q.model.coupling.entries, second))
+               + float((p.model.field - q.model.field) @ mean))
+    return max(d_theta - p.log_z + q.log_z, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,15 @@ def rng():
 
 @pytest.fixture
 def distribution_calls(monkeypatch):
-    """List that grows by one model size per call of ``exact.distribution``."""
+    """List that grows by one model size per table ``exact.distribution`` stores;
+    a streamed table (``streamed=True``) stores none and is not counted."""
     calls = []
     original = exact.distribution
 
-    def counted(m):
-        calls.append(m.n)
-        return original(m)
+    def counted(m, *, streamed=False):
+        if not streamed:
+            calls.append(m.n)
+        return original(m, streamed=streamed)
 
     monkeypatch.setattr(exact, "distribution", counted)
     return calls

@@ -217,13 +217,22 @@ class TestPairMetrics:
         truth, est = (IsingModel(random_coupling(n, rng, 0.3), rng.normal(size=n))
                       for _ in range(2))
         p_true = exact.distribution(truth)
-        # blocks of two rows or more, so the rows of each block's product with S_a
-        # are those of the whole table's (a one-row product is a matrix-vector one)
+        # blocks of two rows or more, whose GEMMs give the rows of the whole table's;
+        # the whole tables are read in the same blocks
         with mock.patch.object(exact, "_BLOCK", 1 << 9):
             values = diagnostics.pair_metrics(truth, est, diagnostics.PAIR_METRICS, p_true)
-        p_est = exact.distribution(est)
-        assert values["tv_exact"] == exact.tv_distance(p_est, p_true)
-        assert values["kl_exact"] == exact.kl_divergence(p_est, p_true)
+            p_est = exact.distribution(est)
+            assert values["tv_exact"] == exact.tv_distance(p_est, p_true)
+            assert values["kl_exact"] == exact.kl_divergence(p_est, p_true)
+
+    def test_tv_alone_against_a_hand_built_table(self, rng):
+        truth, est = (IsingModel(random_coupling(5, rng, 0.3), rng.normal(size=5))
+                      for _ in range(2))
+        p_true = exact.DistributionTable(n=5, probs=exact.distribution(truth).probs)  # no log Z
+        values = diagnostics.pair_metrics(truth, est, ["tv_exact"], p_true)
+        assert values == {"tv_exact": exact.tv_distance(exact.distribution(est), p_true)}
+        with pytest.raises(ValidationError, match="KL needs tables built from a model"):
+            diagnostics.pair_metrics(truth, est, ["kl_exact"], p_true)
 
     def test_no_estimate_table(self, rng):
         n = 20

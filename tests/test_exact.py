@@ -103,9 +103,9 @@ class TestDistribution:
         np.fill_diagonal(J, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for build in (exact.distribution, exact.StreamedTable):
+            for streamed in (False, True):
                 with pytest.raises(CapabilityError, match="n = 8: log weights overflow float64"):
-                    build(zero_field(J))
+                    exact.distribution(zero_field(J), streamed=streamed)
 
     def test_one_table_of_memory(self, rng):
         n = 16
@@ -277,6 +277,29 @@ class TestKlDivergence:
         assert kl == pytest.approx(expected, rel=1e-10)
         assert peak < p.probs.nbytes / 8
 
+    def test_streamed_table_read_once_for_tv_and_not_for_kl(self, rng):
+        # building a StreamedTable takes its moments, so KL reads no block and TV one pass
+        n = 12
+        est, truth = (IsingModel(random_coupling(n, rng), rng.normal(size=n)) for _ in range(2))
+        p_true = exact.distribution(truth)
+        with mock.patch.object(exact, "_BLOCK", 1 << 8):
+            p_est = exact.distribution(est, streamed=True)
+            passes = []
+            original = exact.StreamedTable._log_weights
+
+            def counted(self):
+                passes.append(self.n)
+                return original(self)
+
+            with mock.patch.object(exact.StreamedTable, "_log_weights", counted):
+                kl = exact.kl_divergence(p_est, p_true)
+                assert passes == []
+                tv = exact.tv_distance(p_est, p_true)
+                assert passes == [n]
+            stored = exact.distribution(est)
+            assert (tv, kl) == (exact.tv_distance(stored, p_true),
+                                exact.kl_divergence(stored, p_true))
+
     def test_pinsker(self, rng):
         for _ in range(100):
             n = int(rng.integers(1, 7))
@@ -386,13 +409,15 @@ class TestBitIdentity:
         m = IsingModel(CouplingMatrix(Q), h)
         table = exact.distribution(m)
         with mock.patch.object(exact, "_BLOCK", block):
-            streamed = exact.StreamedTable(m)
+            streamed = exact.distribution(m, streamed=True)
             probs = np.concatenate([b.copy() for b in streamed.blocks()]).reshape(-1)
-            moments = exact.second_moments(streamed)
+            stored_blocks = list(table.blocks())
+            assert all(b.base is not None for b in stored_blocks)  # views, not copies
+            assert [b.shape for b in stored_blocks] == [b.shape for b in streamed.blocks()]
+            for a, b in zip(exact.second_moments(streamed), exact.second_moments(table)):
+                np.testing.assert_array_equal(a, b)
         assert streamed.log_z == table.log_z
         np.testing.assert_array_equal(probs, table.probs)
-        for a, b in zip(moments, exact.second_moments(table)):
-            np.testing.assert_array_equal(a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 17), st.integers(0, 2**32 - 1))
@@ -416,6 +441,20 @@ class TestSecondMoments:
         np.testing.assert_allclose(mean, S.T @ table.probs, rtol=0.0, atol=1e-14)
         np.testing.assert_allclose(second, S.T @ np.diag(table.probs) @ S, rtol=0.0, atol=1e-14)
         np.testing.assert_array_equal(second, second.T)
+
+    @pytest.mark.parametrize("n", [7, 9])
+    def test_row_blocks(self, rng, n):
+        # blocks of 2^4 entries: many blocks, each read in place, their column sums
+        # carried in row order
+        table = exact.distribution(IsingModel(random_coupling(n, rng), rng.normal(size=n)))
+        S = exact.all_states(n)
+        whole = table.probs.reshape(-1, 1 << n // 2).sum(axis=0)
+        with mock.patch.object(exact, "_BLOCK", 1 << 4):
+            assert len(list(table.blocks())) == 1 << n - 4
+            mean, second = exact.second_moments(table)
+        np.testing.assert_array_equal(mean[:n // 2], exact.all_states(n // 2).T @ whole)
+        np.testing.assert_allclose(mean, S.T @ table.probs, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(second, S.T @ np.diag(table.probs) @ S, rtol=0.0, atol=1e-14)
 
 
 class TestMoments:
