@@ -88,16 +88,13 @@ def _check_writable(*paths) -> None:
             raise ConfigError(f"{path}: cannot write: {reason}")
 
 
-def _from_block(cls, block, ctx: str, **fixed):
-    """Build dataclass ``cls`` from config block ``block``; errors name ``ctx``.
-
-    ``fixed`` supplies the fields a block may not set.
-    """
+def _from_block(cls, block, ctx: str):
+    """Build dataclass ``cls`` from config block ``block``; errors name ``ctx``."""
     if block is None:
         block = {}
     if not isinstance(block, dict):
         raise ConfigError(f"{ctx}: must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.init and f.name not in fixed}
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
     for key in block:
         if key not in fields:
             raise ConfigError(f"{ctx}.{key}: unknown field")
@@ -105,7 +102,7 @@ def _from_block(cls, block, ctx: str, **fixed):
         if name not in block and f.default is f.default_factory is dataclasses.MISSING:
             raise ConfigError(f"{ctx}.{name}: missing required field")
     try:
-        return cls(**block, **fixed)
+        return cls(**block)
     except ConfigError:
         raise  # already names its field
     except (ParameterError, TypeError) as e:
@@ -121,7 +118,7 @@ def _constraint(block) -> projections.ConstraintSet:
     return _from_block(projections.FAMILIES[kind], params, "constraint")
 
 
-def _glauber_config(block, seed: int, method: str = "glauber") -> sampler.GlauberConfig:
+def _glauber_config(block, method: str = "glauber") -> sampler.GlauberConfig:
     """The sampler block (or command-line flags) as a Glauber config; a ``None`` value
     means the default, and under ``method`` exact a Glauber field that is set is an error."""
     if isinstance(block, dict):
@@ -132,11 +129,11 @@ def _glauber_config(block, seed: int, method: str = "glauber") -> sampler.Glaube
         if "alpha_hint" in block and "burn_in_sweeps" in block:
             raise ConfigError("sampler.alpha_hint: sets burn_in_sweeps, so not both can be set")
         try:
-            base = sampler.default_config(seed, block.pop("alpha_hint", None))
+            base = sampler.default_config(block.pop("alpha_hint", None))
         except ParameterError as e:
             raise ConfigError(f"sampler: {e}")
         block.setdefault("burn_in_sweeps", base.burn_in_sweeps)
-    return _from_block(sampler.GlauberConfig, block, "sampler", seed=seed)
+    return _from_block(sampler.GlauberConfig, block, "sampler")
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +198,9 @@ def _cmd_sample(args) -> int:
     else:
         block = {"alpha_hint": args.alpha_hint, "burn_in_sweeps": args.burn_in,
                  "thinning_sweeps": args.thinning, "chains": args.chains}
-        cfg = _glauber_config(block, args.seed)
+        cfg = _glauber_config(block)
         start = time.perf_counter()
-        batch = sampler.glauber_sample(model, args.l, cfg)
+        batch = sampler.glauber_sample(model, args.l, cfg, seed=args.seed)
     sample_time = time.perf_counter() - start
     save_samples(batch, args.out)
     if args.report:
@@ -301,7 +298,7 @@ def _run_sweep_cell(spec, constraint, fit_cfg, glauber, metrics, key) -> dict:
     if glauber is None:
         batch = sampler.exact_sample(p_true, l, seed=seed)
     else:
-        batch = sampler.glauber_sample(model, l, dataclasses.replace(glauber, seed=seed))
+        batch = sampler.glauber_sample(model, l, glauber, seed=seed)
 
     report = optimizer.fit_mple(batch, np.zeros(spec.n), constraint, fit_cfg)
     est = IsingModel.zero_field(report.estimate)
@@ -358,7 +355,7 @@ def _cmd_sweep(args) -> int:
     method = block.get("method") if isinstance(block, dict) else None
     if method is None:  # absent or null: exact up to the enumeration cap
         method = "exact" if spec.n <= exact.DEFAULT_ENUM_CAP else "glauber"
-    glauber = _glauber_config(block, 0, method)  # a block that is not an object fails here
+    glauber = _glauber_config(block, method)  # a block that is not an object fails here
     if method not in ("exact", "glauber"):
         raise ConfigError(f"sampler.method: unknown method {method!r}")
     if os.path.isfile(args.out) and os.path.getsize(args.out):

@@ -265,9 +265,13 @@ def pair_metrics(truth: IsingModel, est: IsingModel, metrics,
     if est.n != truth.n:
         raise ValidationError(f"dimension mismatch: {est.n} vs {truth.n}")
     out: dict[str, float] = {}
-    delta = est.coupling.entries - truth.coupling.entries
-    if "frobenius" in metrics:
-        out["frobenius"] = float(np.linalg.norm(delta))
+    with np.errstate(over="ignore"):  # inf only where a difference or the norm is not a float
+        delta = est.coupling.entries - truth.coupling.entries
+        if "frobenius" in metrics:  # where the squares overflow, again over the largest entry
+            out["frobenius"] = float(np.linalg.norm(delta))
+            if out["frobenius"] == np.inf and np.isfinite(delta).all():
+                top = float(np.abs(delta).max())
+                out["frobenius"] = top * float(np.linalg.norm(delta / top))
     if "op_norm_err" in metrics:
         out["op_norm_err"] = float(np.abs(np.linalg.eigvalsh(delta)).max())
     if "tv_exact" in metrics or "kl_exact" in metrics:

@@ -140,14 +140,15 @@ def normalize(log_weights: np.ndarray) -> float:
     return top + float(np.log(total))
 
 
-def _tree(sums) -> float:
-    """The sum of a power-of-two count of block sums in a pairwise tree. numpy's sum
-    halves a power-of-two length of 2^7 or more at every level, so over equal blocks
-    of that size this is the whole array's sum, bit for bit."""
+def _tree(sums):
+    """The sum of a power-of-two count of block sums (numbers or equal-shape arrays) in
+    a pairwise tree. numpy's sum halves a power-of-two length of 2^7 or more at every
+    level, so over equal blocks of that size a tree of numbers is the whole array's sum,
+    bit for bit."""
     sums = np.array(sums)
-    while sums.size > 1:
+    while len(sums) > 1:
         sums = sums[0::2] + sums[1::2]
-    return float(sums[0])
+    return sums[0]
 
 
 def _block_rows(n: int) -> int:
@@ -274,22 +275,18 @@ def _moments(table: Table) -> tuple[np.ndarray, np.ndarray]:
 
     They come from the (2^|b|, 2^|a|) half split of :func:`quadratic_table`: the
     diagonal blocks and E[x] from the marginals of the two halves, the cross block
-    S_b^T (P S_a). The column sums add the rows one by one in order, as one sum
-    over the whole table's rows does.
+    S_b^T (P S_a). The blocks' column sums are added by :func:`_tree`.
     """
     Sa, Sb = _halves(table.n)
     pb, cross = np.empty(Sb.shape[0]), np.empty((Sb.shape[0], Sa.shape[1]))
-    r = 0
+    col_sums, r = [], 0
     for block in table.blocks():
         rows = slice(r, r + block.shape[0])
         block.sum(axis=1, out=pb[rows])
         np.matmul(block, Sa, out=cross[rows])
-        if r:
-            for row in block:
-                pa += row
-        else:
-            pa = block.sum(axis=0)
+        col_sums.append(block.sum(axis=0))
         r += block.shape[0]
+    pa = _tree(col_sums)
     k = Sa.shape[1]
     second = np.empty((table.n, table.n))
     # S^T diag(p) S of each half; einsum's row scaling needs no broadcast buffer
@@ -315,8 +312,8 @@ def tv_distance(p: Table, q: Table) -> float:
     _check(p, q)
     buf = np.empty(min(1 << p.n, _CHUNK, _BLOCK))  # a power of two that divides every block
     q_pieces = (piece for block in q.blocks() for piece in block.reshape(-1, buf.size))
-    return 0.5 * _tree([np.abs(np.subtract(a, next(q_pieces), out=buf), out=buf).sum()
-                        for block in p.blocks() for a in block.reshape(-1, buf.size)])
+    return 0.5 * float(_tree([np.abs(np.subtract(a, next(q_pieces), out=buf), out=buf).sum()
+                              for block in p.blocks() for a in block.reshape(-1, buf.size)]))
 
 
 def second_moments(table: Table) -> tuple[np.ndarray, np.ndarray]:
@@ -437,8 +434,7 @@ def hubbard_stratonovich_check(
         F = Y @ W + m.field
         mix += _product_table(Sb, F[:, half:]).T @ _product_table(Sa, F[:, :half])
         done += k
-    mix = mix.reshape(-1) / draws - table.probs
-    return 0.5 * float(np.abs(mix, out=mix).sum())
+    return tv_distance(DistributionTable(m.n, mix.reshape(-1) / draws), table)
 
 
 def hs_conditional_error(m: IsingModel, shift: float, y) -> float:

@@ -6,16 +6,16 @@ such steps. The chain is only approximate for finite burn-in, so tests that
 need genuine i.i.d. samples should use :func:`exact_sample` (available up to
 the enumeration cap).
 
-Chains own disjoint RNG streams keyed by (seed, chain index), and chain c's
-samples are the rows ``c::chains`` of the batch (a round-robin merge), so the
-output is a pure function of the model, count, and config no matter how the
-chains are scheduled. That lets :func:`glauber_sample` run its chains on
-:func:`chain_processes` processes, the caller and workers forked from it, with
-the same bytes as one process running them in turn; it stays in one process
-where a worker would not pay for itself or is unsafe to fork. A chain keeps its
-local fields in one numpy vector and updates them with one vector add per flip;
-samples are byte-identical to those of earlier releases, whose loop added one
-scalar per site. :func:`mixing` gives split-R-hat across a batch's chains.
+Both samplers take the seed as an argument. Chains own disjoint RNG streams keyed
+by (seed, chain index), and chain c's samples are the rows ``c::chains`` of the
+batch (a round-robin merge), so the output is a pure function of the model,
+count, config and seed no matter how the chains are scheduled. That lets
+:func:`glauber_sample` run its chains on :func:`chain_processes` processes, the
+caller and workers forked from it, with the same bytes as one process running
+them in turn; it stays in one process where a worker would not pay for itself or
+is unsafe to fork. A chain keeps its local fields in one numpy vector and updates
+them with one vector add per flip; samples are byte-identical to those of earlier
+releases, whose loop added one scalar per site. :func:`mixing` gives split-R-hat.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ _MIN_PARALLEL_UPDATES = 200_000
 class GlauberConfig:
     burn_in_sweeps: int = 200
     thinning_sweeps: int = 5
-    seed: int = 0
     chains: int = 4
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class GlauberConfig:
             value = getattr(self, name)
             if not is_int(value) or value < 1:
                 raise ParameterError(f"{name} must be an integer >= 1")
-        if not is_int(self.seed):
-            raise ParameterError("seed must be an integer")
 
 
 def _check_count(l) -> None:
@@ -62,18 +59,17 @@ def _check_count(l) -> None:
         raise ParameterError("sample count must be an integer >= 1")
 
 
-def default_config(seed: int = 0, alpha: float | None = None) -> GlauberConfig:
+def default_config(alpha: float | None = None) -> GlauberConfig:
     """Defaults: 50*ceil(1/alpha) burn-in sweeps given a spectral-gap hint, else 200."""
     if alpha is None:
-        return GlauberConfig(seed=seed)
+        return GlauberConfig()
     if not (is_real(alpha) and 0 < alpha <= 1):
         raise ParameterError("alpha_hint must be in (0, 1]")
-    return GlauberConfig(burn_in_sweeps=50 * math.ceil(1.0 / alpha), seed=seed)
+    return GlauberConfig(burn_in_sweeps=50 * math.ceil(1.0 / alpha))
 
 
-def _run_chain(J: np.ndarray, h: np.ndarray, n_samples: int, cfg: GlauberConfig, chain: int) -> np.ndarray:
+def _run_chain(J: np.ndarray, h: np.ndarray, n_samples: int, cfg: GlauberConfig, rng) -> np.ndarray:
     n = h.shape[0]
-    rng = stream(cfg.seed, chain)
     x = [1.0 if b else -1.0 for b in rng.integers(0, 2, size=n)]
     # Local fields J x + h, summed in python order so their bits never change.
     # A flip adds the row 2J_i or -2J_i: doubling is exact, so each f_j rounds
@@ -99,24 +95,26 @@ def _run_chain(J: np.ndarray, h: np.ndarray, n_samples: int, cfg: GlauberConfig,
     return out
 
 
-def glauber_sample(m: IsingModel, l: int, cfg: GlauberConfig | None = None) -> SampleBatch:
+def glauber_sample(m: IsingModel, l: int, cfg: GlauberConfig | None = None,
+                   seed: int = 0) -> SampleBatch:
     """Draw l approximate samples via the heat-bath chain.
 
-    Runs ``cfg.chains`` independent chains from uniform random starts, discards
-    the burn-in, then records one configuration every ``thinning_sweeps``
-    sweeps, interleaving chains round-robin until l samples are collected.
+    Runs ``cfg.chains`` independent chains, chain c on ``stream(seed, c)``, from uniform
+    random starts, discards the burn-in, then records one configuration every
+    ``thinning_sweeps`` sweeps, interleaving chains round-robin until l samples are collected.
     """
     _check_count(l)
     if cfg is None:
         cfg = default_config()
     chains = min(cfg.chains, l)
+    rngs = [stream(seed, c) for c in range(chains)]  # a bad seed fails before any fork
     procs = chain_processes(m.n, l, cfg)
     per_chain = [(l - c + chains - 1) // chains for c in range(chains)]
     spins = np.empty((l, m.n), dtype=np.int8)
     J, h = m.coupling.entries, m.field
 
     def run(k: int) -> list[np.ndarray]:  # the chains c = k mod procs, in order
-        return [_run_chain(J, h, per_chain[c], cfg, c) for c in range(k, chains, procs)]
+        return [_run_chain(J, h, per_chain[c], cfg, rngs[c]) for c in range(k, chains, procs)]
 
     # Process k runs run(k), the caller k = 0; each chain fills its own rows,
     # so the bytes do not depend on who ran it.

@@ -107,7 +107,7 @@ def test_a2_convexity():
 def test_a3_sampler_fidelity():
     t0 = time.perf_counter()
     model = dobrushin_model(6, 0.3, seed=31)
-    batch = sampler.glauber_sample(model, 100_000, sampler.default_config(seed=32))
+    batch = sampler.glauber_sample(model, 100_000, sampler.default_config(), seed=32)
     emp = np.bincount(exact.encode_spins(batch.spins), minlength=64) / batch.l
     tv = 0.5 * float(np.abs(emp - exact.distribution(model).probs).sum())
 
@@ -445,7 +445,7 @@ import sys
 import numpy as np
 from isingfit import EnsembleSpec, OpNormBall, fit_mple, generate, sampler
 model = generate(EnsembleSpec(kind="SK", n=30, beta=0.5, seed=0))
-batch = sampler.glauber_sample(model, 2000, sampler.GlauberConfig(seed=0))
+batch = sampler.glauber_sample(model, 2000, sampler.GlauberConfig(), seed=0)
 estimate = fit_mple(batch, np.zeros(30), OpNormBall(0.5)).estimate.entries
 sys.stdout.buffer.write(batch.spins.tobytes() + estimate.tobytes())
 """

@@ -314,6 +314,22 @@ class TestCapabilityGate:
         assert code == 3
         assert "exact table at n = 8: log weights overflow float64" in capsys.readouterr().err
 
+    def test_overflowing_frobenius_is_finite(self, tmp_path):
+        # 56 entries of 1e307: their squares overflow, the norm sqrt(56) 1e307 does not
+        J = np.full((8, 8), 1e307)
+        np.fill_diagonal(J, 0.0)
+        truth_path, est_path = tmp_path / "truth.json", tmp_path / "est.json"
+        save_model(IsingModel.zero_field(CouplingMatrix.zeros(8)), truth_path)
+        save_model(IsingModel.zero_field(CouplingMatrix(J)), est_path)
+        out = tmp_path / "eval.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["evaluate", "--model-a", str(truth_path), "--model-b", str(est_path),
+                             "--metrics", "frobenius", "--out", str(out)])
+        assert code == 0
+        assert not caught
+        assert out.read_text() == f"metric,value\nfrobenius,{np.sqrt(56.0) * 1e307:.12g}\n"
+
 
 class TestSweep:
     def test_rows_and_header(self, tmp_path):

@@ -445,10 +445,13 @@ class TestSecondMoments:
     @pytest.mark.parametrize("n", [7, 9])
     def test_row_blocks(self, rng, n):
         # blocks of 2^4 entries: many blocks, each read in place, their column sums
-        # carried in row order
+        # added in a pairwise tree
         table = exact.distribution(IsingModel(random_coupling(n, rng), rng.normal(size=n)))
         S = exact.all_states(n)
-        whole = table.probs.reshape(-1, 1 << n // 2).sum(axis=0)
+        whole = table.probs.reshape(1 << n - 4, -1, 1 << n // 2).sum(axis=1)
+        while len(whole) > 1:
+            whole = whole[0::2] + whole[1::2]
+        whole = whole[0]
         with mock.patch.object(exact, "_BLOCK", 1 << 4):
             assert len(list(table.blocks())) == 1 << n - 4
             mean, second = exact.second_moments(table)

@@ -140,7 +140,7 @@ def unit_step_grad_map(J, batch, constraint):
 class TestSpectralStep:
     def test_sk_n30_converges_fast(self):
         model = ensembles.generate(ensembles.EnsembleSpec(kind="SK", n=30, beta=0.5, seed=0))
-        batch = sampler.glauber_sample(model, 2000, sampler.GlauberConfig(seed=1))
+        batch = sampler.glauber_sample(model, 2000, sampler.GlauberConfig(), seed=1)
         report = fit_mple(batch, np.zeros(30), OpNormBall(2.0))
         assert report.converged
         assert report.iterations <= 60
@@ -317,7 +317,7 @@ def test_each_trial_point_is_evaluated_once(monkeypatch, projection_calls):
     # one objective_and_gradient call at the unprojected start and one per
     # projected trial point, rejected ones included, and no value-only call
     model = ensembles.generate(ensembles.EnsembleSpec(kind="SK", n=30, beta=0.5, seed=0))
-    batch = sampler.glauber_sample(model, 2000, sampler.GlauberConfig(seed=1))
+    batch = sampler.glauber_sample(model, 2000, sampler.GlauberConfig(), seed=1)
     kernel_calls = []
     original = mple.objective_and_gradient
 

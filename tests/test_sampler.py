@@ -25,11 +25,18 @@ def zero_field(J):
     return IsingModel.zero_field(CouplingMatrix(J))
 
 
-def oracle_chain(J, h, n_samples, cfg, chain):
+class FirstDraw:
+    """A stand-in chain generator whose first draw calls ``act``."""
+
+    def __init__(self, act):
+        self.integers = lambda *args, **kwargs: act()
+
+
+def oracle_chain(J, h, n_samples, cfg, seed, chain):
     """The heat-bath chain with python-list fields, one scalar add per site and
     flip: the loop that ``sampler._run_chain`` must match byte for byte."""
     n = h.shape[0]
-    rng = stream(cfg.seed, chain)
+    rng = stream(seed, chain)
     x = [1.0 if b else -1.0 for b in rng.integers(0, 2, size=n)]
     rows = [[float(v) for v in row] for row in J]
     f = [sum(rows[i][j] * x[j] for j in range(n)) + float(h[i]) for i in range(n)]
@@ -56,12 +63,12 @@ def oracle_chain(J, h, n_samples, cfg, chain):
     return out
 
 
-def oracle_glauber(m, l, cfg):
+def oracle_glauber(m, l, cfg, seed=0):
     chains = min(cfg.chains, l)
     spins = np.empty((l, m.n), dtype=np.int8)
     for c in range(chains):
         spins[c::chains] = oracle_chain(m.coupling.entries, m.field,
-                                        (l - c + chains - 1) // chains, cfg, c)
+                                        (l - c + chains - 1) // chains, cfg, seed, c)
     return spins
 
 
@@ -75,22 +82,22 @@ class TestGlauber:
         m = zero_field(np.zeros((4, 4)))
         l = 100_000
         batch = sampler.glauber_sample(
-            m, l, sampler.GlauberConfig(burn_in_sweeps=10, thinning_sweeps=1, seed=4)
+            m, l, sampler.GlauberConfig(burn_in_sweeps=10, thinning_sweeps=1), seed=4
         )
         means = batch.as_float().mean(axis=0)
         assert np.all(np.abs(means) < 4.0 / np.sqrt(l))
 
     def test_dobrushin_tv_against_exact(self):
         model = dobrushin_model(6, 0.3, seed=5)
-        batch = sampler.glauber_sample(model, 100_000, sampler.default_config(seed=3))
+        batch = sampler.glauber_sample(model, 100_000, sampler.default_config(), seed=3)
         tv = 0.5 * np.abs(empirical_table(batch) - exact.distribution(model).probs).sum()
         assert tv <= 0.02
 
     def test_determinism(self):
         model = dobrushin_model(5, 0.4, seed=1)
-        cfg = sampler.GlauberConfig(burn_in_sweeps=20, thinning_sweeps=2, seed=11, chains=3)
-        a = sampler.glauber_sample(model, 500, cfg)
-        b = sampler.glauber_sample(model, 500, cfg)
+        cfg = sampler.GlauberConfig(burn_in_sweeps=20, thinning_sweeps=2, chains=3)
+        a = sampler.glauber_sample(model, 500, cfg, seed=11)
+        b = sampler.glauber_sample(model, 500, cfg, seed=11)
         np.testing.assert_array_equal(a.spins, b.spins)
 
     def test_stationarity_of_update_kernel(self, rng):
@@ -133,10 +140,10 @@ class TestGlauber:
         h = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
         m = IsingModel(random_coupling(n, np.random.default_rng(coupling_seed), scale), np.array(h))
         cfg = sampler.GlauberConfig(burn_in_sweeps=burn_in, thinning_sweeps=thinning,
-                                    seed=seed, chains=chains)
-        spins = sampler.glauber_sample(m, l, cfg).spins
+                                    chains=chains)
+        spins = sampler.glauber_sample(m, l, cfg, seed=seed).spins
         assert spins.dtype == np.int8
-        assert spins.tobytes() == oracle_glauber(m, l, cfg).tobytes()
+        assert spins.tobytes() == oracle_glauber(m, l, cfg, seed).tobytes()
 
     def test_benchmark_sample_matches_list_loop(self):
         # SK n = 30, l = 2000 under the default config, as the glauber_n30 workload samples
@@ -170,31 +177,34 @@ class TestChainProcesses:
            seed=st.integers(-2**63, 2**63 - 1), coupling_seed=st.integers(0, 2**32 - 1))
     def test_parallel_matches_serial_byte_for_byte(self, n, l, chains, seed, coupling_seed):
         m = zero_field(random_coupling(n, np.random.default_rng(coupling_seed)).entries)
-        cfg = sampler.GlauberConfig(burn_in_sweeps=3, thinning_sweeps=2, seed=seed, chains=chains)
+        cfg = sampler.GlauberConfig(burn_in_sweeps=3, thinning_sweeps=2, chains=chains)
         assert sampler.chain_processes(n, l, cfg) == 1  # below the threshold
-        serial = sampler.glauber_sample(m, l, cfg).spins.tobytes()
+        serial = sampler.glauber_sample(m, l, cfg, seed=seed).spins.tobytes()
         for cpus in (2, 3):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(sampler, "_MIN_PARALLEL_UPDATES", 0)
                 patch.setattr(sampler, "_usable_cpus", lambda: cpus)
                 assert sampler.chain_processes(n, l, cfg) == min(chains, l, cpus)
-                assert sampler.glauber_sample(m, l, cfg).spins.tobytes() == serial
+                assert sampler.glauber_sample(m, l, cfg, seed=seed).spins.tobytes() == serial
 
     @fork_only
     @pytest.mark.parametrize("failing_chain", [0, 1])
     def test_chain_error_reaches_caller(self, monkeypatch, failing_chain):
-        # the caller runs chains 0 and 2 and the worker 1 and 3; the worker
-        # forks with the patched stream in place. When the caller's chain
-        # fails, the worker (stuck in chain 1) is stopped, not waited for.
+        # the caller runs chains 0 and 2 and the worker 1 and 3; a chain's
+        # generator, built before the fork, acts on its first draw. When the
+        # caller's chain fails, the worker (stuck in chain 1) is stopped, not waited for.
         monkeypatch.setattr(sampler, "_MIN_PARALLEL_UPDATES", 0)
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
         keyed = sampler.stream
 
+        def fail():
+            raise ValueError(os.getpid())
+
         def patched(seed, chain):
             if chain == failing_chain:
-                raise ValueError(os.getpid())
+                return FirstDraw(fail)
             if chain == 1:
-                time.sleep(60)
+                return FirstDraw(lambda: time.sleep(60))
             return keyed(seed, chain)
 
         monkeypatch.setattr(sampler, "stream", patched)
@@ -211,8 +221,8 @@ class TestChainProcesses:
         monkeypatch.setattr(sampler, "_MIN_PARALLEL_UPDATES", 0)
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
         keyed = sampler.stream
-        monkeypatch.setattr(sampler, "stream",
-                            lambda seed, chain: os._exit(3) if chain == 1 else keyed(seed, chain))
+        monkeypatch.setattr(sampler, "stream", lambda seed, chain: (
+            FirstDraw(lambda: os._exit(3)) if chain == 1 else keyed(seed, chain)))
         with pytest.raises(RuntimeError, match="exited with code 3"):
             sampler.glauber_sample(dobrushin_model(5, 0.4, seed=1), 40,
                                    sampler.GlauberConfig(burn_in_sweeps=2, chains=4))
@@ -251,18 +261,24 @@ class TestInputChecks:
                 draw(m, l)
 
     @pytest.mark.parametrize("seed", ["a", 1.5, True, None])
-    def test_seed_must_be_an_integer(self, seed):
+    def test_seed_must_be_an_integer(self, monkeypatch, seed):
+        # the chains' generators are built before any fork: no worker starts
+        monkeypatch.setattr(sampler, "_MIN_PARALLEL_UPDATES", 0)
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+        m = dobrushin_model(5, 0.4, seed=1)
         with pytest.raises(ParameterError, match="seed must be an integer"):
-            sampler.GlauberConfig(seed=seed)
+            sampler.glauber_sample(m, 40, sampler.GlauberConfig(burn_in_sweeps=2), seed=seed)
+        assert multiprocessing.active_children() == []
         with pytest.raises(ParameterError, match="seed must be an integer"):
-            sampler.exact_sample(zero_field(np.zeros((3, 3))), 5, seed=seed)
+            sampler.exact_sample(m, 5, seed=seed)
 
     def test_numpy_integers_pass(self):
         m = dobrushin_model(4, 0.3, seed=2)
-        cfg = sampler.GlauberConfig(burn_in_sweeps=3, seed=np.int64(-5), chains=np.int32(2))
-        plain = sampler.GlauberConfig(burn_in_sweeps=3, seed=-5, chains=2)
-        np.testing.assert_array_equal(sampler.glauber_sample(m, np.int64(7), cfg).spins,
-                                      sampler.glauber_sample(m, 7, plain).spins)
+        cfg = sampler.GlauberConfig(burn_in_sweeps=3, chains=np.int32(2))
+        plain = sampler.GlauberConfig(burn_in_sweeps=3, chains=2)
+        np.testing.assert_array_equal(
+            sampler.glauber_sample(m, np.int64(7), cfg, seed=np.int64(-5)).spins,
+            sampler.glauber_sample(m, 7, plain, seed=-5).spins)
         np.testing.assert_array_equal(sampler.exact_sample(m, np.uint16(7), seed=np.int64(3)).spins,
                                       sampler.exact_sample(m, 7, seed=3).spins)
 
