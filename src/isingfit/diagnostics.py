@@ -267,13 +267,14 @@ def pair_metrics(truth: IsingModel, est: IsingModel, metrics,
     out: dict[str, float] = {}
     with np.errstate(over="ignore"):  # inf only where a difference or the norm is not a float
         delta = est.coupling.entries - truth.coupling.entries
+        finite = bool(np.isfinite(delta).all())
         if "frobenius" in metrics:  # where the squares overflow, again over the largest entry
             out["frobenius"] = float(np.linalg.norm(delta))
-            if out["frobenius"] == np.inf and np.isfinite(delta).all():
+            if out["frobenius"] == np.inf and finite:
                 top = float(np.abs(delta).max())
                 out["frobenius"] = top * float(np.linalg.norm(delta / top))
-    if "op_norm_err" in metrics:
-        out["op_norm_err"] = float(np.abs(np.linalg.eigvalsh(delta)).max())
+        if "op_norm_err" in metrics:  # eigvalsh does not converge on an inf entry
+            out["op_norm_err"] = float(np.abs(np.linalg.eigvalsh(delta)).max()) if finite else np.inf
     if "tv_exact" in metrics or "kl_exact" in metrics:
         p_est = exact.distribution(est, streamed=True)
         p_true = p_true or exact.distribution(truth)

@@ -3,19 +3,19 @@
 State index convention: state ``s`` encodes the configuration whose site ``i``
 carries spin ``+1`` iff bit ``i`` of ``s`` is set (bit 0 = site 0). Log weights
 come from one kernel, :func:`quadratic_table`: it splits the sites into a low half
-(the low bits of ``s``) and a high half and builds the table in one GEMM, whose
-(2^high, 2^low) row-major output is the state order. Only :func:`_halves` knows the
-split; the half-state arrays of every table up to the enumeration cap are built once
-per process, read-only. :func:`normalize` checks a table in O(1), so a table from
-:func:`distribution` is never scanned again.
+(the low bits of ``s``) and a high half, and the table is the product of two factors,
+whose (2^high, 2^low) row-major output is the state order. Only :func:`_halves` knows
+the split; the half-state arrays of every table up to the enumeration cap are built
+once per process, read-only. :func:`normalize` checks a table in O(1), so a table
+from :func:`distribution` is never scanned again.
 
-Every evaluator reads a table in the same row blocks of that (2^high, 2^low) split,
-``_BLOCK`` entries each. The blocks of a stored :class:`DistributionTable` are
-views; a :class:`StreamedTable`, from ``distribution(m, streamed=True)``, is a model's
-table that is never held whole: each block is computed by a row block of the GEMM
-into one reused buffer, bit for bit the rows of :func:`distribution`'s table, and
-its second moments are taken when it is built. :func:`tv_distance`,
-:func:`second_moments` and :func:`kl_divergence` take either and read both by the
+Every table is built and read in the same row blocks of that split, ``_BLOCK``
+entries each. One walk, :func:`_products`, computes the product block by block: into
+the rows of one array for a stored :class:`DistributionTable`, or into one reused buffer
+for a :class:`StreamedTable` (``distribution(m, streamed=True)``), a model's table that
+is never held whole. One normalization, :func:`_top_total`, takes either to
+probabilities block by block, so the two agree bit for bit by construction.
+:func:`tv_distance`, :func:`second_moments` and :func:`kl_divergence` read both by the
 same code, so both give the same bits. :func:`second_moments` gives
 E[x] and E[x x^T], and E[x^T A x] = <A, E[x x^T]>, E||A x||^2 = <A^2, E[x x^T]> come
 from those. :func:`draw` walks a table's probabilities chunk by chunk, so no 2^n CDF is held.
@@ -41,12 +41,9 @@ from .core import (
 DEFAULT_ENUM_CAP = 20
 DEFAULT_CHAIN_CAP = 8  # dense 2^n x 2^n eigenproblem
 _CHUNK = 1 << 15  # entries per scratch buffer: tv_distance's differences, a draw's CDF chunk
-# Entries per row block of a table: 1 MB. Stored and streamed tables are read in the
-# same blocks, so they agree by construction. Against one product of the whole table
-# with S_a (second moments), on the OpenBLAS 0.3.31 build that numpy 2.4.6 ships, the
-# blocks' products gave the same rows bit for bit at n = 18..22 only from 2^17 entries
-# up: products of under about 10^6 multiply-adds gave other bits wherever a row had
-# more than 2^8 entries, so smaller blocks change KL's last bits.
+# Entries per row block of a table: 1 MB, the most that a streamed table holds at once.
+# Stored and streamed tables are built and read in the same blocks, so any size keeps
+# them equal; this one is chosen for memory alone.
 _BLOCK = 1 << 17
 
 
@@ -92,7 +89,7 @@ def _halves(n: int) -> tuple[np.ndarray, np.ndarray]:
                  for k in (n // 2, n - n // 2))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _top reports an overflowed table
+@np.errstate(over="ignore", invalid="ignore")  # _top_total reports an overflowed table
 def _factors(Q: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``left`` and ``right`` with ``quadratic_table(Q, h) == (left @ right.T).reshape(-1)``."""
     Sa, Sb = _halves(h.size)  # halves built above the cap go on return
@@ -103,27 +100,25 @@ def _factors(Q: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.column_stack([Sa, np.ones_like(t_a), t_a]))
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _product(left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.matmul(left, right.T, out=out)
+def _products(left: np.ndarray, right: np.ndarray, outs):
+    """The row blocks of ``left @ right.T`` in row order, each computed into the next of
+    ``outs``: a table's blocks, shaped by :func:`_block_shape`, or one reused buffer."""
+    for k, out in enumerate(outs):  # every block has the same rows
+        with np.errstate(over="ignore", invalid="ignore"):  # _top_total reports an overflow
+            np.matmul(left[k * len(out):(k + 1) * len(out)], right.T, out=out)
+        yield out
 
 
 def quadratic_table(Q: np.ndarray, h: np.ndarray) -> np.ndarray:
     """x^T Q x / 2 + h . x for every state x, in state-index order (Q symmetric).
 
     With a the low half of the sites, b the high half and t_a, t_b their own tables,
-    it is one product [S_b Q_ba, t_b, 1] [S_a, 1, t_a]^T: cross term, then t_b, then t_a.
-    The product of a block of two or more rows of the left factor gives those rows of
-    the (2^|b|, 2^|a|) table, bit for bit, as each entry sums its few terms in order."""
-    return _product(*_factors(Q, h)).reshape(-1)
-
-
-def _top(top, n: int) -> float:
-    """The max log weight of a table at size n, which must be finite (NaN and +-inf are not)."""
-    top = float(top)
-    if not np.isfinite(top):
-        raise CapabilityError(f"exact table at n = {n}: log weights overflow float64")
-    return top
+    it is the product [S_b Q_ba, t_b, 1] [S_a, 1, t_a]^T: cross term, then t_b, then t_a.
+    Each row block of :func:`_block_shape` is computed into its rows of the table."""
+    table = np.empty(_block_shape(h.size))
+    for _ in _products(*_factors(Q, h), table):
+        pass
+    return table.reshape(-1)
 
 
 @np.errstate(over="ignore")  # a finite top can still leave w - top at -inf, so exp 0
@@ -131,13 +126,24 @@ def _exp_shifted(w: np.ndarray, top: float) -> np.ndarray:
     return np.exp(np.subtract(w, top, out=w), out=w)
 
 
+def _top_total(walk, n: int) -> tuple[float, float, float]:
+    """``top``, the max of a table's log weights at size n, which must be finite, the sum
+    of exp(w - top) and log Z, from two walks of the blocks ``walk()`` gives: the block
+    maxes, then exp(w - top) in place, the block sums added by :func:`_tree`."""
+    top = float(np.max([w.max() for w in walk()]))
+    if not np.isfinite(top):
+        raise CapabilityError(f"exact table at n = {n}: log weights overflow float64")
+    total = float(_tree([_exp_shifted(w, top).sum() for w in walk()]))
+    return top, total, top + float(np.log(total))
+
+
 def normalize(log_weights: np.ndarray) -> float:
     """Turn a table of log weights into probabilities in place; returns log Z. A finite
     max leaves entries in [0, 1] with a sum in [1, 2^n] to divide by."""
-    top = _top(log_weights.max(), log_weights.size.bit_length() - 1)
-    total = float(_exp_shifted(log_weights, top).sum())
+    n = log_weights.size.bit_length() - 1
+    _, total, log_z = _top_total(lambda: log_weights.reshape(_block_shape(n)), n)
     log_weights /= total
-    return top + float(np.log(total))
+    return log_z
 
 
 def _tree(sums):
@@ -151,10 +157,11 @@ def _tree(sums):
     return sums[0]
 
 
-def _block_rows(n: int) -> int:
-    """Rows of the (2^|b|, 2^|a|) split per block: ``_BLOCK`` entries, or the whole
-    table. Under the cap a block has two rows or more (see :func:`quadratic_table`)."""
-    return min(1 << n - n // 2, max(1, _BLOCK >> n // 2))
+def _block_shape(n: int) -> tuple[int, int, int]:
+    """Blocks, rows and columns of a 2^n table's row blocks: its (2^|b|, 2^|a|) split in
+    blocks of ``_BLOCK`` entries, or the whole table in one."""
+    rows = min(1 << n - n // 2, max(1, _BLOCK >> n // 2))
+    return (1 << n - n // 2) // rows, rows, 1 << n // 2
 
 
 @dataclass(frozen=True)
@@ -181,38 +188,31 @@ class DistributionTable:
             raise ValidationError("probability table does not sum to 1")
 
     def blocks(self):
-        """The row blocks of :func:`_block_rows`, as views: reading them needs no temporary."""
-        table = self.probs.reshape(-1, 1 << self.n // 2)
-        rows = _block_rows(self.n)
-        for r in range(0, table.shape[0], rows):
-            yield table[r:r + rows]
+        """The row blocks of :func:`_block_shape`, as views: reading them needs no temporary."""
+        return self.probs.reshape(_block_shape(self.n))
 
 
 class StreamedTable:
     """The table of :func:`distribution` read in row blocks, never held whole.
 
-    The blocks are those of :meth:`DistributionTable.blocks`, each computed into one
-    reused buffer. Building it reads the table three times: the max log weight
-    ``top``, then the block sums of exp(w - top) in a pairwise tree, then the second
-    moments, which KL needs and which would otherwise cost a read of their own.
-    ``top``, the total and so log Z and every probability are those of
-    :func:`normalize`, bit for bit, and ``moments`` are :func:`second_moments`'s.
+    The blocks are those of :meth:`DistributionTable.blocks`, each computed by
+    :func:`_products` into one reused buffer. Building it reads the table three times:
+    :func:`_top_total`'s two walks, as :func:`normalize` makes over a stored table, then
+    the second moments, which KL needs and which would otherwise cost a read of their
+    own. So log Z and every probability are those of :func:`distribution`'s table, bit
+    for bit, and ``moments`` are :func:`second_moments`'s.
     """
 
     def __init__(self, m: IsingModel):
         _check_cap(m.n, "distribution table")
         self.n, self.model = m.n, m
         self._left, self._right = _factors(m.coupling.entries, m.field)
-        self._top = _top(np.max([w.max() for w in self._log_weights()]), m.n)
-        self._total = _tree([_exp_shifted(w, self._top).sum() for w in self._log_weights()])
-        self.log_z = self._top + float(np.log(self._total))
+        self._top, self._total, self.log_z = _top_total(self._log_weights, m.n)
         self.moments = _moments(self)
 
     def _log_weights(self):
-        rows = _block_rows(self.n)
-        buf = np.empty((rows, self._right.shape[0]))
-        for r in range(0, self._left.shape[0], rows):
-            yield _product(self._left[r:r + rows], self._right, buf)
+        blocks, rows, columns = _block_shape(self.n)
+        return _products(self._left, self._right, [np.empty((rows, columns))] * blocks)
 
     def blocks(self):
         """The probability blocks in row order, each in the buffer the next one overwrites."""
@@ -279,13 +279,12 @@ def _moments(table: Table) -> tuple[np.ndarray, np.ndarray]:
     """
     Sa, Sb = _halves(table.n)
     pb, cross = np.empty(Sb.shape[0]), np.empty((Sb.shape[0], Sa.shape[1]))
-    col_sums, r = [], 0
-    for block in table.blocks():
-        rows = slice(r, r + block.shape[0])
+    col_sums = []
+    for k, block in enumerate(table.blocks()):  # every block has the same rows
+        rows = slice(k * len(block), (k + 1) * len(block))
         block.sum(axis=1, out=pb[rows])
         np.matmul(block, Sa, out=cross[rows])
         col_sums.append(block.sum(axis=0))
-        r += block.shape[0]
     pa = _tree(col_sums)
     k = Sa.shape[1]
     second = np.empty((table.n, table.n))

@@ -330,6 +330,26 @@ class TestCapabilityGate:
         assert not caught
         assert out.read_text() == f"metric,value\nfrobenius,{np.sqrt(56.0) * 1e307:.12g}\n"
 
+    @pytest.mark.parametrize("entry, other, expected", [
+        (1.7e308, -1.7e308, "inf"),  # the difference overflows to inf
+        (1e307, 0.0, "7e+307"),  # eigenvalues 7e307 and, seven times, -1e307
+    ], ids=["inf_difference", "large_finite"])
+    def test_overflowing_op_norm_err_exits_0(self, tmp_path, entry, other, expected):
+        paths = []
+        for value in (other, entry):
+            J = np.full((8, 8), value)
+            np.fill_diagonal(J, 0.0)
+            paths.append(tmp_path / f"{len(paths)}.json")
+            save_model(IsingModel.zero_field(CouplingMatrix(J)), paths[-1])
+        out = tmp_path / "eval.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["evaluate", "--model-a", str(paths[0]), "--model-b", str(paths[1]),
+                             "--metrics", "op_norm_err", "--out", str(out)])
+        assert code == 0
+        assert not caught
+        assert out.read_text() == f"metric,value\nop_norm_err,{expected}\n"
+
 
 class TestSweep:
     def test_rows_and_header(self, tmp_path):

@@ -216,10 +216,9 @@ class TestPairMetrics:
         rng = np.random.default_rng(n)
         truth, est = (IsingModel(random_coupling(n, rng, 0.3), rng.normal(size=n))
                       for _ in range(2))
-        p_true = exact.distribution(truth)
-        # blocks of two rows or more, whose GEMMs give the rows of the whole table's;
-        # the whole tables are read in the same blocks
+        # small blocks, in which the stored tables are built and read too
         with mock.patch.object(exact, "_BLOCK", 1 << 9):
+            p_true = exact.distribution(truth)
             values = diagnostics.pair_metrics(truth, est, diagnostics.PAIR_METRICS, p_true)
             p_est = exact.distribution(est)
             assert values["tv_exact"] == exact.tv_distance(p_est, p_true)

@@ -281,8 +281,8 @@ class TestKlDivergence:
         # building a StreamedTable takes its moments, so KL reads no block and TV one pass
         n = 12
         est, truth = (IsingModel(random_coupling(n, rng), rng.normal(size=n)) for _ in range(2))
-        p_true = exact.distribution(truth)
         with mock.patch.object(exact, "_BLOCK", 1 << 8):
+            p_true = exact.distribution(truth)
             p_est = exact.distribution(est, streamed=True)
             passes = []
             original = exact.StreamedTable._log_weights
@@ -369,13 +369,17 @@ def random_form(n, log_scale, seed):
 
 
 class TestBitIdentity:
-    """The one-GEMM table, the distribution checked by normalize alone and the
-    block-wise TV, compared with == to the expressions they replaced.
+    """The table, the distribution checked by normalize alone and the block-wise TV,
+    compared with == to the expressions they replaced, and stored tables with ==
+    to streamed ones.
 
-    The GEMM equality holds on the OpenBLAS 0.3.31 build that numpy 2.4.6
-    ships: its kernel sums the inner dimension in order, so the two appended
-    columns add t_b, then t_a, after the cross term. A BLAS that splits or
-    reorders a short inner sum could fail it by the last bit.
+    Up to n = 14 a table is one row block, so one product. Its equality to the
+    earlier expression holds on the OpenBLAS 0.3.31 build that numpy 2.4.6 ships:
+    its kernel sums the inner dimension in order, so the two appended columns add
+    t_b, then t_a, after the cross term. A BLAS that splits or reorders a short
+    inner sum could fail it by the last bit. Stored and streamed tables share one
+    product walk and one normalization, so they are equal at any block size on
+    any build.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -399,16 +403,16 @@ class TestBitIdentity:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 16), st.floats(-3.0, 1.0), st.integers(0, 2**32 - 1),
-           st.sampled_from([1 << 9, 1 << 12, 1 << 17]))
+           st.sampled_from([1 << 4, 1 << 9, 1 << 12, 1 << 17]))
     @example(16, 0.0, 0, 1 << 9)  # 128 blocks of two rows
+    @example(16, 0.0, 0, 1 << 4)  # 256 blocks of one row
+    @example(20, 0.0, 0, 1 << 17)  # the default: 8 blocks of 128 rows
     def test_streamed_table(self, n, log_scale, seed, block):
-        # blocks of two rows or more: a one-row product is a matrix-vector one,
-        # which sums in another order than the whole table's product
         Q, h = random_form(n, log_scale, seed)
         np.fill_diagonal(Q, 0.0)
         m = IsingModel(CouplingMatrix(Q), h)
-        table = exact.distribution(m)
         with mock.patch.object(exact, "_BLOCK", block):
+            table = exact.distribution(m)
             streamed = exact.distribution(m, streamed=True)
             probs = np.concatenate([b.copy() for b in streamed.blocks()]).reshape(-1)
             stored_blocks = list(table.blocks())

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isingfit import exact, sampler
@@ -250,6 +250,38 @@ class TestChainProcesses:
         assert not waiter.is_alive()
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         assert sampler.chain_processes(30, 2000, cfg) == 1
+
+
+class TestPrefix:
+    """With the same seed, the l samples are the first l rows of the L > l samples."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 12), l=st.integers(1, 300), extra=st.integers(1, 300),
+           seed=st.integers(-2**63, 2**63 - 1), coupling_seed=st.integers(0, 2**32 - 1))
+    def test_exact_sample(self, n, l, extra, seed, coupling_seed):
+        rng = np.random.default_rng(coupling_seed)
+        table = exact.distribution(IsingModel(random_coupling(n, rng), rng.normal(size=n)))
+        large = sampler.exact_sample(table, l + extra, seed=seed).spins
+        assert sampler.exact_sample(table, l, seed=seed).spins.tobytes() == large[:l].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 10), l=st.integers(1, 30), extra=st.integers(1, 30),
+           burn_in=st.integers(1, 4), thinning=st.integers(1, 3), chains=st.integers(1, 6),
+           seed=st.integers(-2**63, 2**63 - 1), coupling_seed=st.integers(0, 2**32 - 1))
+    @example(n=6, l=2, extra=5, burn_in=3, thinning=2, chains=4, seed=0, coupling_seed=0)  # l < chains
+    # l < chains again, and the L samples' 324,000 site updates fork to two processes
+    @example(n=30, l=3, extra=1997, burn_in=200, thinning=5, chains=4, seed=0, coupling_seed=0)
+    def test_glauber_sample(self, n, l, extra, burn_in, thinning, chains, seed, coupling_seed):
+        m = zero_field(random_coupling(n, np.random.default_rng(coupling_seed)).entries)
+        cfg = sampler.GlauberConfig(burn_in, thinning, chains)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampler, "_usable_cpus", lambda: 2)
+            if (sampler.site_updates(n, l + extra, cfg) >= sampler._MIN_PARALLEL_UPDATES
+                    and "fork" in multiprocessing.get_all_start_methods()):
+                assert sampler.chain_processes(n, l + extra, cfg) == 2
+            large = sampler.glauber_sample(m, l + extra, cfg, seed=seed).spins
+            small = sampler.glauber_sample(m, l, cfg, seed=seed).spins
+        assert small.tobytes() == large[:l].tobytes()
 
 
 class TestInputChecks:
