@@ -7,14 +7,14 @@ values. Exit codes: 0 success, 1 runtime failure, 2 configuration error
 
 Sweep results are one CSV row per distinct (l, seed) cell. Cells are pure
 functions of the configuration and the cell seed, so a row can be reproduced
-by re-running its cell alone; cells run and rows are written in cell-key order,
-which makes serial and parallel runs produce identically ordered files.
+by re-running its cell alone. Cells run in ``--jobs`` groups, each building the
+truth once, on :func:`sampler.run_forked` (the caller runs the first); rows are
+written in cell-key order, so serial and parallel runs write identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import functools
 import json
@@ -290,26 +290,22 @@ def _cmd_evaluate(args) -> int:
 # Sweep.
 # ---------------------------------------------------------------------------
 
-def _run_sweep_cell(spec, constraint, fit_cfg, glauber, metrics, key) -> dict:
-    """One (l, seed) cell; ``glauber`` is None for exact sampling."""
-    l, seed = key
+def _sweep_group(spec, constraint, fit_cfg, glauber, metrics, keys) -> list[dict]:
+    """The rows of the (l, seed) cells ``keys``; the truth and its exact table are built once."""
     model = ensembles.generate(spec)
     p_true = exact.distribution(model) if glauber is None else None  # sampled from, then reused
-    if glauber is None:
-        batch = sampler.exact_sample(p_true, l, seed=seed)
-    else:
-        batch = sampler.glauber_sample(model, l, glauber, seed=seed)
-
-    report = optimizer.fit_mple(batch, np.zeros(spec.n), constraint, fit_cfg)
-    est = IsingModel.zero_field(report.estimate)
-    values = diagnostics.pair_metrics(model, est, metrics, p_true)
-
-    # Keys in SWEEP_COLUMNS order; beta and wall_time keep their own precision.
-    return {"ensemble": spec.kind, "n": spec.n, "beta": format(spec.beta, ".6g"), "d": spec.d,
-            "l": l, "seed": seed, "constraint": constraint.describe(),
-            "frob_err": values.get("frobenius"), "tv_exact": values.get("tv_exact"),
-            "kl_exact": values.get("kl_exact"), "iters": report.iterations,
-            "wall_time": format(report.wall_time, ".6f"), "op_norm_err": values.get("op_norm_err")}
+    rows = []
+    for l, seed in keys:
+        batch = (sampler.exact_sample(p_true, l, seed=seed) if glauber is None
+                 else sampler.glauber_sample(model, l, glauber, seed=seed))
+        report = optimizer.fit_mple(batch, np.zeros(spec.n), constraint, fit_cfg)
+        est = IsingModel.zero_field(report.estimate)
+        values = diagnostics.pair_metrics(model, est, metrics, p_true)
+        rows.append(dict(zip(SWEEP_COLUMNS, (  # beta and wall_time keep their own precision
+            spec.kind, spec.n, format(spec.beta, ".6g"), spec.d, l, seed, constraint.describe(),
+            values.get("frobenius"), values.get("tv_exact"), values.get("kl_exact"),
+            report.iterations, format(report.wall_time, ".6f"), values.get("op_norm_err")))))
+    return rows
 
 
 @dataclasses.dataclass(frozen=True)
@@ -359,19 +355,22 @@ def _cmd_sweep(args) -> int:
     if method not in ("exact", "glauber"):
         raise ConfigError(f"sampler.method: unknown method {method!r}")
     if os.path.isfile(args.out) and os.path.getsize(args.out):
-        with open(args.out) as fh:
-            if fh.readline().rstrip("\r\n") != ",".join(SWEEP_COLUMNS):
-                raise ConfigError(f"out: {args.out} does not start with the sweep header")
+        try:  # an undecodable byte cannot match the header, so it is replaced
+            with open(args.out, errors="replace") as fh:
+                first = fh.readline()
+        except OSError as e:
+            raise ConfigError(f"out: cannot read {args.out}: {e.strerror or e}")
+        if first.rstrip("\r\n") != ",".join(SWEEP_COLUMNS):
+            raise ConfigError(f"out: {args.out} does not start with the sweep header")
 
-    cell = functools.partial(_run_sweep_cell, spec, constraint, fit_cfg,
-                             glauber if method == "glauber" else None, grid.metrics)
-    # Distinct cells run once each, in key order; other columns are fixed per sweep.
+    group = functools.partial(_sweep_group, spec, constraint, fit_cfg,
+                              glauber if method == "glauber" else None, grid.metrics)
     keys = [(l, seed) for l in sorted(set(grid.l_values)) for seed in sorted(set(grid.seeds))]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(cell, keys))
-    else:
-        rows = [cell(key) for key in keys]
+    jobs = min(args.jobs, len(keys))
+    rows = [None] * len(keys)  # group k runs the distinct cells keys[k::jobs], in key order
+    for k, group_rows in enumerate(sampler.run_forked(
+            [functools.partial(group, keys[k::jobs]) for k in range(jobs)])):
+        rows[k::jobs] = group_rows
     with open(args.out, "a") as fh:  # append mode opens at the end: a header only if empty
         fh.write(_csv_text(rows, header=fh.tell() == 0))
     return 0

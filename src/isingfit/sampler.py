@@ -11,11 +11,11 @@ by (seed, chain index), and chain c's samples are the rows ``c::chains`` of the
 batch (a round-robin merge), so the output is a pure function of the model,
 count, config and seed no matter how the chains are scheduled. That lets
 :func:`glauber_sample` run its chains on :func:`chain_processes` processes, the
-caller and workers forked from it, with the same bytes as one process running
-them in turn; it stays in one process where a worker would not pay for itself or
-is unsafe to fork. A chain keeps its local fields in one numpy vector and updates
-them with one vector add per flip; samples are byte-identical to those of earlier
-releases, whose loop added one scalar per site. :func:`mixing` gives split-R-hat.
+caller and workers that :func:`run_forked` forks from it, with the same bytes as
+one process running them in turn; it stays in one process where a worker would
+not pay for itself or is unsafe to fork. A chain updates its local fields with one
+vector add per flip; samples are byte-identical to those of earlier releases,
+whose loop added one scalar per site. :func:`mixing` gives split-R-hat.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def glauber_sample(m: IsingModel, l: int, cfg: GlauberConfig | None = None,
 
     # Process k runs run(k), the caller k = 0; each chain fills its own rows,
     # so the bytes do not depend on who ran it.
-    for k, rows in enumerate(_run_forked([functools.partial(run, k) for k in range(procs)])):
+    for k, rows in enumerate(run_forked([functools.partial(run, k) for k in range(procs)])):
         for c, chain_rows in zip(range(k, chains, procs), rows):
             spins[c::chains] = chain_rows
     return SampleBatch(spins)
@@ -140,8 +140,8 @@ def chain_processes(n: int, l: int, cfg: GlauberConfig) -> int:
     - one chain or one CPU, where there is nothing to split;
     - fewer than ``_MIN_PARALLEL_UPDATES`` site updates, where starting a
       worker costs more than it saves;
-    - the caller is itself a multiprocessing child, so the workers of a
-      parallel sweep never start workers of their own;
+    - the caller is itself a multiprocessing child: a parallel sweep's workers
+      run their chains in turn, while its caller splits them as a serial sweep does;
     - another thread is running: fork copies only the calling thread, and a
       lock that another thread holds would stay held in the worker;
     - the platform has no ``fork`` start method.
@@ -157,20 +157,21 @@ def chain_processes(n: int, l: int, cfg: GlauberConfig) -> int:
     return procs
 
 
-def _run_forked(tasks: list) -> list:
-    """The results of the zero-argument callables ``tasks``, in order.
+def run_forked(tasks: list) -> list:
+    """The results of the zero-argument callables ``tasks`` (chains or sweep cells), in order.
 
-    The first runs in this process while each other runs in a worker forked
-    from it, which sends back its result, or the exception that ended it for
-    the caller to raise. Workers are plain ``Process`` objects with one pipe
-    each, as a ``ProcessPoolExecutor`` raised peak memory by about 1 MB more
-    (its modules and its manager and feeder threads). A worker whose result
-    was not read when the call failed is stopped; none outlives the call.
+    The first runs here and each other in a worker forked from it, which sends
+    back its result or the exception that ended it, for the caller to raise. A
+    single task loads no ``multiprocessing``; without ``fork``, or while another
+    thread runs, all run here in turn. Workers are plain ``Process`` objects with
+    one pipe each (a ``ProcessPoolExecutor`` cost about 1 MB more peak memory);
+    one whose result was not read when the call failed is stopped: none outlives it.
     """
     if len(tasks) == 1:
         return [tasks[0]()]
     import multiprocessing
-
+    if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [task() for task in tasks]  # a fork would copy this thread alone
     ctx = multiprocessing.get_context("fork")
     workers, results = [], []
     try:
@@ -186,7 +187,7 @@ def _run_forked(tasks: list) -> list:
                 result = recv.recv()
             except EOFError:  # the worker died before it could send
                 worker.join()
-                raise RuntimeError(f"a chain worker exited with code {worker.exitcode}") from None
+                raise RuntimeError(f"a forked worker exited with code {worker.exitcode}") from None
             if isinstance(result, Exception):
                 raise result
             results.append(result)

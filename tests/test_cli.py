@@ -1,14 +1,17 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from isingfit import cli, diagnostics, exact, sampler
+from isingfit import cli, diagnostics, ensembles, exact, sampler
 from isingfit.core import CouplingMatrix, IsingModel, load_model, load_samples, save_model
 
 from conftest import dobrushin_model
@@ -16,6 +19,9 @@ from conftest import dobrushin_model
 MODEL_N2 = str(Path(__file__).parent / "data" / "model_n2.json")
 MODEL_SK8 = str(Path(__file__).parent / "data" / "model_sk8.json")  # SK n=8 beta=0.5 seed 3
 MODEL_SK8_B = str(Path(__file__).parent / "data" / "model_sk8_b.json")  # SK n=8 beta=0.7 seed 11
+
+fork_only = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                               reason="sweep groups run in one process without fork")
 
 
 def write_config(path, doc):
@@ -401,8 +407,9 @@ class TestSweep:
         assert strip_wall_time(serial.read_text()) == strip_wall_time(parallel.read_text())
 
     def test_glauber_serial_matches_parallel(self, tmp_path, monkeypatch):
-        # at --jobs 1 each cell splits its chains across two processes; the
-        # --jobs 2 workers, being multiprocessing children, run them in turn
+        # at --jobs 1 each cell splits its chains across two processes, and at
+        # --jobs 2 so do the caller's cells, while the forked worker, a
+        # multiprocessing child, runs its cells' chains in turn
         monkeypatch.setattr(sampler, "_MIN_PARALLEL_UPDATES", 0)
         monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
         doc = base_config()
@@ -412,6 +419,75 @@ class TestSweep:
         assert sampler.chain_processes(6, 100, sampler.GlauberConfig()) == 2
         assert cli.main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
         assert cli.main(["sweep", "--config", cfg, "--out", str(parallel), "--jobs", "2"]) == 0
+        assert strip_wall_time(serial.read_text()) == strip_wall_time(parallel.read_text())
+
+    def test_truth_built_once_per_group(self, tmp_path, distribution_calls, monkeypatch):
+        # a serial sweep is one group: its 2 x 2 cells share one truth and one table
+        generated, generate = [], ensembles.generate
+        monkeypatch.setattr(ensembles, "generate",
+                            lambda spec: generated.append(spec.n) or generate(spec))
+        cfg = write_config(tmp_path / "c.json", base_config())
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "exact.csv")]) == 0
+        assert distribution_calls == [6] and generated == [6]
+
+        doc = base_config(metrics=("frobenius",))
+        doc["sampler"] = {"method": "glauber", "burn_in_sweeps": 5, "thinning_sweeps": 1}
+        cfg = write_config(tmp_path / "g.json", doc)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "glauber.csv")]) == 0
+        assert distribution_calls == [6] and generated == [6, 6]
+
+    @fork_only
+    def test_worker_group_error_matches_serial(self, tmp_path, capsys, monkeypatch):
+        # at --jobs 2 the forked worker runs the seed-1 cells; the first one's error
+        # reaches the caller as the serial run reports it, and no worker outlives it
+        drawn, draw = [], sampler.exact_sample
+
+        def failing(m, l, seed=0):
+            drawn.append(seed)
+            if seed == 1:
+                raise ValueError(f"no draw at l={l}, seed={seed}")
+            return draw(m, l, seed=seed)
+
+        monkeypatch.setattr(sampler, "exact_sample", failing)
+        cfg = write_config(tmp_path / "c.json", base_config())
+        for jobs, caller_draws in (("1", [0, 1]), ("2", [0, 0])):
+            drawn.clear()
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert cli.main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 1
+            assert capsys.readouterr().err == "error: ValueError: no draw at l=100, seed=1\n"
+            assert drawn == caller_draws and not out.exists()
+            assert multiprocessing.active_children() == []
+
+    @fork_only
+    def test_caller_group_error_stops_worker(self, tmp_path, capsys, monkeypatch):
+        # the caller's seed-0 cell fails while the worker's seed-1 cell would run
+        # for a minute: the worker is stopped, not waited for
+        def failing(m, l, seed=0):
+            if seed == 0:
+                raise ValueError(f"no draw at seed {seed}")
+            time.sleep(60)
+
+        monkeypatch.setattr(sampler, "exact_sample", failing)
+        cfg = write_config(tmp_path / "c.json", base_config())
+        start = time.monotonic()
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "r.csv"),
+                         "--jobs", "2"]) == 1
+        assert time.monotonic() - start < 30
+        assert capsys.readouterr().err == "error: ValueError: no draw at seed 0\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("module, name, value", [
+        (multiprocessing, "get_all_start_methods", ["spawn"]),  # no fork
+        (threading, "active_count", 2),  # another thread runs
+    ])
+    def test_groups_run_in_turn_where_forking_is_unsafe(self, tmp_path, monkeypatch,
+                                                         module, name, value):
+        cfg = write_config(tmp_path / "c.json", base_config())
+        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
+        monkeypatch.setattr(module, name, lambda: value)
+        monkeypatch.setattr(multiprocessing, "get_context", None)  # a fork would fail
+        assert cli.main(["sweep", "--config", cfg, "--out", str(parallel), "--jobs", "3"]) == 0
         assert strip_wall_time(serial.read_text()) == strip_wall_time(parallel.read_text())
 
     @pytest.mark.parametrize("n, default", [(6, "exact"), (21, "glauber")])
@@ -844,6 +920,25 @@ class TestBadInput:
         capsys.readouterr()
         assert cli.main([a.format(**paths) for a in argv]) == 2
         assert message in capsys.readouterr().err
+
+    def test_unreadable_sweep_out_exit_2(self, tmp_path, capsys, monkeypatch):
+        # an --out whose first line cannot be decoded is no sweep file, and one that
+        # cannot be opened is named: both exit 2 before a cell runs
+        cfg = write_config(tmp_path / "c.json", base_config(n=4, l_values=(50,), seeds=(0,)))
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"\xff\xfe\x00abc")
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: out: {out} does not start with the sweep header" in capsys.readouterr().err
+        assert out.read_bytes() == b"\xff\xfe\x00abc"
+
+        def refused(path, *args, **kwargs):
+            if str(path) == str(out):
+                raise PermissionError(13, "Permission denied", str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refused, raising=False)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: out: cannot read {out}: Permission denied" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value, text", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isingfit import ensembles, mple, projections, sampler
+from isingfit import ensembles, exact, mple, projections, sampler
 from isingfit.core import CouplingMatrix, IsingModel, ParameterError
 from isingfit.optimizer import FitConfig, fit_mple
 from isingfit.projections import (
@@ -359,3 +359,37 @@ def test_stop_bound_dominates_unit_step_grad_map(family, n, t, seed):
     bound = np.linalg.norm(feasible(cs, J - t * g) - J) / min(t, 1.0)
     unit = np.linalg.norm(feasible(cs, J - g) - J)
     assert unit <= bound * (1 + 1e-9) + 1e-10
+
+
+class PopulationContext(mple.PseudolikelihoodContext):
+    """The l -> infinity context of a model: every state is a row, weighted l times its
+    probability, so the objective is l times the expected pseudolikelihood loss."""
+
+    l = n = None  # set per instance, in place of a sample's
+
+    def __init__(self, model, l):
+        self.l, self.n = l, model.n
+        self.x = exact.all_states(model.n)
+        self.w = l * exact.distribution(model).probs
+        self.wx = self.x * self.w[:, None]
+        self.field = model.field
+
+
+@pytest.mark.parametrize("spec, cs", [
+    (ensembles.EnsembleSpec("SK", 8, beta=1.0), OpNormBall(10.0)),
+    (ensembles.EnsembleSpec("SK", 8, beta=0.2), SpectralSpread(1.0)),
+    (ensembles.EnsembleSpec("BoundedWidthRandom", 8, width=1.0), WidthBall(1.5)),
+    (ensembles.EnsembleSpec("AntiferroExpander", 8, beta=0.1, d=3), AntiferroSpike(0.9, 1.0)),
+])
+def test_population_fit_recovers_truth(monkeypatch, spec, cs):
+    # The pseudolikelihood is Fisher-consistent: its population objective is least at
+    # J*, so a fit on the exact population lands on J* wherever the set holds it.
+    model, l = ensembles.generate(spec), 1000
+    truth = model.coupling.entries
+    assert cs.member(truth, 1e-12)
+    ctx = PopulationContext(model, l)
+    monkeypatch.setattr(mple, "PseudolikelihoodContext", lambda samples, h: ctx)
+    report = fit_mple(None, model.field, cs, FitConfig(grad_map_tol=1e-9 * model.n * l))
+    assert report.converged
+    err = np.linalg.norm(report.estimate.entries - truth)
+    assert err <= 1e-6 * np.linalg.norm(truth), (err, report.iterations)

@@ -111,6 +111,30 @@ def sibling_private_reads():
     return sorted(reads)
 
 
+def process_imports():
+    """(module.function, imported name) for every import of ``multiprocessing`` or
+    ``concurrent`` in the library; the function is ``<module>`` outside any function."""
+    found = set()
+    for path in sorted(Path(isingfit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # ast.walk visits outer functions first, so a node keeps its innermost function
+        scope = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                 for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found.update((f"{path.stem}.{scope.get(id(node), '<module>')}", name) for name in names
+                         if name.split(".")[0] in ("multiprocessing", "concurrent"))
+    return sorted(found)
+
+
+def test_process_machinery_imported_only_by_the_fork_helper():
+    # one way to run work on processes: no executor, and multiprocessing loads only
+    # where a run forks, so that importing the library loads neither
+    assert process_imports() == [("sampler.chain_processes", "multiprocessing"),
+                                 ("sampler.run_forked", "multiprocessing")]
+
+
 def test_private_names_read_across_modules():
     # the exact layer's half split, among others, stays inside its module
     assert sibling_private_reads() == sorted(
